@@ -17,7 +17,7 @@ from .ibd import (
     sample_genotype,
     sample_related,
 )
-from .lrstats import STATISTICS, LrBreakdown, loglik, lr_all
+from .lrstats import STATISTICS, LrBreakdown, lr_all
 from .power import (
     DiffCI,
     PowerCurve,

@@ -20,10 +20,10 @@ from typing import NamedTuple, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from .ibd import ThetaIBD, genotypes_from_uniforms, pair_components, related_from_uniforms
-from .lrstats import STATISTICS
 from .tables import FrequencyTable, local_average, pooled_frequencies
 
 BLOCK = 8192
+STATISTICS = ("LAF", "AVG", "MAX", "MIN", "RMAX", "RMIN", "CB")
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,7 @@ class _Compiled(NamedTuple):
     logp: np.ndarray              # (K,) log proportions
     prop_cdf: np.ndarray          # (K,)
     loci: tuple[str, ...]
+    labels: tuple[tuple[str, ...], ...]  # per locus allele labels; index i is column i
     fmat: tuple[np.ndarray, ...]  # per locus (K+2, A); rows K=local, K+1=pooled
     cdf: tuple[np.ndarray, ...]   # per locus (K, A) per-subpop sampling CDFs
 
@@ -78,14 +79,14 @@ def _compile(table: FrequencyTable, cb_weights: str) -> _Compiled:
     local = local_average(table).locus_freqs("local")
     pooled = pooled_frequencies(table, cb_weights).locus_freqs("pooled")
     props = np.array(table.proportions)
+    labels = tuple(table.alleles(locus) for locus in table.panel)
     fmat, cdf = [], []
-    for locus in table.panel:
-        labels = table.alleles(locus)
+    for locus, locus_labels in zip(table.panel, labels):
         rows = [
-            [table.freqs[s.name][locus][a] for a in labels] for s in table.subpops
+            [table.freqs[s.name][locus][a] for a in locus_labels] for s in table.subpops
         ]
-        rows.append([local[locus][a] for a in labels])
-        rows.append([pooled[locus][a] for a in labels])
+        rows.append([local[locus][a] for a in locus_labels])
+        rows.append([pooled[locus][a] for a in locus_labels])
         mat = np.array(rows, dtype=np.float64)
         fmat.append(mat)
         cdf.append(np.cumsum(mat[: table.n_subpops], axis=1))
@@ -94,6 +95,7 @@ def _compile(table: FrequencyTable, cb_weights: str) -> _Compiled:
         logp=np.log(props),
         prop_cdf=np.cumsum(props),
         loci=table.panel,
+        labels=labels,
         fmat=tuple(fmat),
         cdf=tuple(cdf),
     )
@@ -123,7 +125,12 @@ def _loglik_arrays(compiled: _Compiled, g1a, g1b, g2a, g2b, theta0, theta1):
 
 
 def _diff(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num - den; pairs that are impossible under both thetas map to -inf."""
+    """Log-ratio num - den under the package's one infinity rule.
+
+    A -inf numerator gives -inf (the pair is impossible under the
+    alternative); a finite numerator over a -inf denominator gives +inf;
+    both -inf gives -inf.
+    """
     with np.errstate(invalid="ignore"):
         out = num - den
     out[np.isnan(out)] = -np.inf

@@ -9,57 +9,23 @@ Seven statistics are computed, all in log scale:
   under the alternative and the null
 * ``CB``   - LR under frequencies pooled into one homogeneous group
 
-All arithmetic is in log space; 15-locus products of genotype
-probabilities underflow linear doubles.
+``lr_all`` is the simulation engine's kernel run on a single replicate
+(B=1): the pair is encoded as allele indices in the engine's label order
+and goes through the same log-likelihood, infinity rule and statistic code
+as every simulated pair, so casework and simulation agree bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 import numpy as np
 
-from .errors import PanelMismatch
-from .ibd import ThetaIBD, log_pair_probability
-from .tables import FrequencyTable, Profile, local_average, pooled_frequencies
-
-STATISTICS = ("LAF", "AVG", "MAX", "MIN", "RMAX", "RMIN", "CB")
-
-
-def loglik(
-    pair: Tuple[Profile, Profile],
-    theta: ThetaIBD,
-    locus_freqs: Mapping[str, Mapping[str, float]],
-) -> float:
-    """Sum of per-locus log pair probabilities; -inf propagates."""
-    p1, p2 = pair
-    total = 0.0
-    for locus, f in locus_freqs.items():
-        total += log_pair_probability(p1.genotype(locus), p2.genotype(locus), theta, f)
-    return total
-
-
-def _sub_inf(num: float, den: float) -> float:
-    """num - den with the sentinel convention for zero-probability cells.
-
-    -inf numerator dominates (reject-relatedness signal); finite numerator
-    over a -inf denominator is +inf.
-    """
-    if math.isinf(num) and num < 0:
-        return -math.inf
-    if math.isinf(den) and den < 0:
-        return math.inf
-    return num - den
-
-
-def _logsumexp_weighted(logw: np.ndarray, x: np.ndarray) -> float:
-    terms = logw + x
-    m = np.max(terms)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.exp(terms - m).sum()))
+from .engine import STATISTICS, _Compiled, _compile, _derive_block, _diff, _loglik_arrays
+from .errors import PanelMismatch, UnknownAllele
+from .ibd import ThetaIBD
+from .tables import FrequencyTable, Profile
 
 
 @dataclass(frozen=True)
@@ -78,28 +44,23 @@ class LrBreakdown:
 
     @property
     def per_subpop_log_lr(self) -> tuple[float, ...]:
-        return tuple(_sub_inf(l1, l0) for l0, l1 in zip(self.loglik0, self.loglik1))
+        return tuple(_diff(np.array(self.loglik1), np.array(self.loglik0)).tolist())
 
 
-def derive_statistics(
-    loglik0: np.ndarray,
-    loglik1: np.ndarray,
-    loglik_local: Tuple[float, float],
-    loglik_pooled: Tuple[float, float],
-    proportions: np.ndarray,
-) -> dict[str, float]:
-    """Derive the seven statistics from per-subpop log-likelihoods."""
-    llr = np.array([_sub_inf(l1, l0) for l0, l1 in zip(loglik0, loglik1)])
-    logp = np.log(proportions)
-    return {
-        "LAF": _sub_inf(loglik_local[1], loglik_local[0]),
-        "AVG": _logsumexp_weighted(logp, llr),
-        "MAX": float(np.max(llr)),
-        "MIN": float(np.min(llr)),
-        "RMAX": _sub_inf(float(np.max(loglik1)), float(np.max(loglik0))),
-        "RMIN": _sub_inf(float(np.min(loglik1)), float(np.min(loglik0))),
-        "CB": _sub_inf(loglik_pooled[1], loglik_pooled[0]),
-    }
+def _encode(profile: Profile, compiled: _Compiled):
+    """Allele-index arrays of shape (1, loci) for one profile."""
+    m = len(compiled.loci)
+    a = np.empty((1, m), dtype=np.int64)
+    b = np.empty((1, m), dtype=np.int64)
+    for ell, (locus, locus_labels) in enumerate(zip(compiled.loci, compiled.labels)):
+        index = {label: i for i, label in enumerate(locus_labels)}
+        alleles = profile.genotype(locus).alleles
+        try:
+            a[0, ell], b[0, ell] = index[alleles[0]], index[alleles[1]]
+        except KeyError as exc:
+            raise UnknownAllele(
+                f"allele {exc.args[0]!r} absent from frequency support") from exc
+    return a, b
 
 
 def lr_all(
@@ -110,31 +71,26 @@ def lr_all(
     cb_weights: str = "auto",
 ) -> LrBreakdown:
     """Compute all seven statistics for one profile pair."""
-    p1, p2 = pair
     for profile in pair:
         if set(profile.loci) != set(table.panel):
             raise PanelMismatch(
                 f"profile loci {sorted(profile.loci)} do not cover panel {sorted(table.panel)}")
 
-    lf_local = local_average(table).locus_freqs("local")
-    lf_pooled = pooled_frequencies(table, cb_weights).locus_freqs("pooled")
+    compiled = _compile(table, cb_weights)
+    g1a, g1b = _encode(pair[0], compiled)
+    g2a, g2b = _encode(pair[1], compiled)
+    ll0, ll1 = _loglik_arrays(compiled, g1a, g1b, g2a, g2b, theta0, theta1)
+    values = _derive_block(compiled, ll0, ll1, STATISTICS)
 
-    ll0 = np.array([loglik(pair, theta0, table.locus_freqs(s.name)) for s in table.subpops])
-    ll1 = np.array([loglik(pair, theta1, table.locus_freqs(s.name)) for s in table.subpops])
-    local0, local1 = loglik(pair, theta0, lf_local), loglik(pair, theta1, lf_local)
-    pooled0, pooled1 = loglik(pair, theta0, lf_pooled), loglik(pair, theta1, lf_pooled)
-
-    stats = derive_statistics(
-        ll0, ll1, (local0, local1), (pooled0, pooled1), np.array(table.proportions)
-    )
+    K = compiled.K
     return LrBreakdown(
         subpops=tuple(s.name for s in table.subpops),
         proportions=table.proportions,
-        loglik0=tuple(ll0),
-        loglik1=tuple(ll1),
-        loglik0_local=local0,
-        loglik1_local=local1,
-        loglik0_pooled=pooled0,
-        loglik1_pooled=pooled1,
-        stats=stats,
+        loglik0=tuple(ll0[0, :K].tolist()),
+        loglik1=tuple(ll1[0, :K].tolist()),
+        loglik0_local=float(ll0[0, K]),
+        loglik1_local=float(ll1[0, K]),
+        loglik0_pooled=float(ll0[0, K + 1]),
+        loglik1_pooled=float(ll1[0, K + 1]),
+        stats={s: float(v[0]) for s, v in values.items()},
     )

@@ -63,6 +63,18 @@ class DiffCI:
     ci_high: float
 
 
+def _order_statistic(x: np.ndarray, alpha: float, select) -> float:
+    """The ceil(n*(1-alpha))-th smallest of the n values in x, or -inf when
+    that rank is 0; ``select(i)`` returns the value of 0-based rank i."""
+    if alpha * x.size < 10:
+        warnings.warn(
+            f"alpha*B = {alpha * x.size:.3g} < 10; threshold estimate is unstable",
+            AlphaTooSmallForB,
+        )
+    k = math.ceil(x.size * (1.0 - alpha))
+    return -math.inf if k <= 0 else float(select(k - 1))
+
+
 def null_threshold(null_samples: np.ndarray, alpha: float) -> float:
     """Empirical threshold c with realized P(x > c) <= alpha on the sample."""
     if not (0.0 < alpha < 1.0):
@@ -70,15 +82,7 @@ def null_threshold(null_samples: np.ndarray, alpha: float) -> float:
     x = np.asarray(null_samples, dtype=np.float64)
     if x.size == 0:
         raise ValueError("null sample is empty")
-    if alpha * x.size < 10:
-        warnings.warn(
-            f"alpha*B = {alpha * x.size:.3g} < 10; threshold estimate is unstable",
-            AlphaTooSmallForB,
-        )
-    k = math.ceil(x.size * (1.0 - alpha))
-    if k <= 0:
-        return -math.inf
-    return float(np.partition(x, k - 1)[k - 1])
+    return _order_statistic(x, alpha, lambda i: np.partition(x, i)[i])
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.95):
@@ -117,16 +121,7 @@ def power_curve(
     alt = np.asarray(alt_samples, dtype=np.float64)
     points = []
     for alpha in grid:
-        if alpha >= 1.0:
-            c = -math.inf
-        else:
-            if alpha * x.size < 10:
-                warnings.warn(
-                    f"alpha*B = {alpha * x.size:.3g} < 10; threshold estimate is unstable",
-                    AlphaTooSmallForB,
-                )
-            k = math.ceil(x.size * (1.0 - alpha))
-            c = -math.inf if k <= 0 else float(x[k - 1])
+        c = -math.inf if alpha >= 1.0 else _order_statistic(x, alpha, lambda i: x[i])
         points.append((alpha, float(np.count_nonzero(alt > c)) / alt.size))
     return PowerCurve(statistic=statistic, points=tuple(points))
 
@@ -195,24 +190,36 @@ def power_report(
 # ---------------------------------------------------------------------------
 # plot-ready emitters and their readers
 
-def write_power_reports_csv(reports: Sequence[PowerReport],
-                            sink: Union[TextIO, None] = None) -> Optional[str]:
+def _write_rows(header: Sequence[str], rows, sink: Union[TextIO, None]) -> Optional[str]:
+    """CSV with text cells as given and every other cell as repr(float)."""
     buf = sink if sink is not None else io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["statistic", "alpha", "threshold", "power", "ci_low", "ci_high"])
-    for r in reports:
-        writer.writerow([r.statistic, repr(float(r.alpha)), repr(float(r.threshold_log)),
-                         repr(float(r.power)), repr(float(r.ci_low)),
-                         repr(float(r.ci_high))])
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
     return None if sink is not None else buf.getvalue()
 
 
-def read_power_reports_csv(source: Union[str, TextIO]) -> list[dict]:
+def _read_rows(source: Union[str, TextIO], text_columns: Sequence[str]) -> list[dict]:
+    """Rows of a CSV written by _write_rows, non-text columns parsed as floats."""
     stream = io.StringIO(source) if isinstance(source, str) else source
     return [
-        {k: (v if k == "statistic" else float(v)) for k, v in row.items()}
+        {k: (v if k in text_columns else float(v)) for k, v in row.items()}
         for row in csv.DictReader(stream)
     ]
+
+
+def write_power_reports_csv(reports: Sequence[PowerReport],
+                            sink: Union[TextIO, None] = None) -> Optional[str]:
+    return _write_rows(
+        ["statistic", "alpha", "threshold", "power", "ci_low", "ci_high"],
+        ([r.statistic, r.alpha, r.threshold_log, r.power, r.ci_low, r.ci_high]
+         for r in reports),
+        sink)
+
+
+def read_power_reports_csv(source: Union[str, TextIO]) -> list[dict]:
+    return _read_rows(source, ("statistic",))
 
 
 def power_reports_json(reports: Sequence[PowerReport]) -> str:
@@ -221,37 +228,23 @@ def power_reports_json(reports: Sequence[PowerReport]) -> str:
 
 def write_power_curves_csv(curves: Sequence[PowerCurve],
                            sink: Union[TextIO, None] = None) -> Optional[str]:
-    buf = sink if sink is not None else io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["statistic", "alpha", "power"])
-    for curve in curves:
-        for alpha, est in curve.points:
-            writer.writerow([curve.statistic, repr(float(alpha)), repr(float(est))])
-    return None if sink is not None else buf.getvalue()
+    return _write_rows(
+        ["statistic", "alpha", "power"],
+        ([curve.statistic, alpha, est] for curve in curves for alpha, est in curve.points),
+        sink)
 
 
 def read_power_curves_csv(source: Union[str, TextIO]) -> list[dict]:
-    stream = io.StringIO(source) if isinstance(source, str) else source
-    return [
-        {k: (v if k == "statistic" else float(v)) for k, v in row.items()}
-        for row in csv.DictReader(stream)
-    ]
+    return _read_rows(source, ("statistic",))
 
 
 def write_diff_cis_csv(diffs: Sequence[DiffCI],
                        sink: Union[TextIO, None] = None) -> Optional[str]:
-    buf = sink if sink is not None else io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["subpop_i", "subpop_j", "estimate", "ci_low", "ci_high"])
-    for d in diffs:
-        writer.writerow([d.subpop_i, d.subpop_j, repr(float(d.estimate)),
-                         repr(float(d.ci_low)), repr(float(d.ci_high))])
-    return None if sink is not None else buf.getvalue()
+    return _write_rows(
+        ["subpop_i", "subpop_j", "estimate", "ci_low", "ci_high"],
+        ([d.subpop_i, d.subpop_j, d.estimate, d.ci_low, d.ci_high] for d in diffs),
+        sink)
 
 
 def read_diff_cis_csv(source: Union[str, TextIO]) -> list[dict]:
-    stream = io.StringIO(source) if isinstance(source, str) else source
-    return [
-        {k: (v if k.startswith("subpop") else float(v)) for k, v in row.items()}
-        for row in csv.DictReader(stream)
-    ]
+    return _read_rows(source, ("subpop_i", "subpop_j"))

@@ -297,9 +297,11 @@ def load_frequency_table(
         sizes = [None] * K
 
     # Floor over the union support so every allele seen anywhere at a locus
-    # gets positive frequency in every subpopulation.
-    union: dict[str, set[Allele]] = {
-        locus: set().union(*(raw[name][locus].keys() for name in subpop_names))
+    # gets positive frequency in every subpopulation. The support is sorted
+    # so the renormalising sum adds in the same order in every process; set
+    # order follows string hashing, which changes with PYTHONHASHSEED.
+    union: dict[str, list[Allele]] = {
+        locus: sorted(set().union(*(raw[name][locus].keys() for name in subpop_names)))
         for locus in panel
     }
     freqs: dict[str, dict[str, dict[Allele, float]]] = {}

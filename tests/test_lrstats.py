@@ -22,32 +22,41 @@ def worked_pair():
 
 
 class TestLoglik:
+    """Per-subpopulation log-likelihoods carried by the LrBreakdown."""
+
     def test_worked_example(self, worked_pair, one_locus_table):
-        f = one_locus_table.locus_freqs("pop")
-        value = kp.loglik(worked_pair, kp.PARENT_CHILD, f)
+        b = kp.lr_all(worked_pair, kp.UNRELATED, kp.PARENT_CHILD, one_locus_table)
         # floor renormalization changes the frequencies by O(1e-16) only
-        assert value == pytest.approx(math.log(0.0105), abs=1e-6)
+        assert b.loglik1[0] == pytest.approx(math.log(0.0105), abs=1e-6)
 
     def test_equal_thetas_zero_difference(self, worked_pair, one_locus_table):
-        f = one_locus_table.locus_freqs("pop")
-        assert kp.loglik(worked_pair, kp.FULL_SIB, f) \
-            == kp.loglik(worked_pair, kp.FULL_SIB, f)
+        b = kp.lr_all(worked_pair, kp.FULL_SIB, kp.FULL_SIB, one_locus_table)
+        assert b.loglik0 == b.loglik1
+        assert b.per_subpop_log_lr == (0.0,)
 
     def test_two_locus_sum(self):
         f = {"L1": {"A": 0.3, "B": 0.7}, "L2": {"C": 0.4, "D": 0.6}}
+        table = kp.FrequencyTable(panel=("L1", "L2"),
+                                  subpops=(kp.Subpopulation("pop", 1.0),),
+                                  freqs={"pop": f})
         p1 = profile_from([("L1", ("A", "B")), ("L2", ("C", "C"))])
         p2 = profile_from([("L1", ("A", "A")), ("L2", ("C", "D"))])
-        total = kp.loglik((p1, p2), kp.FULL_SIB, f)
-        parts = sum(
-            kp.log_pair_probability(p1.genotype(l), p2.genotype(l), kp.FULL_SIB, f[l])
-            for l in f)
-        assert total == pytest.approx(parts, abs=1e-12)
+        b = kp.lr_all((p1, p2), kp.UNRELATED, kp.FULL_SIB, table)
+        for theta, total in ((kp.UNRELATED, b.loglik0[0]), (kp.FULL_SIB, b.loglik1[0])):
+            parts = sum(
+                kp.log_pair_probability(p1.genotype(l), p2.genotype(l), theta, f[l])
+                for l in f)
+            assert total == pytest.approx(parts, abs=1e-12)
 
     def test_minus_inf_propagates(self):
         f = {"L1": {"A": 0.3, "B": 0.7}}
+        table = kp.FrequencyTable(panel=("L1",), subpops=(kp.Subpopulation("pop", 1.0),),
+                                  freqs={"pop": f})
         p1 = profile_from([("L1", ("A", "A"))])
         p2 = profile_from([("L1", ("B", "B"))])
-        assert kp.loglik((p1, p2), kp.PARENT_CHILD, f) == -math.inf
+        b = kp.lr_all((p1, p2), kp.UNRELATED, kp.PARENT_CHILD, table)
+        assert b.loglik1 == (-math.inf,)
+        assert b.loglik1_local == b.loglik1_pooled == -math.inf
 
 
 class TestLrAll:
@@ -168,9 +177,38 @@ class TestLrAll:
     def test_structurally_impossible_pair_gives_minus_inf(self, two_subpop_table):
         p1 = profile_from([("L1", ("10", "10")), ("L2", ("7", "7"))])
         p2 = profile_from([("L1", ("11", "11")), ("L2", ("7", "7"))])
-        b = kp.lr_all((p1, p2), kp.UNRELATED, kp.PARENT_CHILD, two_subpop_table)
-        for s in STATISTICS:
-            assert b.stats[s] == -math.inf
+        # impossible under the alternative gives -inf whether or not it is
+        # possible under the null; impossible only under the null gives +inf
+        cases = ((kp.UNRELATED, kp.PARENT_CHILD, -math.inf),
+                 (kp.PARENT_CHILD, kp.PARENT_CHILD, -math.inf),
+                 (kp.PARENT_CHILD, kp.UNRELATED, math.inf))
+        for theta0, theta1, want in cases:
+            b = kp.lr_all((p1, p2), theta0, theta1, two_subpop_table)
+            assert b.per_subpop_log_lr == (want, want)
+            for s in STATISTICS:
+                assert b.stats[s] == want, (theta0, theta1, s)
+
+    @pytest.mark.parametrize("theta1", [kp.FULL_SIB, kp.PARENT_CHILD],
+                             ids=["full-sib", "parent-child"])
+    @pytest.mark.parametrize("simulate", [kp.simulate_null, kp.simulate_alt])
+    def test_matches_engine_exactly(self, synth_table, simulate, theta1):
+        # casework and simulation must give the same bits for the same pair,
+        # +-inf included (parent-child makes most null pairs impossible)
+        m = simulate(kp.SimConfig(table=synth_table, theta0=kp.UNRELATED,
+                                  theta1=theta1, B=200, seed=3, keep_genotypes=True))
+        g = m.genotypes
+        labels = [synth_table.alleles(locus) for locus in synth_table.panel]
+
+        def profile(a, b, i):
+            return kp.Profile(tuple(
+                kp.LocusGenotype(locus, (labels[ell][a[i, ell]], labels[ell][b[i, ell]]))
+                for ell, locus in enumerate(synth_table.panel)))
+
+        for i in range(m.B):
+            pair = (profile(g["g1a"], g["g1b"], i), profile(g["g2a"], g["g2b"], i))
+            b = kp.lr_all(pair, kp.UNRELATED, theta1, synth_table)
+            for s in STATISTICS:
+                assert b.stats[s] == m.statistics[s][i], (i, s)
 
     def test_panel_mismatch(self, two_subpop_table):
         p1 = profile_from([("L1", ("10", "11"))])

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +101,28 @@ class TestLoadFrequencyTable:
         assert reloaded == two_subpop_table
         assert kp.dump_frequency_table(reloaded) == dumped
 
+
+    def test_load_independent_of_hash_seed(self, tmp_path):
+        # string hashing, and with it set iteration order, changes with
+        # PYTHONHASHSEED; the loaded table must not
+        table = kp.synth_frequency_table(n_subpops=4, n_loci=3, n_alleles=24,
+                                         divergence=0.3, seed=3)
+        path = tmp_path / "freqs.csv"
+        path.write_text(kp.dump_frequency_table(table), encoding="utf-8")
+        script = (
+            "import hashlib, sys, kinpower as kp\n"
+            "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+            "    t = kp.load_frequency_table(fh)\n"
+            "print(hashlib.sha256(kp.dump_frequency_table(t).encode()).hexdigest())\n"
+        )
+        src = str(Path(kp.__file__).resolve().parent.parent)
+        digests = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                 capture_output=True, text=True, check=True, timeout=120)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1, digests
 
 class TestMetadata:
     def test_parse(self):
