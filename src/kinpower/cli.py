@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ``lr``, ``power``, ``power-curve``, ``subpop-bias``,
-``synth-freqs``, ``validate``. Exit codes: 0 success, 2 validation
-failure, 3 runtime failure.
+``synth-freqs``, ``validate``. Exit codes: 0 success; 2 a
+:class:`~kinpower.errors.KinpowerError` (bad input or parameters, raised
+before any replicate is simulated) or a missing file; 3 any other failure.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,7 +21,7 @@ from .power import (DEFAULT_CURVE_GRID, DEFAULT_TEST_ALPHAS, null_threshold,
                     power, power_curve, power_diff_ci, power_report,
                     power_reports_json, subpop_power, write_diff_cis_csv,
                     write_power_curves_csv, write_power_reports_csv)
-from .errors import KinpowerError
+from .errors import EmptySubpopSample, InvalidParameter, KinpowerError, MalformedRow
 
 TESTS = {
     "parent-child": (ibd.UNRELATED, ibd.PARENT_CHILD),
@@ -34,44 +34,40 @@ DESK_SCALE_B = 100_000
 PAPER_SCALE_B = 1_000_000
 
 
-@dataclass
-class RunSpec:
-    """Resolved parameters of one simulation run."""
-
-    table: tables.FrequencyTable
-    test: str
-    theta0: ibd.ThetaIBD
-    theta1: ibd.ThetaIBD
-    alphas: list[float]
-    B: int
-    seed: int
-    statistics: tuple[str, ...]
-    cb_weights: str
-    workers: int
-    out: Path
-    null_same_subpop: bool
+def _numbers(text: str, convert, what: str) -> list:
+    """Comma-separated numbers; a token ``convert`` rejects is InvalidParameter."""
+    try:
+        return [convert(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise InvalidParameter(f"{what}: {exc}") from None
 
 
 def _parse_theta(text: str) -> ibd.ThetaIBD:
-    parts = [float(tok) for tok in text.split(",")]
+    parts = _numbers(text, float, "theta")
     if len(parts) != 3:
-        raise KinpowerError(f"theta needs 3 comma-separated values, got {text!r}")
+        raise InvalidParameter(f"theta needs 3 comma-separated values, got {text!r}")
     return ibd.ThetaIBD(*parts)
 
 
+def _read(path, loader, **kwargs):
+    """``loader`` applied to a UTF-8 text file; undecodable bytes are a MalformedRow."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return loader(fh, **kwargs)
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") \
+            from None
+
+
 def _load_table(args) -> tables.FrequencyTable:
-    meta = None
-    if args.meta:
-        with open(args.meta, encoding="utf-8") as fh:
-            meta = tables.load_table_meta(fh)
-    with open(args.freqs, encoding="utf-8") as fh:
-        return tables.load_frequency_table(fh, meta=meta, floor=args.floor)
+    meta = _read(args.meta, tables.load_table_meta) if args.meta else None
+    return _read(args.freqs, tables.load_frequency_table, meta=meta, floor=args.floor)
 
 
 def _resolve_thetas(args):
     if args.test == "custom":
         if args.theta0 is None or args.theta1 is None:
-            raise KinpowerError("--test custom requires --theta0 and --theta1")
+            raise InvalidParameter("--test custom requires --theta0 and --theta1")
         return _parse_theta(args.theta0), _parse_theta(args.theta1)
     theta0, theta1 = TESTS[args.test]
     if args.theta0 is not None:
@@ -83,53 +79,49 @@ def _resolve_thetas(args):
 
 def _resolve_alphas(args) -> list[float]:
     if args.alpha:
-        alphas = [float(tok) for chunk in args.alpha for tok in chunk.split(",")]
+        alphas = [a for chunk in args.alpha for a in _numbers(chunk, float, "--alpha")]
     elif args.test in DEFAULT_TEST_ALPHAS:
         alphas = [DEFAULT_TEST_ALPHAS[args.test]]
     else:
-        raise KinpowerError("--alpha is required for custom tests")
+        raise InvalidParameter("--alpha is required for custom tests")
     for a in alphas:
         if not (0.0 < a < 1.0):
-            raise KinpowerError(f"alpha {a} not in (0, 1)")
+            raise InvalidParameter(f"alpha {a} not in (0, 1)")
     return alphas
 
 
-def _build_runspec(args) -> RunSpec:
+def _run_config(args) -> tuple[engine.SimConfig, list[float], list[float]]:
+    """Everything a simulating command needs, checked before any replicate is
+    drawn: the SimConfig, the alphas (--alpha, else the test's default) and
+    the ascending curve grid (--alpha, else DEFAULT_CURVE_GRID)."""
     table = _load_table(args)
     theta0, theta1 = _resolve_thetas(args)
     statistics = tuple(s.strip().upper() for s in args.stats.split(",")) \
         if args.stats else lrstats.STATISTICS
-    unknown = set(statistics) - set(lrstats.STATISTICS)
-    if unknown:
-        raise KinpowerError(f"unknown statistics {sorted(unknown)}")
-    B = args.B if args.B else (PAPER_SCALE_B if args.paper_scale else DESK_SCALE_B)
-    out = Path(args.out)
-    return RunSpec(
-        table=table, test=args.test, theta0=theta0, theta1=theta1,
-        alphas=_resolve_alphas(args), B=B, seed=args.seed,
-        statistics=statistics, cb_weights=args.cb_weights,
-        workers=args.workers, out=out,
+    B = args.B if args.B is not None else (
+        PAPER_SCALE_B if args.paper_scale else DESK_SCALE_B)
+    cfg = engine.SimConfig(
+        table=table, theta0=theta0, theta1=theta1, B=B, seed=args.seed,
+        statistics=statistics, workers=args.workers, cb_weights=args.cb_weights,
         null_same_subpop=args.null_same_subpop,
     )
+    alphas = _resolve_alphas(args)
+    return cfg, alphas, sorted(alphas if args.alpha else DEFAULT_CURVE_GRID)
 
 
-def _sim_config(spec: RunSpec, keep_genotypes: bool = False) -> engine.SimConfig:
-    return engine.SimConfig(
-        table=spec.table, theta0=spec.theta0, theta1=spec.theta1,
-        B=spec.B, seed=spec.seed, statistics=spec.statistics,
-        workers=spec.workers, cb_weights=spec.cb_weights,
-        null_same_subpop=spec.null_same_subpop,
-        keep_genotypes=keep_genotypes,
-    )
+def _simulate(cfg: engine.SimConfig, out: Path):
+    """The run's null and alternative samples; creates the output directory."""
+    null = engine.simulate_null(cfg)
+    alt = engine.simulate_alt(cfg)
+    out.mkdir(parents=True, exist_ok=True)
+    return null, alt
 
 
 def cmd_lr(args) -> int:
     table = _load_table(args)
     theta0, theta1 = _resolve_thetas(args)
-    with open(args.profile1, encoding="utf-8") as fh:
-        profile1 = tables.load_profile_csv(fh)
-    with open(args.profile2, encoding="utf-8") as fh:
-        profile2 = tables.load_profile_csv(fh)
+    profile1 = _read(args.profile1, tables.load_profile_csv)
+    profile2 = _read(args.profile2, tables.load_profile_csv)
     breakdown = lrstats.lr_all((profile1, profile2), theta0, theta1, table,
                                cb_weights=args.cb_weights)
     print(f"test: {args.test}  theta0={theta0.as_tuple()}  theta1={theta1.as_tuple()}")
@@ -146,24 +138,19 @@ def cmd_lr(args) -> int:
 
 
 def cmd_power(args) -> int:
-    spec = _build_runspec(args)
-    cfg = _sim_config(spec)
-    null = engine.simulate_null(cfg)
-    alt = engine.simulate_alt(cfg)
-    reports = [
-        power_report(null, alt, stat, alpha)
-        for stat in spec.statistics
-        for alpha in spec.alphas
-    ]
-    spec.out.mkdir(parents=True, exist_ok=True)
-    (spec.out / "power_report.csv").write_text(
+    cfg, alphas, _ = _run_config(args)
+    out = Path(args.out)
+    null, alt = _simulate(cfg, out)
+    reports = [power_report(null, alt, stat, alpha)
+               for stat in cfg.statistics for alpha in alphas]
+    (out / "power_report.csv").write_text(
         write_power_reports_csv(reports), encoding="utf-8")
-    (spec.out / "power_report.json").write_text(
+    (out / "power_report.json").write_text(
         power_reports_json(reports), encoding="utf-8")
     if args.dump_samples:
-        (spec.out / "null_samples.csv").write_text(
+        (out / "null_samples.csv").write_text(
             engine.dump_samples(null), encoding="utf-8")
-        (spec.out / "alt_samples.csv").write_text(
+        (out / "alt_samples.csv").write_text(
             engine.dump_samples(alt), encoding="utf-8")
     for r in reports:
         print(f"{r.statistic} alpha={r.alpha:g} threshold={r.threshold:.6g} "
@@ -172,55 +159,50 @@ def cmd_power(args) -> int:
 
 
 def cmd_power_curve(args) -> int:
-    spec = _build_runspec(args)
-    grid = spec.alphas if args.alpha else list(DEFAULT_CURVE_GRID)
-    grid = sorted(grid)
-    cfg = _sim_config(spec)
-    null = engine.simulate_null(cfg)
-    alt = engine.simulate_alt(cfg)
+    cfg, _, grid = _run_config(args)
+    out = Path(args.out)
+    null, alt = _simulate(cfg, out)
     curves = [
         power_curve(null.statistics[s], alt.statistics[s], grid, statistic=s)
-        for s in spec.statistics
+        for s in cfg.statistics
     ]
-    spec.out.mkdir(parents=True, exist_ok=True)
-    (spec.out / "power_curves.csv").write_text(
+    (out / "power_curves.csv").write_text(
         write_power_curves_csv(curves), encoding="utf-8")
-    print(f"wrote {spec.out / 'power_curves.csv'} "
+    print(f"wrote {out / 'power_curves.csv'} "
           f"({len(curves)} statistics x {len(grid)} grid points)")
     return 0
 
 
 def cmd_subpop_bias(args) -> int:
-    spec = _build_runspec(args)
-    if spec.table.n_subpops < 2:
-        raise KinpowerError("subpop-bias requires >=2 subpopulations")
-    grid = sorted(spec.alphas if args.alpha else list(DEFAULT_CURVE_GRID))
-    cfg = _sim_config(spec)
-    null = engine.simulate_null(cfg)
-    alt = engine.simulate_alt(cfg)
-    spec.out.mkdir(parents=True, exist_ok=True)
-
+    cfg, alphas, grid = _run_config(args)
+    if cfg.table.n_subpops < 2:
+        raise InvalidParameter("subpop-bias requires >=2 subpopulations")
+    out = Path(args.out)
+    null, alt = _simulate(cfg, out)
     names = alt.subpop_names
-    for stat in spec.statistics:
-        curves = []
-        for k, name in enumerate(names):
-            mask = alt.subpop_tags == k
-            curves.append(power_curve(
-                null.statistics[stat], alt.statistics[stat][mask], grid,
-                statistic=name))
-        (spec.out / f"subpop_curves_{stat}.csv").write_text(
+    for name, n in zip(names, np.bincount(alt.subpop_tags, minlength=len(names))):
+        if n == 0:
+            raise EmptySubpopSample(
+                f"no alternative replicate was drawn from subpop {name!r} "
+                f"at B={cfg.B}; rerun with a larger --B")
+
+    for stat in cfg.statistics:
+        curves = [
+            power_curve(null.statistics[stat], alt.statistics[stat][alt.subpop_tags == k],
+                        grid, statistic=name)
+            for k, name in enumerate(names)
+        ]
+        (out / f"subpop_curves_{stat}.csv").write_text(
             write_power_curves_csv(curves), encoding="utf-8")
 
-        alpha = spec.alphas[0] if args.alpha else DEFAULT_TEST_ALPHAS.get(
-            spec.test, grid[-1])
-        c = null_threshold(null.statistics[stat], alpha)
+        c = null_threshold(null.statistics[stat], alphas[0])
         per = [subpop_power(alt, stat, c, k) for k in range(len(names))]
         diffs = [
             power_diff_ci(per[i][0], per[i][1], per[j][0], per[j][1],
-                             subpop_i=names[i], subpop_j=names[j])
+                          subpop_i=names[i], subpop_j=names[j])
             for i in range(len(names)) for j in range(i + 1, len(names))
         ]
-        (spec.out / f"diff_ci_{stat}.csv").write_text(
+        (out / f"diff_ci_{stat}.csv").write_text(
             write_diff_cis_csv(diffs), encoding="utf-8")
 
         # self-test: per-subpop powers recombine exactly to the global power
@@ -233,12 +215,11 @@ def cmd_subpop_bias(args) -> int:
 
 
 def cmd_synth_freqs(args) -> int:
-    proportions = None
+    proportions = sizes = None
     if args.proportions:
-        proportions = [float(tok) for tok in args.proportions.split(",")]
-    sizes = None
+        proportions = _numbers(args.proportions, float, "--proportions")
     if args.sample_sizes:
-        sizes = [int(tok) for tok in args.sample_sizes.split(",")]
+        sizes = _numbers(args.sample_sizes, int, "--sample-sizes")
     table = synth.synth_frequency_table(
         n_subpops=args.subpops, n_loci=args.loci, n_alleles=args.alleles,
         divergence=args.divergence, seed=args.seed,
@@ -353,7 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (KinpowerError, FileNotFoundError, ValueError) as exc:
+    except (KinpowerError, FileNotFoundError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 3

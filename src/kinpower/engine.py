@@ -19,7 +19,9 @@ from typing import NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .ibd import ThetaIBD, genotypes_from_uniforms, pair_components, related_from_uniforms
+from .errors import InvalidParameter
+from .ibd import (ThetaIBD, categorical, genotypes_from_uniforms, pair_components,
+                  related_from_uniforms)
 from .tables import FrequencyTable, local_average, pooled_frequencies
 
 BLOCK = 8192
@@ -41,12 +43,14 @@ class SimConfig:
 
     def __post_init__(self):
         if self.B < 1:
-            raise ValueError("B must be >= 1")
+            raise InvalidParameter("B must be >= 1")
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
         if not self.statistics:
-            raise ValueError("at least one statistic must be requested")
+            raise InvalidParameter("at least one statistic must be requested")
         unknown = set(self.statistics) - set(STATISTICS)
         if unknown:
-            raise ValueError(f"unknown statistics {sorted(unknown)}")
+            raise InvalidParameter(f"unknown statistics {sorted(unknown)}")
 
 
 @dataclass
@@ -99,10 +103,6 @@ def _compile(table: FrequencyTable, cb_weights: str) -> _Compiled:
         fmat=tuple(fmat),
         cdf=tuple(cdf),
     )
-
-
-def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.minimum((u[:, None] >= cdf[None, :]).sum(axis=1), len(cdf) - 1)
 
 
 def _loglik_arrays(compiled: _Compiled, g1a, g1b, g2a, g2b, theta0, theta1):
@@ -185,8 +185,8 @@ def _run_block(compiled: _Compiled, cfg: SimConfig, alt: bool, block: int, n: in
     g2a = np.empty((n, m), dtype=np.int64)
     g2b = np.empty((n, m), dtype=np.int64)
 
+    k1 = categorical(compiled.prop_cdf, u[:, 0])
     if alt:
-        k1 = _categorical(compiled.prop_cdf, u[:, 0])
         for ell in range(m):
             c = 1 + 5 * ell
             rows = compiled.cdf[ell][k1]
@@ -194,24 +194,21 @@ def _run_block(compiled: _Compiled, cfg: SimConfig, alt: bool, block: int, n: in
             g2a[:, ell], g2b[:, ell] = related_from_uniforms(
                 g1a[:, ell], g1b[:, ell], cfg.theta1, rows,
                 u[:, c + 2], u[:, c + 3], u[:, c + 4])
-        tags = k1
     else:
-        k1 = _categorical(compiled.prop_cdf, u[:, 0])
-        k2 = k1 if cfg.null_same_subpop else _categorical(compiled.prop_cdf, u[:, 1])
+        k2 = k1 if cfg.null_same_subpop else categorical(compiled.prop_cdf, u[:, 1])
         for ell in range(m):
             c = 2 + 4 * ell
             g1a[:, ell], g1b[:, ell] = genotypes_from_uniforms(
                 compiled.cdf[ell][k1], u[:, c], u[:, c + 1])
             g2a[:, ell], g2b[:, ell] = genotypes_from_uniforms(
                 compiled.cdf[ell][k2], u[:, c + 2], u[:, c + 3])
-        tags = k1
 
     ll0, ll1 = _loglik_arrays(compiled, g1a, g1b, g2a, g2b, cfg.theta0, cfg.theta1)
     values = _derive_block(compiled, ll0, ll1, cfg.statistics)
     genos = None
     if cfg.keep_genotypes:
         genos = {"g1a": g1a, "g1b": g1b, "g2a": g2a, "g2b": g2b}
-    return tags, values, genos
+    return k1, values, genos
 
 
 def _simulate(cfg: SimConfig, alt: bool) -> SampleMatrix:

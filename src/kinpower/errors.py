@@ -5,6 +5,10 @@ class KinpowerError(Exception):
     """Base class for all validation and data errors raised by kinpower."""
 
 
+class InvalidParameter(KinpowerError, ValueError):
+    """A parameter outside its domain; also a ValueError for callers catching one."""
+
+
 class MalformedRow(KinpowerError):
     pass
 

@@ -23,7 +23,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .errors import UnknownAllele
+from .errors import InvalidParameter, UnknownAllele
 from .tables import Allele, LocusGenotype
 
 THETA_SUM_TOL = 1e-12
@@ -39,9 +39,9 @@ class ThetaIBD:
 
     def __post_init__(self):
         if min(self.z0, self.z1, self.z2) < 0.0:
-            raise ValueError(f"negative IBD coefficient in {self}")
+            raise InvalidParameter(f"negative IBD coefficient in {self}")
         if abs(self.z0 + self.z1 + self.z2 - 1.0) > THETA_SUM_TOL:
-            raise ValueError(f"IBD coefficients must sum to 1, got {self}")
+            raise InvalidParameter(f"IBD coefficients must sum to 1, got {self}")
 
     def as_tuple(self) -> Tuple[float, float, float]:
         return (self.z0, self.z1, self.z2)
@@ -109,11 +109,19 @@ def pair_components(g1a, g1b, g2a, g2b, f):
     return p0, p1, p2, mult
 
 
-def _indices(f: Mapping[Allele, float]):
+def _support(f: Mapping[Allele, float]):
+    """The sorted allele labels of f and their frequencies in that order."""
     labels = sorted(f)
+    return labels, np.array([f[a] for a in labels], dtype=np.float64)
+
+
+def _positions(labels, alleles) -> list[int]:
+    """Indices of the given alleles within the sorted support ``labels``."""
     index = {a: i for i, a in enumerate(labels)}
-    vec = np.array([f[a] for a in labels], dtype=np.float64)
-    return index, vec
+    try:
+        return [index[a] for a in alleles]
+    except KeyError as exc:
+        raise UnknownAllele(f"allele {exc.args[0]!r} absent from frequency support") from exc
 
 
 def pair_probability(
@@ -123,16 +131,13 @@ def pair_probability(
     f: Mapping[Allele, float],
 ) -> float:
     """Probability of the unordered genotype pair under the relationship."""
-    index, vec = _indices(f)
-    try:
-        pair1 = (index[g1.alleles[0]], index[g1.alleles[1]])
-        pair2 = (index[g2.alleles[0]], index[g2.alleles[1]])
-        # evaluate in a fixed orientation so the result is bitwise symmetric
-        if pair1 > pair2:
-            pair1, pair2 = pair2, pair1
-        idx = np.array([[*pair1, *pair2]]).T
-    except KeyError as exc:
-        raise UnknownAllele(f"allele {exc.args[0]!r} absent from frequency support") from exc
+    labels, vec = _support(f)
+    pos = _positions(labels, g1.alleles + g2.alleles)
+    pair1, pair2 = tuple(pos[:2]), tuple(pos[2:])
+    # evaluate in a fixed orientation so the result is bitwise symmetric
+    if pair1 > pair2:
+        pair1, pair2 = pair2, pair1
+    idx = np.array([[*pair1, *pair2]]).T
     p0, p1, p2, mult = pair_components(idx[0], idx[1], idx[2], idx[3], vec)
     value = mult * (theta.z0 * p0 + theta.z1 * p1 + theta.z2 * p2)
     return float(value[0])
@@ -149,16 +154,21 @@ def log_pair_probability(
     return math.log(p) if p > 0.0 else -math.inf
 
 
+def categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Category index of each uniform draw: the number of CDF entries at or
+    below it, capped at the last category. ``cdf`` is (A,) or per-draw (n, A).
+    """
+    return np.minimum((u[:, None] >= cdf).sum(axis=1), cdf.shape[-1] - 1)
+
+
 def genotypes_from_uniforms(cdf_rows: np.ndarray, u1: np.ndarray, u2: np.ndarray):
     """Map two uniform draws to canonically ordered allele index pairs.
 
     ``cdf_rows`` is the per-draw cumulative distribution, shape (n, A) or
     (A,); the same rows are used for both draws (HWE).
     """
-    cdf = np.atleast_2d(cdf_rows)
-    last = cdf.shape[1] - 1
-    i = np.minimum((u1[:, None] >= cdf).sum(axis=1), last)
-    j = np.minimum((u2[:, None] >= cdf).sum(axis=1), last)
+    i = categorical(cdf_rows, u1)
+    j = categorical(cdf_rows, u2)
     return np.minimum(i, j), np.maximum(i, j)
 
 
@@ -176,20 +186,17 @@ def related_from_uniforms(
     Draws the IBD count J from (z0, z1, z2); J=0 takes a fresh HWE
     genotype, J=1 copies one uniformly chosen slot of g1 and draws the
     other allele, J=2 copies g1. Consumes a fixed number of uniforms per
-    draw so replicate streams stay position-independent.
+    draw so replicate streams stay position-independent. The allele drawn
+    from u2 is both the second fresh allele (J=0) and the new allele (J=1).
     """
     j = (uj >= theta.z0).astype(np.int8) + (uj >= theta.z0 + theta.z1)
-    fresh_a, fresh_b = genotypes_from_uniforms(cdf_rows, u1, u2)
-
-    cdf = np.atleast_2d(cdf_rows)
-    last = cdf.shape[1] - 1
+    first = categorical(cdf_rows, u1)
+    other = categorical(cdf_rows, u2)
     shared = np.where(u1 < 0.5, g1a, g1b)
-    other = np.minimum((u2[:, None] >= cdf).sum(axis=1), last)
-    one_a = np.minimum(shared, other)
-    one_b = np.maximum(shared, other)
-
-    g2a = np.where(j == 0, fresh_a, np.where(j == 1, one_a, g1a))
-    g2b = np.where(j == 0, fresh_b, np.where(j == 1, one_b, g1b))
+    g2a = np.where(j == 0, np.minimum(first, other),
+                   np.where(j == 1, np.minimum(shared, other), g1a))
+    g2b = np.where(j == 0, np.maximum(first, other),
+                   np.where(j == 1, np.maximum(shared, other), g1b))
     return g2a, g2b
 
 
@@ -197,11 +204,9 @@ def sample_genotype(
     f: Mapping[Allele, float], locus: str, rng: np.random.Generator
 ) -> LocusGenotype:
     """Draw one HWE genotype from a single-locus distribution."""
-    index, vec = _indices(f)
-    labels = sorted(f)
-    cdf = np.cumsum(vec)
+    labels, vec = _support(f)
     u = rng.random(2)
-    a, b = genotypes_from_uniforms(cdf, u[:1], u[1:])
+    a, b = genotypes_from_uniforms(np.cumsum(vec), u[:1], u[1:])
     return LocusGenotype(locus, (labels[int(a[0])], labels[int(b[0])]))
 
 
@@ -212,14 +217,8 @@ def sample_related(
     rng: np.random.Generator,
 ) -> LocusGenotype:
     """Draw the relative's genotype at one locus, conditional on g1."""
-    index, vec = _indices(f)
-    labels = sorted(f)
-    try:
-        a = np.array([index[g1.alleles[0]]])
-        b = np.array([index[g1.alleles[1]]])
-    except KeyError as exc:
-        raise UnknownAllele(f"allele {exc.args[0]!r} absent from frequency support") from exc
-    cdf = np.cumsum(vec)
+    labels, vec = _support(f)
+    a, b = (np.array([i]) for i in _positions(labels, g1.alleles))
     u = rng.random(3)
-    g2a, g2b = related_from_uniforms(a, b, theta, cdf, u[:1], u[1:2], u[2:])
+    g2a, g2b = related_from_uniforms(a, b, theta, np.cumsum(vec), u[:1], u[1:2], u[2:])
     return LocusGenotype(g1.locus, (labels[int(g2a[0])], labels[int(g2b[0])]))

@@ -21,7 +21,8 @@ import numpy as np
 from scipy import stats as sps
 
 from .engine import SampleMatrix
-from .errors import AlphaTooSmallForB, EmptySubpopSample, SmallSampleWarning
+from .errors import (AlphaTooSmallForB, EmptySubpopSample, InvalidParameter,
+                     SmallSampleWarning)
 
 DEFAULT_CURVE_GRID = tuple(np.geomspace(1e-6, 4e-5, 30))
 DEFAULT_TEST_ALPHAS = {
@@ -78,17 +79,17 @@ def _order_statistic(x: np.ndarray, alpha: float, select) -> float:
 def null_threshold(null_samples: np.ndarray, alpha: float) -> float:
     """Empirical threshold c with realized P(x > c) <= alpha on the sample."""
     if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise InvalidParameter(f"alpha must be in (0, 1), got {alpha}")
     x = np.asarray(null_samples, dtype=np.float64)
     if x.size == 0:
-        raise ValueError("null sample is empty")
+        raise InvalidParameter("null sample is empty")
     return _order_statistic(x, alpha, lambda i: np.partition(x, i)[i])
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.95):
     """Exact binomial confidence interval from beta quantiles."""
     if not (0 <= successes <= trials) or trials <= 0:
-        raise ValueError(f"bad counts ({successes}, {trials})")
+        raise InvalidParameter(f"bad counts ({successes}, {trials})")
     a = 1.0 - level
     lo = 0.0 if successes == 0 else float(
         sps.beta.ppf(a / 2, successes, trials - successes + 1))
@@ -101,7 +102,7 @@ def power(alt_samples: np.ndarray, threshold_log: float, level: float = 0.95):
     """Exceedance proportion over the threshold plus its exact 95% CI."""
     x = np.asarray(alt_samples, dtype=np.float64)
     if x.size == 0:
-        raise ValueError("alternative sample is empty")
+        raise InvalidParameter("alternative sample is empty")
     hits = int(np.count_nonzero(x > threshold_log))
     est = hits / x.size
     return est, clopper_pearson(hits, x.size, level)
@@ -116,9 +117,13 @@ def power_curve(
     """One (alpha, power) point per grid entry; reuses the sorted null sample."""
     grid = list(alpha_grid)
     if grid != sorted(grid):
-        raise ValueError("alpha grid must be sorted ascending")
+        raise InvalidParameter("alpha grid must be sorted ascending")
     x = np.sort(np.asarray(null_samples, dtype=np.float64))
     alt = np.asarray(alt_samples, dtype=np.float64)
+    if x.size == 0:
+        raise InvalidParameter("null sample is empty")
+    if alt.size == 0:
+        raise InvalidParameter("alternative sample is empty")
     points = []
     for alpha in grid:
         c = -math.inf if alpha >= 1.0 else _order_statistic(x, alpha, lambda i: x[i])

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import InvalidParameter
 from .tables import FrequencyTable, Subpopulation
 
 
@@ -30,9 +31,16 @@ def synth_frequency_table(
 ) -> FrequencyTable:
     """Generate a valid FrequencyTable with controllable substructure."""
     if n_alleles < 2:
-        raise ValueError("need at least 2 alleles per locus")
+        raise InvalidParameter("need at least 2 alleles per locus")
     if divergence < 0:
-        raise ValueError("divergence must be >= 0")
+        raise InvalidParameter("divergence must be >= 0")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    if n_subpops < 1:
+        raise InvalidParameter("need at least 1 subpopulation")
+    for what, given in (("proportions", proportions), ("sample sizes", sample_sizes)):
+        if given is not None and len(given) != n_subpops:
+            raise InvalidParameter(f"{len(given)} {what} for {n_subpops} subpops")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
     if proportions is None:

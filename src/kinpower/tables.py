@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence, TextIO, Union
 
 from .errors import (
     DuplicateAllele,
+    InvalidParameter,
     MalformedRow,
     MissingLocusForSubpop,
     MissingSampleSizes,
@@ -369,7 +370,7 @@ def pooled_frequencies(table: FrequencyTable, weights: str = "auto") -> Frequenc
     elif weights == "equal":
         w = [1.0] * table.n_subpops
     else:
-        raise ValueError(f"unknown weight scheme {weights!r}")
+        raise InvalidParameter(f"unknown weight scheme {weights!r}")
     return _pool(table, w, "pooled")
 
 

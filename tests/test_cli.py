@@ -197,3 +197,122 @@ class TestSynthFreqsCommand:
             table = kp.load_frequency_table(fh, meta=meta)
         for locus in table.panel:
             assert table.freqs["S1"][locus] == table.freqs["S2"][locus]
+
+
+class TestPinnedOutputs:
+    """Stdout and output files of the three simulating commands, pinned.
+
+    The digests were recorded before the CLI's run path was merged into one
+    load/validate/simulate helper; any change to a report, curve, CI or
+    sample file, or to what a command prints, changes them.
+    """
+
+    RUNS = {
+        "power": ["power", "--alpha", "0.01,0.05", "--B", "9000", "--seed", "3",
+                  "--dump-samples", "--workers", "2"],
+        "curve": ["power-curve", "--B", "9000", "--seed", "3",
+                  "--stats", "LAF,MIN,CB", "--cb-weights", "samples"],
+        "bias": ["subpop-bias", "--alpha", "0.05", "--B", "9000", "--seed", "3",
+                 "--null-same-subpop"],
+    }
+    DIGESTS = {
+        "power": "085568ed8fe0107fd553466afe48b7088a88b44df895ca5ce9e6f33bb9535dc7",
+        "curve": "7acd0d94bd5933a8da40b04015d6888bdbe7d362293be96a09fab63c291f46f2",
+        "bias": "c692afe655b8bbc9bcfbc81705fad923ff3589ef3c11131a0f09a4a382d8b048",
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_digest_unchanged(self, name, tmp_path, capsys):
+        import hashlib
+        synth = tmp_path / "synth"
+        assert main(["synth-freqs", "--subpops", "3", "--loci", "4",
+                     "--alleles", "6", "--divergence", "0.3", "--seed", "9",
+                     "--sample-sizes", "50,60,70", "--out", str(synth)]) == 0
+        capsys.readouterr()
+        out = tmp_path / name
+        assert main(self.RUNS[name] + ["--freqs", str(synth / "freqs.csv"),
+                                       "--meta", str(synth / "meta.txt"),
+                                       "--out", str(out)]) == 0
+        h = hashlib.sha256(
+            capsys.readouterr().out.replace(str(tmp_path), "TMP").encode("utf-8"))
+        for path in sorted(out.iterdir()):
+            h.update(path.name.encode("utf-8"))
+            h.update(path.read_bytes())
+        assert h.hexdigest() == self.DIGESTS[name]
+
+
+class TestExitCodes:
+    """2 = a KinpowerError raised before the run; 3 = any other failure."""
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--B", "0"], "B must be >= 1"),
+        (["--theta0", "a,b,c"], "theta"),
+        (["--alpha", "0.05,x"], "--alpha"),
+        (["--stats", "LAF,BOGUS"], "unknown statistics"),
+    ])
+    def test_bad_parameter_exit_2(self, synth_files, tmp_path, capsys, extra, message):
+        freqs, meta = synth_files
+        out = tmp_path / "out"
+        code = main(["power", "--freqs", str(freqs), "--meta", str(meta),
+                     "--alpha", "0.05", "--B", "100", "--out", str(out)] + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "InvalidParameter" in err and message in err
+        assert not out.exists()
+
+    def test_non_utf8_freqs_exit_2(self, tmp_path, capsys):
+        freqs = tmp_path / "latin1.csv"
+        freqs.write_bytes("subpop,locus,allele,freq\nSão Paulo,L1,10,1.0\n"
+                          .encode("latin-1"))
+        assert main(["validate", "--freqs", str(freqs)]) == 2
+        err = capsys.readouterr().err
+        assert "MalformedRow" in err and "latin1.csv" in err
+
+    def test_non_utf8_profile_exit_2(self, table_files, profile_files, tmp_path, capsys):
+        freqs, meta = table_files
+        p1, _ = profile_files
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("locus,allele1,allele2\nD3S1358,13,14\n# né\n".encode("latin-1"))
+        assert main(["lr", str(p1), str(bad), "--freqs", str(freqs),
+                     "--meta", str(meta)]) == 2
+        assert "MalformedRow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--proportions", "--sample-sizes"])
+    def test_synth_bad_number_exit_2(self, tmp_path, capsys, option):
+        assert main(["synth-freqs", "--subpops", "2", option, "1,x",
+                     "--out", str(tmp_path / "s")]) == 2
+        assert option in capsys.readouterr().err
+
+    def test_value_error_during_run_exit_3(self, synth_files, tmp_path, capsys,
+                                           monkeypatch):
+        from kinpower import engine
+
+        def broken(cfg):
+            raise ValueError("raised mid-run")
+
+        monkeypatch.setattr(engine, "simulate_alt", broken)
+        freqs, meta = synth_files
+        code = main(["power", "--freqs", str(freqs), "--meta", str(meta),
+                     "--alpha", "0.05", "--B", "100", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "runtime error: ValueError: raised mid-run" in capsys.readouterr().err
+
+
+class TestEmptySubpop:
+    def test_subpop_without_alt_replicates_exit_2(self, tmp_path, capsys):
+        freqs = tmp_path / "f.csv"
+        meta = tmp_path / "m.txt"
+        freqs.write_text("subpop,locus,allele,freq\n"
+                         "x,L1,10,0.3\nx,L1,11,0.7\ny,L1,10,0.6\ny,L1,11,0.4\n",
+                         encoding="utf-8")
+        meta.write_text("subpops = x, y\nproportions = 0.999, 0.001\n",
+                        encoding="utf-8")
+        out = tmp_path / "bias"
+        code = main(["subpop-bias", "--freqs", str(freqs), "--meta", str(meta),
+                     "--alpha", "0.05", "--B", "200", "--stats", "MIN",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "EmptySubpopSample" in err and "'y'" in err and "--B" in err
+        assert not list(out.glob("*.csv"))

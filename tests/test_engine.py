@@ -27,6 +27,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             cfg_for(two_subpop_table, statistics=("LAF", "BOGUS"))
 
+    def test_rejects_negative_seed(self, two_subpop_table):
+        with pytest.raises(kp.errors.InvalidParameter, match="seed"):
+            cfg_for(two_subpop_table, seed=-1)
+
+    def test_parameter_errors_are_kinpower_and_value_errors(self, two_subpop_table):
+        with pytest.raises(kp.errors.InvalidParameter) as info:
+            cfg_for(two_subpop_table, B=0)
+        assert isinstance(info.value, kp.errors.KinpowerError)
+        assert isinstance(info.value, ValueError)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("simulate", [kp.simulate_null, kp.simulate_alt])

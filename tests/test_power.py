@@ -149,6 +149,13 @@ class TestPowerCurve:
         with pytest.raises(ValueError):
             kp.power_curve(np.arange(10.0), np.arange(10.0), [0.5, 0.1])
 
+    @pytest.mark.parametrize("which", ["null", "alternative"])
+    def test_empty_sample_rejected(self, which):
+        samples = {"null": np.arange(10.0), "alternative": np.arange(10.0)}
+        samples[which] = np.array([])
+        with pytest.raises(kp.errors.InvalidParameter, match=f"{which} sample is empty"):
+            kp.power_curve(samples["null"], samples["alternative"], [0.1])
+
 
 class TestSubpopPower:
     def test_k1_equals_global(self, one_locus_table):

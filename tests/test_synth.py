@@ -47,6 +47,16 @@ class TestSynthFrequencyTable:
         with pytest.raises(ValueError):
             kp.synth_frequency_table(n_alleles=1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": -1},
+        {"n_subpops": 0},
+        {"n_subpops": 3, "proportions": [0.5, 0.5]},
+        {"n_subpops": 2, "sample_sizes": [10, 20, 30]},
+    ])
+    def test_rejects_bad_parameters(self, kwargs):
+        with pytest.raises(kp.errors.InvalidParameter):
+            kp.synth_frequency_table(**kwargs)
+
     def test_custom_proportions_and_sizes(self):
         table = kp.synth_frequency_table(
             n_subpops=2, proportions=[0.3, 0.7], sample_sizes=[100, 200])
