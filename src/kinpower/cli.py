@@ -77,22 +77,27 @@ def _resolve_thetas(args):
     return theta0, theta1
 
 
-def _resolve_alphas(args) -> list[float]:
+def _resolve_alphas(args, required: bool) -> list[float]:
     if args.alpha:
         alphas = [a for chunk in args.alpha for a in _numbers(chunk, float, "--alpha")]
     elif args.test in DEFAULT_TEST_ALPHAS:
         alphas = [DEFAULT_TEST_ALPHAS[args.test]]
-    else:
+    elif required:
         raise InvalidParameter("--alpha is required for custom tests")
+    else:
+        alphas = []
     for a in alphas:
         if not (0.0 < a < 1.0):
             raise InvalidParameter(f"alpha {a} not in (0, 1)")
     return alphas
 
 
-def _run_config(args) -> tuple[engine.SimConfig, list[float], list[float]]:
+def _run_config(
+    args, alphas_required: bool = True
+) -> tuple[engine.SimConfig, list[float], list[float]]:
     """Everything a simulating command needs, checked before any replicate is
-    drawn: the SimConfig, the alphas (--alpha, else the test's default) and
+    drawn: the SimConfig, the alphas (--alpha, else the test's default; a
+    custom test has none, which is an error when ``alphas_required``) and
     the ascending curve grid (--alpha, else DEFAULT_CURVE_GRID)."""
     table = _load_table(args)
     theta0, theta1 = _resolve_thetas(args)
@@ -105,7 +110,7 @@ def _run_config(args) -> tuple[engine.SimConfig, list[float], list[float]]:
         statistics=statistics, workers=args.workers, cb_weights=args.cb_weights,
         null_same_subpop=args.null_same_subpop,
     )
-    alphas = _resolve_alphas(args)
+    alphas = _resolve_alphas(args, alphas_required)
     return cfg, alphas, sorted(alphas if args.alpha else DEFAULT_CURVE_GRID)
 
 
@@ -159,7 +164,7 @@ def cmd_power(args) -> int:
 
 
 def cmd_power_curve(args) -> int:
-    cfg, _, grid = _run_config(args)
+    cfg, _, grid = _run_config(args, alphas_required=False)
     out = Path(args.out)
     null, alt = _simulate(cfg, out)
     curves = [
@@ -223,7 +228,8 @@ def cmd_synth_freqs(args) -> int:
     table = synth.synth_frequency_table(
         n_subpops=args.subpops, n_loci=args.loci, n_alleles=args.alleles,
         divergence=args.divergence, seed=args.seed,
-        proportions=proportions, sample_sizes=sizes, floor=args.floor or 1e-5,
+        proportions=proportions, sample_sizes=sizes,
+        floor=tables.DEFAULT_FLOOR if args.floor is None else args.floor,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

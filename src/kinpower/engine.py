@@ -11,8 +11,6 @@ bit-identical for any number of workers.
 
 from __future__ import annotations
 
-import csv
-import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, TextIO, Union
@@ -22,7 +20,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .ibd import (ThetaIBD, categorical, genotypes_from_uniforms, pair_components,
                   related_from_uniforms)
-from .tables import FrequencyTable, local_average, pooled_frequencies
+from .tables import FrequencyTable, _write_rows, local_average, pooled_frequencies
 
 BLOCK = 8192
 STATISTICS = ("LAF", "AVG", "MAX", "MIN", "RMAX", "RMIN", "CB")
@@ -106,22 +104,21 @@ def _compile(table: FrequencyTable, cb_weights: str) -> _Compiled:
 
 
 def _loglik_arrays(compiled: _Compiled, g1a, g1b, g2a, g2b, theta0, theta1):
-    """Per-replicate log-likelihoods, shape (n, K+2), under both thetas."""
-    n = g1a.shape[0]
-    nsets = compiled.K + 2
-    ll0 = np.zeros((n, nsets))
-    ll1 = np.zeros((n, nsets))
-    for ell in range(len(compiled.loci)):
-        a1, b1 = g1a[:, ell], g1b[:, ell]
-        a2, b2 = g2a[:, ell], g2b[:, ell]
-        for s in range(nsets):
-            p0, p1, p2, mult = pair_components(a1, b1, a2, b2, compiled.fmat[ell][s])
-            with np.errstate(divide="ignore"):
-                ll0[:, s] += np.log(
-                    mult * (theta0.z0 * p0 + theta0.z1 * p1 + theta0.z2 * p2))
-                ll1[:, s] += np.log(
-                    mult * (theta1.z0 * p0 + theta1.z1 * p1 + theta1.z2 * p2))
-    return ll0, ll1
+    """Per-replicate log-likelihoods, shape (n, K+2), under both thetas.
+
+    One pair_components call per locus evaluates all K+2 frequency sets,
+    the rows of ``compiled.fmat[ell]``, as (K+2, n) arrays; loci are summed
+    in panel order.
+    """
+    ll0 = np.zeros((compiled.K + 2, g1a.shape[0]))
+    ll1 = np.zeros_like(ll0)
+    for ell, f in enumerate(compiled.fmat):
+        p0, p1, p2, mult = pair_components(g1a[:, ell], g1b[:, ell],
+                                           g2a[:, ell], g2b[:, ell], f)
+        with np.errstate(divide="ignore"):
+            ll0 += np.log(mult * (theta0.z0 * p0 + theta0.z1 * p1 + theta0.z2 * p2))
+            ll1 += np.log(mult * (theta1.z0 * p0 + theta1.z1 * p1 + theta1.z2 * p2))
+    return ll0.T, ll1.T
 
 
 def _diff(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -268,15 +265,11 @@ def simulate_alt(cfg: SimConfig) -> SampleMatrix:
 
 
 def dump_samples(matrix: SampleMatrix, sink: Union[str, TextIO, None] = None) -> Optional[str]:
-    """Write a SampleMatrix as CSV (log-scale statistic columns)."""
-    buf = sink if hasattr(sink, "write") else io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """Write a SampleMatrix as CSV (log-scale statistic columns); returns the
+    text unless ``sink`` is a writable stream."""
     names = list(matrix.statistics)
-    writer.writerow(["replicate", "subpop_tag"] + names)
-    cols = [matrix.statistics[s] for s in names]
-    for i in range(matrix.B):
-        writer.writerow(
-            [i, matrix.subpop_names[matrix.subpop_tags[i]]] + [repr(float(c[i])) for c in cols])
-    if hasattr(sink, "write"):
-        return None
-    return buf.getvalue()
+    labels = [matrix.subpop_names[t] for t in matrix.subpop_tags.tolist()]
+    rows = zip(map(str, range(matrix.B)), labels,
+               *(matrix.statistics[s].tolist() for s in names))
+    return _write_rows(["replicate", "subpop_tag"] + names, rows,
+                       sink if hasattr(sink, "write") else None)

@@ -85,11 +85,13 @@ def classify(g1: LocusGenotype, g2: LocusGenotype) -> GenotypeCombination:
 def pair_components(g1a, g1b, g2a, g2b, f):
     """Vectorized (P0, P1, P2, mult) for canonically ordered index arrays.
 
-    g1a <= g1b and g2a <= g2b are integer allele indices into the frequency
-    vector ``f``. Returns arrays broadcast to the common shape.
+    g1a <= g1b and g2a <= g2b are (n,) integer allele indices into the last
+    axis of ``f``. An (A,) frequency vector gives (n,) components; an (S, A)
+    stack of S frequency sets gives (S, n), row s being what row s alone
+    gives. ``mult`` depends only on the indices and is always (n,).
     """
-    fa1, fb1 = f[g1a], f[g1b]
-    fa2, fb2 = f[g2a], f[g2b]
+    fa1, fb1 = f[..., g1a], f[..., g1b]
+    fa2, fb2 = f[..., g2a], f[..., g2b]
     het1 = g1a != g1b
     het2 = g2a != g2b
     pg1 = fa1 * fb1 * np.where(het1, 2.0, 1.0)

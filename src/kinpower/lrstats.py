@@ -23,8 +23,8 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .engine import STATISTICS, _Compiled, _compile, _derive_block, _diff, _loglik_arrays
-from .errors import PanelMismatch, UnknownAllele
-from .ibd import ThetaIBD
+from .errors import PanelMismatch
+from .ibd import ThetaIBD, _positions
 from .tables import FrequencyTable, Profile
 
 
@@ -53,13 +53,7 @@ def _encode(profile: Profile, compiled: _Compiled):
     a = np.empty((1, m), dtype=np.int64)
     b = np.empty((1, m), dtype=np.int64)
     for ell, (locus, locus_labels) in enumerate(zip(compiled.loci, compiled.labels)):
-        index = {label: i for i, label in enumerate(locus_labels)}
-        alleles = profile.genotype(locus).alleles
-        try:
-            a[0, ell], b[0, ell] = index[alleles[0]], index[alleles[1]]
-        except KeyError as exc:
-            raise UnknownAllele(
-                f"allele {exc.args[0]!r} absent from frequency support") from exc
+        a[0, ell], b[0, ell] = _positions(locus_labels, profile.genotype(locus).alleles)
     return a, b
 
 

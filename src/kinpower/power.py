@@ -10,7 +10,6 @@ sample never exceeds alpha (ties count as non-rejections).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import warnings
@@ -23,6 +22,7 @@ from scipy import stats as sps
 from .engine import SampleMatrix
 from .errors import (AlphaTooSmallForB, EmptySubpopSample, InvalidParameter,
                      SmallSampleWarning)
+from .tables import _as_stream, _write_rows
 
 DEFAULT_CURVE_GRID = tuple(np.geomspace(1e-6, 4e-5, 30))
 DEFAULT_TEST_ALPHAS = {
@@ -195,22 +195,11 @@ def power_report(
 # ---------------------------------------------------------------------------
 # plot-ready emitters and their readers
 
-def _write_rows(header: Sequence[str], rows, sink: Union[TextIO, None]) -> Optional[str]:
-    """CSV with text cells as given and every other cell as repr(float)."""
-    buf = sink if sink is not None else io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
-    return None if sink is not None else buf.getvalue()
-
-
 def _read_rows(source: Union[str, TextIO], text_columns: Sequence[str]) -> list[dict]:
-    """Rows of a CSV written by _write_rows, non-text columns parsed as floats."""
-    stream = io.StringIO(source) if isinstance(source, str) else source
+    """Rows of a CSV written by tables._write_rows, non-text columns parsed as floats."""
     return [
         {k: (v if k in text_columns else float(v)) for k, v in row.items()}
-        for row in csv.DictReader(stream)
+        for row in csv.DictReader(_as_stream(source))
     ]
 
 

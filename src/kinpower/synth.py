@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameter
-from .tables import FrequencyTable, Subpopulation
+from .tables import DEFAULT_FLOOR, FrequencyTable, Subpopulation, _check_floor
 
 
 def synth_frequency_table(
@@ -27,7 +27,7 @@ def synth_frequency_table(
     seed: int = 0,
     proportions: Optional[Sequence[float]] = None,
     sample_sizes: Optional[Sequence[int]] = None,
-    floor: float = 1e-5,
+    floor: float = DEFAULT_FLOOR,
 ) -> FrequencyTable:
     """Generate a valid FrequencyTable with controllable substructure."""
     if n_alleles < 2:
@@ -41,6 +41,7 @@ def synth_frequency_table(
     for what, given in (("proportions", proportions), ("sample sizes", sample_sizes)):
         if given is not None and len(given) != n_subpops:
             raise InvalidParameter(f"{len(given)} {what} for {n_subpops} subpops")
+    _check_floor(floor)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
     if proportions is None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, TextIO, Union
 
@@ -161,6 +162,17 @@ def _as_stream(source: Union[str, TextIO]) -> TextIO:
     return source
 
 
+def _write_rows(header: Sequence[str], rows, sink: Union[TextIO, None]) -> Optional[str]:
+    """CSV with text cells as given and every other cell as repr(float);
+    returns the text when ``sink`` is None, else writes it there."""
+    buf = sink if sink is not None else io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
+    return None if sink is not None else buf.getvalue()
+
+
 def load_table_meta(source: Union[str, TextIO]) -> TableMeta:
     """Parse a ``key = value`` metadata file."""
     meta = TableMeta()
@@ -193,13 +205,19 @@ def load_table_meta(source: Union[str, TextIO]) -> TableMeta:
 def dump_table_meta(table: FrequencyTable) -> str:
     lines = [
         "subpops = " + ", ".join(s.name for s in table.subpops),
-        "proportions = " + ", ".join(repr(s.proportion) for s in table.subpops),
+        "proportions = " + ", ".join(repr(float(s.proportion)) for s in table.subpops),
     ]
     if table.sample_sizes is not None:
         lines.append("sample_sizes = " + ", ".join(str(n) for n in table.sample_sizes))
     lines.append("panel = " + ", ".join(table.panel))
-    lines.append(f"floor = {table.floor!r}")
+    lines.append(f"floor = {float(table.floor)!r}")
     return "\n".join(lines) + "\n"
+
+
+def _check_floor(floor: float) -> None:
+    """The one floor rule: a frequency floor must be finite and > 0."""
+    if not (math.isfinite(floor) and floor > 0.0):
+        raise NonPositiveFrequency(f"floor must be finite and > 0, got {floor}")
 
 
 def _floor_and_normalize(dist: dict[Allele, float], floor: float) -> dict[Allele, float]:
@@ -225,8 +243,7 @@ def load_frequency_table(
         meta = TableMeta()
     if floor is None:
         floor = meta.floor if meta.floor is not None else DEFAULT_FLOOR
-    if floor <= 0.0:
-        raise NonPositiveFrequency(f"floor must be > 0, got {floor}")
+    _check_floor(floor)
 
     reader = csv.reader(_as_stream(source))
     header = next(reader, None)
@@ -320,15 +337,12 @@ def load_frequency_table(
 
 def dump_frequency_table(table: FrequencyTable) -> str:
     """Serialize to the frequency CSV schema (round-trips through load)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["subpop", "locus", "allele", "freq"])
+    rows = []
     for sp in table.subpops:
         for locus in table.panel:
             dist = table.freqs[sp.name][locus]
-            for allele in sorted(dist):
-                writer.writerow([sp.name, locus, allele, repr(dist[allele])])
-    return out.getvalue()
+            rows += ([sp.name, locus, allele, dist[allele]] for allele in sorted(dist))
+    return _write_rows(["subpop", "locus", "allele", "freq"], rows, None)
 
 
 def _pool(table: FrequencyTable, weights: Sequence[float], name: str) -> FrequencyTable:
@@ -392,9 +406,5 @@ def load_profile_csv(source: Union[str, TextIO]) -> Profile:
 
 
 def dump_profile_csv(profile: Profile) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["locus", "allele1", "allele2"])
-    for g in profile.genotypes:
-        writer.writerow([g.locus, g.alleles[0], g.alleles[1]])
-    return out.getvalue()
+    return _write_rows(["locus", "allele1", "allele2"],
+                       ([g.locus, *g.alleles] for g in profile.genotypes), None)

@@ -126,6 +126,32 @@ class TestPowerCurveCommand:
         assert {r["statistic"] for r in rows} == {"LAF", "MIN"}
         assert len(rows) == 6
 
+    def test_custom_test_uses_default_grid_without_alpha(self, synth_files, tmp_path):
+        from kinpower.power import DEFAULT_CURVE_GRID, read_power_curves_csv
+        freqs, meta = synth_files
+        out = tmp_path / "curve"
+        code = main(["power-curve", "--test", "custom", "--theta0", "1,0,0",
+                     "--theta1", "0,1,0", "--freqs", str(freqs), "--meta", str(meta),
+                     "--B", "2000", "--stats", "LAF,MIN", "--out", str(out)])
+        assert code == 0
+        rows = read_power_curves_csv((out / "power_curves.csv")
+                                     .read_text(encoding="utf-8"))
+        for stat in ("LAF", "MIN"):
+            assert [r["alpha"] for r in rows if r["statistic"] == stat] \
+                == list(DEFAULT_CURVE_GRID)
+
+    @pytest.mark.parametrize("command", ["power", "subpop-bias"])
+    def test_custom_test_still_needs_alpha_elsewhere(self, synth_files, tmp_path,
+                                                     capsys, command):
+        freqs, meta = synth_files
+        out = tmp_path / "out"
+        code = main([command, "--test", "custom", "--theta0", "1,0,0",
+                     "--theta1", "0,1,0", "--freqs", str(freqs), "--meta", str(meta),
+                     "--B", "2000", "--out", str(out)])
+        assert code == 2
+        assert "--alpha is required for custom tests" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSubpopBiasCommand:
     def test_k1_rejected(self, table_files, tmp_path):
@@ -166,6 +192,13 @@ class TestValidateCommand:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["validate", "--freqs", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize("floor", ["nan", "inf"])
+    def test_non_finite_floor_exit_2(self, synth_files, capsys, floor):
+        freqs, meta = synth_files
+        assert main(["validate", "--freqs", str(freqs), "--meta", str(meta),
+                     "--floor", floor]) == 2
+        assert "NonPositiveFrequency" in capsys.readouterr().err
+
     def test_bundled_configs_parse(self):
         from pathlib import Path
         configs = Path(__file__).resolve().parents[1] / "configs"
@@ -186,6 +219,13 @@ class TestSynthFreqsCommand:
     def test_output_validates(self, synth_files):
         freqs, meta = synth_files
         assert main(["validate", "--freqs", str(freqs), "--meta", str(meta)]) == 0
+
+    @pytest.mark.parametrize("floor", ["0", "-1", "nan"])
+    def test_bad_floor_exit_2(self, tmp_path, capsys, floor):
+        out = tmp_path / "s"
+        assert main(["synth-freqs", "--floor", floor, "--out", str(out)]) == 2
+        assert "NonPositiveFrequency" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_divergence(self, tmp_path):
         out = tmp_path / "flat"

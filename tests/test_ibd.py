@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kinpower as kp
-from kinpower.ibd import GenotypeCombination
+from kinpower.ibd import GenotypeCombination, pair_components
 
 from conftest import rng
 from oracles import all_genotypes, all_unordered_pairs, hwe_prob, reference_pair_probs
@@ -143,6 +143,26 @@ class TestPairProbability:
         with pytest.raises(kp.errors.UnknownAllele):
             kp.pair_probability(G("13", "99"), G("13", "13"), kp.UNRELATED,
                                 {"13": 1.0})
+
+
+class TestPairComponents:
+    def test_frequency_stack_is_an_exact_batch_axis(self):
+        generator = rng(11)
+        S, A, n = 5, 7, 3000
+        f = generator.dirichlet(np.ones(A), size=S)
+        f[:, 0] = 0.0  # an allele with frequency 0 in every set
+        idx = generator.integers(0, A, size=(4, n))
+        g1a, g1b = np.minimum(idx[0], idx[1]), np.maximum(idx[0], idx[1])
+        g2a, g2b = np.minimum(idx[2], idx[3]), np.maximum(idx[2], idx[3])
+        g1b[:500] = g1a[:500]  # homozygotes
+        g2a[500:1000], g2b[500:1000] = g1a[500:1000], g1b[500:1000]  # identical pairs
+        stacked = pair_components(g1a, g1b, g2a, g2b, f)
+        rows = [pair_components(g1a, g1b, g2a, g2b, f[s]) for s in range(S)]
+        for k in range(3):
+            assert stacked[k].shape == (S, n)
+            assert np.array_equal(stacked[k], np.stack([r[k] for r in rows]))
+        for r in rows:
+            assert np.array_equal(stacked[3], r[3])
 
 
 class TestLogPairProbability:

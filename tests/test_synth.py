@@ -57,6 +57,11 @@ class TestSynthFrequencyTable:
         with pytest.raises(kp.errors.InvalidParameter):
             kp.synth_frequency_table(**kwargs)
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_floor(self, floor):
+        with pytest.raises(kp.errors.NonPositiveFrequency):
+            kp.synth_frequency_table(floor=floor)
+
     def test_custom_proportions_and_sizes(self):
         table = kp.synth_frequency_table(
             n_subpops=2, proportions=[0.3, 0.7], sample_sizes=[100, 200])

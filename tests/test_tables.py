@@ -1,9 +1,11 @@
 import io
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kinpower as kp
@@ -101,6 +103,28 @@ class TestLoadFrequencyTable:
         assert reloaded == two_subpop_table
         assert kp.dump_frequency_table(reloaded) == dumped
 
+
+    def test_round_trip_numpy_floats(self, two_subpop_table):
+        # numpy scalars must dump as plain numbers, not as np.float64(...)
+        t = two_subpop_table
+        freqs = {name: {locus: {a: np.float64(f) for a, f in dist.items()}
+                        for locus, dist in by_locus.items()}
+                 for name, by_locus in t.freqs.items()}
+        subpops = tuple(kp.Subpopulation(s.name, np.float64(s.proportion)) for s in t.subpops)
+        table = kp.FrequencyTable(panel=t.panel, subpops=subpops, freqs=freqs,
+                                  floor=np.float64(t.floor))
+        dumped = kp.dump_frequency_table(table)
+        assert dumped == kp.dump_frequency_table(t)
+        meta = kp.load_table_meta(kp.dump_table_meta(table))
+        assert kp.load_frequency_table(dumped, meta=meta) == t
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_floor(self, floor):
+        with pytest.raises(errors.NonPositiveFrequency):
+            kp.load_frequency_table(BASIC_CSV, floor=floor)
+        meta = kp.load_table_meta(f"floor = {floor!r}\n")
+        with pytest.raises(errors.NonPositiveFrequency):
+            kp.load_frequency_table(BASIC_CSV, meta=meta)
 
     def test_load_independent_of_hash_seed(self, tmp_path):
         # string hashing, and with it set iteration order, changes with
