@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, TextIO, Union
+from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class SimConfig:
             raise InvalidParameter("B must be >= 1")
         if self.seed < 0:
             raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
+        if self.workers < 1:
+            raise InvalidParameter(f"workers must be >= 1, got {self.workers}")
         if not self.statistics:
             raise InvalidParameter("at least one statistic must be requested")
         unknown = set(self.statistics) - set(STATISTICS)
@@ -232,11 +234,12 @@ def _simulate(cfg: SimConfig, alt: bool) -> SampleMatrix:
             for k in genos:
                 genos[k][lo:hi] = bgenos[k]
 
-    if cfg.workers <= 1 or nblocks == 1:
+    workers = min(cfg.workers, nblocks)
+    if workers == 1:
         for b in range(nblocks):
             store(b, _run_block(compiled, cfg, alt, b, sizes[b]))
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(
                 _run_block,
                 [compiled] * nblocks,
@@ -244,7 +247,7 @@ def _simulate(cfg: SimConfig, alt: bool) -> SampleMatrix:
                 [alt] * nblocks,
                 range(nblocks),
                 sizes,
-                chunksize=max(1, nblocks // (4 * cfg.workers)),
+                chunksize=max(1, nblocks // (4 * workers)),
             )
             for b, result in enumerate(results):
                 store(b, result)
@@ -264,12 +267,11 @@ def simulate_alt(cfg: SimConfig) -> SampleMatrix:
     return _simulate(cfg, alt=True)
 
 
-def dump_samples(matrix: SampleMatrix, sink: Union[str, TextIO, None] = None) -> Optional[str]:
+def dump_samples(matrix: SampleMatrix, sink: Optional[TextIO] = None) -> Optional[str]:
     """Write a SampleMatrix as CSV (log-scale statistic columns); returns the
-    text unless ``sink`` is a writable stream."""
+    text when ``sink`` is None, else writes it to that stream."""
     names = list(matrix.statistics)
     labels = [matrix.subpop_names[t] for t in matrix.subpop_tags.tolist()]
     rows = zip(map(str, range(matrix.B)), labels,
                *(matrix.statistics[s].tolist() for s in names))
-    return _write_rows(["replicate", "subpop_tag"] + names, rows,
-                       sink if hasattr(sink, "write") else None)
+    return _write_rows(["replicate", "subpop_tag"] + names, rows, sink)

@@ -9,7 +9,6 @@ sample never exceeds alpha (ties count as non-rejections).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -22,7 +21,7 @@ from scipy import stats as sps
 from .engine import SampleMatrix
 from .errors import (AlphaTooSmallForB, EmptySubpopSample, InvalidParameter,
                      SmallSampleWarning)
-from .tables import _as_stream, _write_rows
+from .tables import _read_rows, _write_rows
 
 DEFAULT_CURVE_GRID = tuple(np.geomspace(1e-6, 4e-5, 30))
 DEFAULT_TEST_ALPHAS = {
@@ -31,6 +30,10 @@ DEFAULT_TEST_ALPHAS = {
     "half-sib-paper": 2e-3,
     "half-sib-standard": 2e-3,
 }
+
+_REPORT_COLUMNS = ("statistic", "alpha", "threshold", "power", "ci_low", "ci_high")
+_CURVE_COLUMNS = ("statistic", "alpha", "power")
+_DIFF_CI_COLUMNS = ("subpop_i", "subpop_j", "estimate", "ci_low", "ci_high")
 
 
 @dataclass(frozen=True)
@@ -195,25 +198,21 @@ def power_report(
 # ---------------------------------------------------------------------------
 # plot-ready emitters and their readers
 
-def _read_rows(source: Union[str, TextIO], text_columns: Sequence[str]) -> list[dict]:
-    """Rows of a CSV written by tables._write_rows, non-text columns parsed as floats."""
-    return [
-        {k: (v if k in text_columns else float(v)) for k, v in row.items()}
-        for row in csv.DictReader(_as_stream(source))
-    ]
+def _read_dicts(source: Union[str, TextIO], columns: Sequence[str], text: int) -> list[dict]:
+    return [dict(zip(columns, cells)) for _, cells in _read_rows(source, columns, text)]
 
 
 def write_power_reports_csv(reports: Sequence[PowerReport],
-                            sink: Union[TextIO, None] = None) -> Optional[str]:
+                            sink: Optional[TextIO] = None) -> Optional[str]:
     return _write_rows(
-        ["statistic", "alpha", "threshold", "power", "ci_low", "ci_high"],
+        _REPORT_COLUMNS,
         ([r.statistic, r.alpha, r.threshold_log, r.power, r.ci_low, r.ci_high]
          for r in reports),
         sink)
 
 
 def read_power_reports_csv(source: Union[str, TextIO]) -> list[dict]:
-    return _read_rows(source, ("statistic",))
+    return _read_dicts(source, _REPORT_COLUMNS, 1)
 
 
 def power_reports_json(reports: Sequence[PowerReport]) -> str:
@@ -221,24 +220,24 @@ def power_reports_json(reports: Sequence[PowerReport]) -> str:
 
 
 def write_power_curves_csv(curves: Sequence[PowerCurve],
-                           sink: Union[TextIO, None] = None) -> Optional[str]:
+                           sink: Optional[TextIO] = None) -> Optional[str]:
     return _write_rows(
-        ["statistic", "alpha", "power"],
+        _CURVE_COLUMNS,
         ([curve.statistic, alpha, est] for curve in curves for alpha, est in curve.points),
         sink)
 
 
 def read_power_curves_csv(source: Union[str, TextIO]) -> list[dict]:
-    return _read_rows(source, ("statistic",))
+    return _read_dicts(source, _CURVE_COLUMNS, 1)
 
 
 def write_diff_cis_csv(diffs: Sequence[DiffCI],
-                       sink: Union[TextIO, None] = None) -> Optional[str]:
+                       sink: Optional[TextIO] = None) -> Optional[str]:
     return _write_rows(
-        ["subpop_i", "subpop_j", "estimate", "ci_low", "ci_high"],
+        _DIFF_CI_COLUMNS,
         ([d.subpop_i, d.subpop_j, d.estimate, d.ci_low, d.ci_high] for d in diffs),
         sink)
 
 
 def read_diff_cis_csv(source: Union[str, TextIO]) -> list[dict]:
-    return _read_rows(source, ("subpop_i", "subpop_j"))
+    return _read_dicts(source, _DIFF_CI_COLUMNS, 2)

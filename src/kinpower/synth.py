@@ -41,7 +41,7 @@ def synth_frequency_table(
     for what, given in (("proportions", proportions), ("sample sizes", sample_sizes)):
         if given is not None and len(given) != n_subpops:
             raise InvalidParameter(f"{len(given)} {what} for {n_subpops} subpops")
-    _check_floor(floor)
+    _check_floor(floor, n_alleles)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
     if proportions is None:

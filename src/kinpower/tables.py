@@ -7,7 +7,7 @@ Frequency CSV schema (UTF-8, header row)::
 one row per (subpop, locus, allele). A companion metadata file (plain
 ``key = value`` text, ``#`` comments allowed) carries the subpopulation
 names, mixing proportions, optional sample sizes, the panel locus order,
-and the frequency floor::
+and the frequency floor; any other key, or a key given twice, is an error::
 
     subpops      = North, Northeast, Central, South
     proportions  = 0.1108, 0.3695, 0.3538, 0.1659
@@ -23,8 +23,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, TextIO, Union
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 from .errors import (
     DuplicateAllele,
@@ -40,6 +40,10 @@ from .errors import (
 DEFAULT_FLOOR = 1e-5
 PROPORTION_TOL = 1e-4
 FREQ_SUM_TOL = 1e-6
+
+_FREQ_COLUMNS = ("subpop", "locus", "allele", "freq")
+_PROFILE_COLUMNS = ("locus", "allele1", "allele2")
+_META_KEYS = ("subpops", "proportions", "sample_sizes", "panel", "floor")
 
 # An allele is an opaque string token; STR nomenclature includes
 # microvariants such as "9.3", so labels are never parsed as numbers.
@@ -98,6 +102,9 @@ class Subpopulation:
             raise ProportionSumOutOfTolerance(
                 f"subpop {self.name!r} proportion {self.proportion} not in (0, 1]"
             )
+        if self.sample_size is not None and self.sample_size < 1:
+            raise InvalidParameter(
+                f"subpop {self.name!r} sample size {self.sample_size} is below 1")
 
 
 @dataclass(frozen=True)
@@ -153,7 +160,6 @@ class TableMeta:
     sample_sizes: Optional[list[int]] = None
     panel: Optional[list[str]] = None
     floor: Optional[float] = None
-    extra: dict = field(default_factory=dict)
 
 
 def _as_stream(source: Union[str, TextIO]) -> TextIO:
@@ -162,15 +168,45 @@ def _as_stream(source: Union[str, TextIO]) -> TextIO:
     return source
 
 
-def _write_rows(header: Sequence[str], rows, sink: Union[TextIO, None]) -> Optional[str]:
+def _write_rows(header: Sequence[str], rows, sink: Optional[TextIO]) -> Optional[str]:
     """CSV with text cells as given and every other cell as repr(float);
-    returns the text when ``sink`` is None, else writes it there."""
+    returns the text when ``sink`` is None, else writes it there. An empty
+    cell is refused, since _read_rows would refuse to read it back."""
     buf = sink if sink is not None else io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
+        cells = [v if isinstance(v, str) else repr(float(v)) for v in row]
+        if not all(cells):
+            raise InvalidParameter(f"cannot write an empty cell: {cells}")
+        writer.writerow(cells)
     return None if sink is not None else buf.getvalue()
+
+
+def _read_rows(source: Union[str, TextIO], columns: Sequence[str],
+               text: int) -> Iterator[tuple[int, list]]:
+    """(line number, cells) per data row of a CSV headed ``columns``: cells
+    stripped, rows with no text skipped, the cells after the first ``text``
+    parsed as floats. Any other shape is a MalformedRow naming the line."""
+    reader = csv.reader(_as_stream(source))
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != list(columns):
+            raise MalformedRow(f"expected header {','.join(columns)!r}, got {header}")
+        for row in reader:
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
+            if len(cells) != len(columns) or not all(cells):
+                raise MalformedRow(f"line {reader.line_num}: expected {len(columns)} "
+                                   f"non-empty cells, got {row}")
+            try:
+                cells[text:] = map(float, cells[text:])
+            except ValueError as exc:
+                raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+            yield reader.line_num, cells
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
 
 
 def load_table_meta(source: Union[str, TextIO]) -> TableMeta:
@@ -183,6 +219,11 @@ def load_table_meta(source: Union[str, TextIO]) -> TableMeta:
         if "=" not in line:
             raise MalformedRow(f"metadata line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _META_KEYS:
+            raise MalformedRow(f"metadata line {lineno}: unknown key {key!r}; "
+                               f"expected one of {', '.join(_META_KEYS)}")
+        if getattr(meta, key) is not None:
+            raise MalformedRow(f"metadata line {lineno}: {key!r} given twice")
         items = [tok.strip() for tok in value.split(",") if tok.strip()]
         try:
             if key == "subpops":
@@ -195,8 +236,6 @@ def load_table_meta(source: Union[str, TextIO]) -> TableMeta:
                 meta.panel = items
             elif key == "floor":
                 meta.floor = float(value)
-            else:
-                meta.extra[key] = value
         except ValueError as exc:
             raise MalformedRow(f"metadata line {lineno}: {exc}") from exc
     return meta
@@ -214,10 +253,16 @@ def dump_table_meta(table: FrequencyTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_floor(floor: float) -> None:
-    """The one floor rule: a frequency floor must be finite and > 0."""
+def _check_floor(floor: float, n_alleles: int) -> None:
+    """The one floor rule: a frequency floor must be finite, > 0 and below
+    1/A, where A (``n_alleles``) is the largest allele count of any locus,
+    so flooring can never lift every allele of a locus to the floor."""
     if not (math.isfinite(floor) and floor > 0.0):
         raise NonPositiveFrequency(f"floor must be finite and > 0, got {floor}")
+    if floor * n_alleles >= 1.0:
+        raise NonPositiveFrequency(
+            f"floor {floor} is not below 1/{n_alleles}, one over the largest "
+            f"allele count of a locus")
 
 
 def _floor_and_normalize(dist: dict[Allele, float], floor: float) -> dict[Allele, float]:
@@ -233,9 +278,11 @@ def load_frequency_table(
 ) -> FrequencyTable:
     """Load and validate a frequency CSV.
 
-    Frequencies below the floor (including alleles entirely absent from a
-    subpopulation but present in another at the same locus) are raised to
-    the floor and the per-(subpop, locus) distribution renormalized.
+    Frequencies must be finite and >= 0. Frequencies below the floor
+    (including alleles entirely absent from a subpopulation but present in
+    another at the same locus) are raised to the floor and the per-(subpop,
+    locus) distribution renormalized; see :func:`_check_floor` for the
+    floor's range.
     Proportions are renormalized to sum exactly to 1 if they are within
     1e-4, otherwise :class:`ProportionSumOutOfTolerance` is raised.
     """
@@ -243,30 +290,14 @@ def load_frequency_table(
         meta = TableMeta()
     if floor is None:
         floor = meta.floor if meta.floor is not None else DEFAULT_FLOOR
-    _check_floor(floor)
-
-    reader = csv.reader(_as_stream(source))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["subpop", "locus", "allele", "freq"]:
-        raise MalformedRow(f"expected header 'subpop,locus,allele,freq', got {header}")
 
     raw: dict[str, dict[str, dict[Allele, float]]] = {}
     subpop_order: list[str] = []
     locus_order: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 4:
-            raise MalformedRow(f"line {lineno}: expected 4 columns, got {len(row)}")
-        subpop, locus, allele, freq_s = (tok.strip() for tok in row)
-        if not subpop or not locus or not allele:
-            raise MalformedRow(f"line {lineno}: empty field")
-        try:
-            freq = float(freq_s)
-        except ValueError as exc:
-            raise MalformedRow(f"line {lineno}: bad frequency {freq_s!r}") from exc
-        if freq < 0.0:
-            raise NonPositiveFrequency(f"line {lineno}: negative frequency {freq}")
+    for lineno, (subpop, locus, allele, freq) in _read_rows(source, _FREQ_COLUMNS, 3):
+        if not (freq >= 0.0 and math.isfinite(freq)):
+            raise NonPositiveFrequency(
+                f"line {lineno}: frequency must be finite and >= 0, got {freq}")
         if subpop not in raw:
             raw[subpop] = {}
             subpop_order.append(subpop)
@@ -285,6 +316,10 @@ def load_frequency_table(
 
     subpop_names = meta.subpops if meta.subpops is not None else subpop_order
     panel = tuple(meta.panel) if meta.panel is not None else tuple(locus_order)
+    for what, names in (("subpopulation", subpop_names), ("locus", panel)):
+        if not names or len(set(names)) != len(names):
+            raise MalformedRow(f"metadata must name at least one {what}, each once; "
+                               f"got {list(names)}")
     for name in subpop_names:
         if name not in raw:
             raise MissingLocusForSubpop(f"subpop {name!r} absent from frequency CSV")
@@ -322,6 +357,7 @@ def load_frequency_table(
         locus: sorted(set().union(*(raw[name][locus].keys() for name in subpop_names)))
         for locus in panel
     }
+    _check_floor(floor, max(len(labels) for labels in union.values()))
     freqs: dict[str, dict[str, dict[Allele, float]]] = {}
     for name in subpop_names:
         freqs[name] = {}
@@ -342,7 +378,7 @@ def dump_frequency_table(table: FrequencyTable) -> str:
         for locus in table.panel:
             dist = table.freqs[sp.name][locus]
             rows += ([sp.name, locus, allele, dist[allele]] for allele in sorted(dist))
-    return _write_rows(["subpop", "locus", "allele", "freq"], rows, None)
+    return _write_rows(_FREQ_COLUMNS, rows, None)
 
 
 def _pool(table: FrequencyTable, weights: Sequence[float], name: str) -> FrequencyTable:
@@ -390,21 +426,9 @@ def pooled_frequencies(table: FrequencyTable, weights: str = "auto") -> Frequenc
 
 def load_profile_csv(source: Union[str, TextIO]) -> Profile:
     """Read a ``locus,allele1,allele2`` CSV into a Profile."""
-    reader = csv.reader(_as_stream(source))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["locus", "allele1", "allele2"]:
-        raise MalformedRow(f"expected header 'locus,allele1,allele2', got {header}")
-    genotypes = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise MalformedRow(f"line {lineno}: expected 3 columns, got {len(row)}")
-        locus, a, b = (tok.strip() for tok in row)
-        genotypes.append(LocusGenotype(locus, (a, b)))
-    return Profile(tuple(genotypes))
+    return Profile(tuple(LocusGenotype(locus, (a, b))
+                         for _, (locus, a, b) in _read_rows(source, _PROFILE_COLUMNS, 3)))
 
 
 def dump_profile_csv(profile: Profile) -> str:
-    return _write_rows(["locus", "allele1", "allele2"],
-                       ([g.locus, *g.alleles] for g in profile.genotypes), None)
+    return _write_rows(_PROFILE_COLUMNS, ([g.locus, *g.alleles] for g in profile.genotypes), None)

@@ -78,6 +78,18 @@ class TestLrCommand:
         assert "UnknownAllele" in capsys.readouterr().err
 
 
+    def test_oversized_field_exit_2(self, table_files, profile_files, tmp_path, capsys):
+        freqs, meta = table_files
+        p1, _ = profile_files
+        big = tmp_path / "big.csv"
+        big.write_text("locus,allele1,allele2\nD3S1358,13," + "1" * 200_000 + "\n",
+                       encoding="utf-8")
+        assert main(["lr", str(p1), str(big), "--freqs", str(freqs),
+                     "--meta", str(meta)]) == 2
+        err = capsys.readouterr().err
+        assert "MalformedRow" in err and "line 2" in err
+
+
 class TestPowerCommand:
     def test_writes_reports(self, synth_files, tmp_path, capsys):
         freqs, meta = synth_files
@@ -199,6 +211,35 @@ class TestValidateCommand:
                      "--floor", floor]) == 2
         assert "NonPositiveFrequency" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, meta, error", [
+        ("x,L1,12,nan", "", "NonPositiveFrequency"),
+        ("x,L1,12,inf", "", "NonPositiveFrequency"),
+        ("x,L1,12,-inf", "", "NonPositiveFrequency"),
+        ("x,L1,12,1e400", "", "NonPositiveFrequency"),
+        ("x,L1," + "1" * 200_000 + ",0.5", "", "MalformedRow"),
+        ("", "sample_sizes = 0, 0\n", "InvalidParameter"),
+        ("", "sample_sizes = -5, 10\n", "InvalidParameter"),
+        ("", "sample_size = 100, 300\n", "MalformedRow"),
+    ], ids=["nan", "inf", "-inf", "1e400", "oversized", "sizes-0", "sizes-neg", "unknown-key"])
+    def test_bad_input_exit_2(self, tmp_path, capsys, row, meta, error):
+        freqs = tmp_path / "f.csv"
+        meta_file = tmp_path / "m.txt"
+        freqs.write_text("subpop,locus,allele,freq\n"
+                         "x,L1,10,0.3\nx,L1,11,0.7\ny,L1,10,0.6\ny,L1,11,0.4\n"
+                         + row + "\n", encoding="utf-8")
+        meta_file.write_text("subpops = x, y\n" + meta, encoding="utf-8")
+        assert main(["validate", "--freqs", str(freqs), "--meta", str(meta_file)]) == 2
+        assert error in capsys.readouterr().err
+
+    def test_floor_that_replaces_the_data_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["synth-freqs", "--subpops", "2", "--loci", "1", "--alleles", "5",
+                     "--seed", "3", "--out", str(out)]) == 0
+        args = ["validate", "--freqs", str(out / "freqs.csv"), "--meta", str(out / "meta.txt")]
+        assert main(args + ["--floor", "0.19"]) == 0
+        assert main(args + ["--floor", "2"]) == 2
+        assert "NonPositiveFrequency" in capsys.readouterr().err
+
     def test_bundled_configs_parse(self):
         from pathlib import Path
         configs = Path(__file__).resolve().parents[1] / "configs"
@@ -225,6 +266,13 @@ class TestSynthFreqsCommand:
         out = tmp_path / "s"
         assert main(["synth-freqs", "--floor", floor, "--out", str(out)]) == 2
         assert "NonPositiveFrequency" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_sample_sizes_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["synth-freqs", "--subpops", "2", "--sample-sizes", "0,10",
+                     "--out", str(out)]) == 2
+        assert "InvalidParameter" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_divergence(self, tmp_path):
@@ -299,6 +347,16 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "InvalidParameter" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, synth_files, tmp_path, capsys, workers):
+        freqs, meta = synth_files
+        out = tmp_path / "out"
+        code = main(["power", "--freqs", str(freqs), "--meta", str(meta), "--alpha", "0.05",
+                     "--B", "100", "--workers", workers, "--out", str(out)])
+        assert code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_utf8_freqs_exit_2(self, tmp_path, capsys):

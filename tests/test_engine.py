@@ -31,6 +31,11 @@ class TestSimConfig:
         with pytest.raises(kp.errors.InvalidParameter, match="seed"):
             cfg_for(two_subpop_table, seed=-1)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one(self, two_subpop_table, workers):
+        with pytest.raises(kp.errors.InvalidParameter, match="workers"):
+            cfg_for(two_subpop_table, workers=workers)
+
     def test_parameter_errors_are_kinpower_and_value_errors(self, two_subpop_table):
         with pytest.raises(kp.errors.InvalidParameter) as info:
             cfg_for(two_subpop_table, B=0)
@@ -50,6 +55,38 @@ class TestDeterminism:
             for s in base.statistics:
                 assert np.array_equal(base.statistics[s], other.statistics[s],
                                       equal_nan=True)
+
+    @pytest.mark.parametrize("workers, B, expected", [
+        (8, 2 * BLOCK + 123, 3),
+        (2, 2 * BLOCK + 123, 2),
+        (8, BLOCK, None),
+        (1, 2 * BLOCK, None),
+    ])
+    def test_pool_never_larger_than_block_count(self, two_subpop_table, monkeypatch,
+                                                 workers, B, expected):
+        # a recorder stands in for the pool, so no process is started
+        from kinpower import engine
+        opened = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", Recorder)
+        cfg = cfg_for(two_subpop_table, B=B, workers=workers)
+        got = kp.simulate_null(cfg)
+        assert opened == ([] if expected is None else [expected])
+        serial = kp.simulate_null(cfg_for(two_subpop_table, B=B, workers=1))
+        assert np.array_equal(got.statistics["LAF"], serial.statistics["LAF"])
 
     def test_single_replicate_reproducible(self, two_subpop_table):
         a = kp.simulate_null(cfg_for(two_subpop_table, B=1))
@@ -161,6 +198,20 @@ class TestSampleMatrixDump:
             assert row["subpop_tag"] in ("a", "b")
             for s in null.statistics:
                 assert float(row[s]) == null.statistics[s][i]
+
+    def test_stream_sink(self, two_subpop_table):
+        import io
+        null = kp.simulate_null(cfg_for(two_subpop_table, B=10))
+        buf = io.StringIO()
+        assert kp.dump_samples(null, buf) is None
+        assert buf.getvalue() == kp.dump_samples(null)
+
+    def test_path_sink_rejected(self, two_subpop_table, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        null = kp.simulate_null(cfg_for(two_subpop_table, B=10))
+        with pytest.raises(TypeError):
+            kp.dump_samples(null, "x.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPinnedOutputs:

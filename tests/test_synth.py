@@ -62,6 +62,17 @@ class TestSynthFrequencyTable:
         with pytest.raises(kp.errors.NonPositiveFrequency):
             kp.synth_frequency_table(floor=floor)
 
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_rejects_sample_size_below_one(self, size):
+        with pytest.raises(kp.errors.InvalidParameter, match="sample size"):
+            kp.synth_frequency_table(n_subpops=2, sample_sizes=[size, 10])
+
+    def test_rejects_floor_at_one_over_alleles(self):
+        with pytest.raises(kp.errors.NonPositiveFrequency, match="1/4"):
+            kp.synth_frequency_table(n_alleles=4, floor=0.25)
+        table = kp.synth_frequency_table(n_alleles=4, floor=0.2499)
+        assert table.floor == 0.2499
+
     def test_custom_proportions_and_sizes(self):
         table = kp.synth_frequency_table(
             n_subpops=2, proportions=[0.3, 0.7], sample_sizes=[100, 200])

@@ -10,6 +10,7 @@ import pytest
 
 import kinpower as kp
 from kinpower import errors
+from kinpower.power import read_diff_cis_csv, read_power_curves_csv, read_power_reports_csv
 from kinpower.tables import FREQ_SUM_TOL
 
 
@@ -126,6 +127,46 @@ class TestLoadFrequencyTable:
         with pytest.raises(errors.NonPositiveFrequency):
             kp.load_frequency_table(BASIC_CSV, meta=meta)
 
+    @pytest.mark.parametrize("meta_text, what", [
+        ("subpops = \n", "subpopulation"),
+        ("subpops = a, a\n", "subpopulation"),
+        ("panel = \n", "locus"),
+        ("panel = L1, L1\n", "locus"),
+    ])
+    def test_rejects_empty_or_repeated_names(self, meta_text, what):
+        # a locus listed twice would count twice in every likelihood
+        meta = kp.load_table_meta(meta_text)
+        with pytest.raises(errors.MalformedRow, match=f"at least one {what}, each once"):
+            kp.load_frequency_table(BASIC_CSV, meta=meta)
+
+    @pytest.mark.parametrize("freq", ["nan", "inf", "-inf", "1e400"])
+    def test_rejects_non_finite_frequency(self, freq):
+        csv = f"subpop,locus,allele,freq\na,L1,10,0.5\na,L1,11,{freq}\n"
+        with pytest.raises(errors.NonPositiveFrequency, match="line 3"):
+            kp.load_frequency_table(csv)
+
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_rejects_sample_size_below_one(self, size):
+        csv = BASIC_CSV + "b,L1,10,0.5\nb,L1,11,0.5\n"
+        meta = kp.load_table_meta(f"subpops = a, b\nsample_sizes = {size}, 10\n")
+        with pytest.raises(errors.InvalidParameter, match="sample size"):
+            kp.load_frequency_table(csv, meta=meta)
+
+    @pytest.mark.parametrize("floor", [2.0, 0.5])
+    def test_rejects_floor_that_replaces_the_data(self, floor):
+        # BASIC_CSV has 2 alleles, so any floor >= 1/2 would lift both to it
+        with pytest.raises(errors.NonPositiveFrequency, match="1/2"):
+            kp.load_frequency_table(BASIC_CSV, floor=floor)
+
+    def test_floor_checked_against_largest_locus(self):
+        # L1 has 2 alleles, L2 has 5: the floor must stay below 1/5
+        csv = BASIC_CSV + "".join(f"a,L2,{a},0.2\n" for a in range(5))
+        just_under = 0.2 - 1e-9
+        table = kp.load_frequency_table(csv, floor=just_under)
+        assert min(table.freqs["a"]["L2"].values()) == pytest.approx(0.2)
+        with pytest.raises(errors.NonPositiveFrequency, match="1/5"):
+            kp.load_frequency_table(csv, floor=0.2)
+
     def test_load_independent_of_hash_seed(self, tmp_path):
         # string hashing, and with it set iteration order, changes with
         # PYTHONHASHSEED; the loaded table must not
@@ -168,6 +209,29 @@ class TestMetadata:
     def test_bad_line(self):
         with pytest.raises(errors.MalformedRow):
             kp.load_table_meta("subpops a, b\n")
+
+    def test_unknown_key_rejected(self):
+        text = "subpops = a, b\nsample_size = 100, 300\n"
+        with pytest.raises(errors.MalformedRow, match="line 2.*'sample_size'") as info:
+            kp.load_table_meta(text)
+        for key in ("subpops", "proportions", "sample_sizes", "panel", "floor"):
+            assert key in str(info.value)
+
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(errors.MalformedRow, match="line 3: 'subpops' given twice"):
+            kp.load_table_meta("subpops = a\n# b replaces a?\nsubpops = b\n")
+
+
+class TestSubpopulation:
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_rejects_sample_size_below_one(self, size):
+        with pytest.raises(errors.InvalidParameter, match="sample size"):
+            kp.Subpopulation("a", 1.0, size)
+
+    def test_sample_size_optional(self):
+        assert kp.Subpopulation("a", 1.0).sample_size is None
+        assert kp.Subpopulation("a", 1.0, 1).sample_size == 1
 
 
 class TestLocalAverage:
@@ -275,3 +339,106 @@ class TestProfiles:
         csv = "locus,allele1,allele2\nL1,1,2\nL2,3,3\n"
         profile = kp.load_profile_csv(csv)
         assert kp.load_profile_csv(kp.dump_profile_csv(profile)) == profile
+
+
+FREQ_CSV = "subpop,locus,allele,freq\na,L1,10,0.5\na,L1,11,0.5\n"
+PROFILE_CSV = "locus,allele1,allele2\nL1,10,11\n"
+REPORT_CSV = ("statistic,alpha,threshold,power,ci_low,ci_high\n"
+              "MIN,0.001,2.5,0.75,0.7,0.8\n")
+CURVE_CSV = "statistic,alpha,power\nMIN,1e-06,0.5\nMIN,2e-06,0.625\n"
+DIFF_CSV = "subpop_i,subpop_j,estimate,ci_low,ci_high\nx,y,0.25,0.125,0.375\n"
+
+
+READERS = {
+    "frequency": (kp.load_frequency_table, FREQ_CSV),
+    "profile": (kp.load_profile_csv, PROFILE_CSV),
+    "power_report": (read_power_reports_csv, REPORT_CSV),
+    "curve": (read_power_curves_csv, CURVE_CSV),
+    "diff_ci": (read_diff_cis_csv, DIFF_CSV),
+}
+
+
+class TestReadRows:
+    """The one CSV reader behind every loader and read_*_csv function."""
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_good_file_reads(self, name):
+        read, text = READERS[name]
+        read(text)
+        read(io.StringIO(text))
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_wrong_header(self, name):
+        read, text = READERS[name]
+        header, body = text.split("\n", 1)
+        wrong = header.replace(header.split(",")[-1], "bogus")
+        with pytest.raises(errors.MalformedRow, match="expected header"):
+            read(wrong + "\n" + body)
+        with pytest.raises(errors.MalformedRow, match="expected header"):
+            read("")
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_blank_rows_skipped_and_cells_stripped(self, name):
+        read, text = READERS[name]
+        header, body = text.split("\n", 1)
+        spaced = "\n".join(" , ".join(f" {c} " for c in line.split(","))
+                           for line in body.splitlines())
+        assert read(header + "\n\n" + spaced + "\n  \n , ,\n") == read(text)
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_wrong_column_count(self, name):
+        read, text = READERS[name]
+        with pytest.raises(errors.MalformedRow, match=r"line 2: expected \d non-empty cells"):
+            read(text.replace("\n", ",extra\n").replace(",extra", "", 1))
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_empty_cell(self, name):
+        read, text = READERS[name]
+        header, first, *rest = text.split("\n")
+        emptied = ",".join(first.split(",")[:-1] + ["  "])
+        with pytest.raises(errors.MalformedRow, match=r"line 2: expected \d non-empty cells"):
+            read("\n".join([header, emptied, *rest]))
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_oversized_field(self, name):
+        read, text = READERS[name]
+        header, first, *rest = text.split("\n")
+        huge = "x" * 200_000 + first
+        with pytest.raises(errors.MalformedRow, match="line 2: field larger"):
+            read("\n".join([header, huge, *rest]))
+
+    def test_power_report_reader_rejects_curves(self):
+        with pytest.raises(errors.MalformedRow, match="expected header"):
+            read_power_reports_csv(CURVE_CSV)
+
+    @pytest.mark.parametrize("name", ["power_report", "curve", "diff_ci"])
+    def test_bad_number_names_the_line(self, name):
+        read, text = READERS[name]
+        bad = text + text.split("\n")[1].rsplit(",", 1)[0] + ",0.5x\n"
+        lineno = text.count("\n") + 1
+        with pytest.raises(errors.MalformedRow, match=f"line {lineno}: .*'0.5x'"):
+            read(bad)
+
+    def test_bad_frequency_names_the_line(self):
+        with pytest.raises(errors.MalformedRow, match="line 4: .*'x'"):
+            kp.load_frequency_table(FREQ_CSV + "a,L1,12,x\n")
+
+    def test_line_numbers_count_physical_lines(self):
+        # a quoted label spans lines 4 and 5, so the bad row is on line 6
+        text = FREQ_CSV + '"a\nb",L1,12,0.5\na,L1,13,bad\n'
+        with pytest.raises(errors.MalformedRow, match="line 6"):
+            kp.load_frequency_table(text)
+
+    def test_power_rows_keep_column_order_and_types(self):
+        assert read_power_reports_csv(REPORT_CSV) == [
+            {"statistic": "MIN", "alpha": 0.001, "threshold": 2.5, "power": 0.75,
+             "ci_low": 0.7, "ci_high": 0.8}]
+        assert read_diff_cis_csv(DIFF_CSV) == [
+            {"subpop_i": "x", "subpop_j": "y", "estimate": 0.25, "ci_low": 0.125,
+             "ci_high": 0.375}]
+
+    def test_writer_refuses_empty_cell(self):
+        # an unnamed curve would write a file the reader rejects
+        from kinpower.power import PowerCurve, write_power_curves_csv
+        with pytest.raises(errors.InvalidParameter, match="empty cell"):
+            write_power_curves_csv([PowerCurve("", ((1e-6, 0.5),))])
