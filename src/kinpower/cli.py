@@ -50,9 +50,9 @@ def _parse_theta(text: str) -> ibd.ThetaIBD:
 
 
 def _read(path, loader, **kwargs):
-    """``loader`` applied to a UTF-8 text file; undecodable bytes are a MalformedRow."""
+    """``loader`` applied to a UTF-8 text file, BOM or not; undecodable bytes are a MalformedRow."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return loader(fh, **kwargs)
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") \

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .ibd import (ThetaIBD, categorical, genotypes_from_uniforms, pair_components,
                   related_from_uniforms)
-from .tables import FrequencyTable, _write_rows, local_average, pooled_frequencies
+from .tables import FrequencyTable, _pool, _pool_weights, _write_rows
 
 BLOCK = 8192
 STATISTICS = ("LAF", "AVG", "MAX", "MIN", "RMAX", "RMIN", "CB")
@@ -73,35 +73,21 @@ class _Compiled(NamedTuple):
     K: int
     logp: np.ndarray              # (K,) log proportions
     prop_cdf: np.ndarray          # (K,)
-    loci: tuple[str, ...]
-    labels: tuple[tuple[str, ...], ...]  # per locus allele labels; index i is column i
     fmat: tuple[np.ndarray, ...]  # per locus (K+2, A); rows K=local, K+1=pooled
     cdf: tuple[np.ndarray, ...]   # per locus (K, A) per-subpop sampling CDFs
 
 
 def _compile(table: FrequencyTable, cb_weights: str) -> _Compiled:
-    local = local_average(table).locus_freqs("local")
-    pooled = pooled_frequencies(table, cb_weights).locus_freqs("pooled")
     props = np.array(table.proportions)
-    labels = tuple(table.alleles(locus) for locus in table.panel)
-    fmat, cdf = [], []
-    for locus, locus_labels in zip(table.panel, labels):
-        rows = [
-            [table.freqs[s.name][locus][a] for a in locus_labels] for s in table.subpops
-        ]
-        rows.append([local[locus][a] for a in locus_labels])
-        rows.append([pooled[locus][a] for a in locus_labels])
-        mat = np.array(rows, dtype=np.float64)
-        fmat.append(mat)
-        cdf.append(np.cumsum(mat[: table.n_subpops], axis=1))
+    full = np.vstack([table.matrix, _pool(table, table.proportions),
+                      _pool(table, _pool_weights(table, cb_weights))])
+    fmat = tuple(full[:, lo:hi] for lo, hi in zip(table.offsets, table.offsets[1:]))
     return _Compiled(
         K=table.n_subpops,
         logp=np.log(props),
         prop_cdf=np.cumsum(props),
-        loci=table.panel,
-        labels=labels,
-        fmat=tuple(fmat),
-        cdf=tuple(cdf),
+        fmat=fmat,
+        cdf=tuple(np.cumsum(f[:table.n_subpops], axis=1) for f in fmat),
     )
 
 
@@ -174,7 +160,7 @@ def _block_rng(seed: int, phase: int, block: int) -> np.random.Generator:
 
 
 def _run_block(compiled: _Compiled, cfg: SimConfig, alt: bool, block: int, n: int):
-    m = len(compiled.loci)
+    m = cfg.table.n_loci
     rng = _block_rng(cfg.seed, 1 if alt else 0, block)
     shape = (n, 1 + 5 * m) if alt else (n, 2 + 4 * m)
     u = rng.random(shape)
@@ -212,7 +198,7 @@ def _run_block(compiled: _Compiled, cfg: SimConfig, alt: bool, block: int, n: in
 
 def _simulate(cfg: SimConfig, alt: bool) -> SampleMatrix:
     compiled = _compile(cfg.table, cfg.cb_weights)
-    m = len(compiled.loci)
+    m = cfg.table.n_loci
     nblocks = (cfg.B + BLOCK - 1) // BLOCK
     sizes = [min(BLOCK, cfg.B - b * BLOCK) for b in range(nblocks)]
 

@@ -10,7 +10,7 @@ Seven statistics are computed, all in log scale:
 * ``CB``   - LR under frequencies pooled into one homogeneous group
 
 ``lr_all`` is the simulation engine's kernel run on a single replicate
-(B=1): the pair is encoded as allele indices in the engine's label order
+(B=1): the pair is encoded as allele indices in the table's label order
 and goes through the same log-likelihood, infinity rule and statistic code
 as every simulated pair, so casework and simulation agree bit for bit.
 """
@@ -22,7 +22,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .engine import STATISTICS, _Compiled, _compile, _derive_block, _diff, _loglik_arrays
+from .engine import STATISTICS, _compile, _derive_block, _diff, _loglik_arrays
 from .errors import PanelMismatch
 from .ibd import ThetaIBD, _positions
 from .tables import FrequencyTable, Profile
@@ -47,14 +47,12 @@ class LrBreakdown:
         return tuple(_diff(np.array(self.loglik1), np.array(self.loglik0)).tolist())
 
 
-def _encode(profile: Profile, compiled: _Compiled):
-    """Allele-index arrays of shape (1, loci) for one profile."""
-    m = len(compiled.loci)
-    a = np.empty((1, m), dtype=np.int64)
-    b = np.empty((1, m), dtype=np.int64)
-    for ell, (locus, locus_labels) in enumerate(zip(compiled.loci, compiled.labels)):
-        a[0, ell], b[0, ell] = _positions(locus_labels, profile.genotype(locus).alleles)
-    return a, b
+def _encode(profile: Profile, table: FrequencyTable):
+    """(1, loci) allele-index arrays of one profile, in the table's label order."""
+    idx = np.array([_positions(labels, profile.genotype(locus).alleles)
+                    for locus, labels in zip(table.panel, table.labels)],
+                   dtype=np.int64).reshape(1, -1, 2)
+    return idx[..., 0], idx[..., 1]
 
 
 def lr_all(
@@ -71,8 +69,8 @@ def lr_all(
                 f"profile loci {sorted(profile.loci)} do not cover panel {sorted(table.panel)}")
 
     compiled = _compile(table, cb_weights)
-    g1a, g1b = _encode(pair[0], compiled)
-    g2a, g2b = _encode(pair[1], compiled)
+    g1a, g1b = _encode(pair[0], table)
+    g2a, g2b = _encode(pair[1], table)
     ll0, ll1 = _loglik_arrays(compiled, g1a, g1b, g2a, g2b, theta0, theta1)
     values = _derive_block(compiled, ll0, ll1, STATISTICS)
 

@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, TextIO, Union
+
+import numpy as np
 
 from .errors import (
     DuplicateAllele,
@@ -111,6 +114,17 @@ class Subpopulation:
 class FrequencyTable:
     """Validated, floored, renormalized per-subpopulation allele frequencies.
 
+    ``freqs`` is the constructor argument and a read-only view. Construction
+    lays it out once as arrays, left out of ``==`` and ``repr``: ``labels``,
+    the sorted allele labels per panel locus; ``matrix``, a read-only float64
+    (K, sum of A) array with a row per subpop and the loci side by side in
+    panel order, columns in ``labels`` order; and ``offsets``, so that locus
+    i is ``matrix[:, offsets[i]:offsets[i + 1]]``. Construction raises
+    MissingLocusForSubpop when ``freqs`` lacks a subpop or panel locus,
+    PanelMismatch when subpops list different alleles at a locus, and
+    ProportionSumOutOfTolerance when the proportions miss 1 by more than
+    PROPORTION_TOL.
+
     Immutable after construction; safe for shared read access from any
     number of concurrent workers.
     """
@@ -119,6 +133,31 @@ class FrequencyTable:
     subpops: tuple[Subpopulation, ...]
     freqs: Mapping[str, Mapping[str, Mapping[Allele, float]]]  # subpop -> locus -> allele -> freq
     floor: float = DEFAULT_FLOOR
+    labels: tuple[tuple[Allele, ...], ...] = field(init=False, compare=False, repr=False)
+    matrix: np.ndarray = field(init=False, compare=False, repr=False)
+    offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        total = sum(self.proportions)
+        if abs(total - 1.0) > PROPORTION_TOL:
+            raise ProportionSumOutOfTolerance(
+                f"proportions sum to {total}, outside tolerance {PROPORTION_TOL}")
+        try:
+            dists = [[self.freqs[s.name][locus] for locus in self.panel] for s in self.subpops]
+        except KeyError as exc:
+            raise MissingLocusForSubpop(f"freqs has no entry for {exc.args[0]!r}") from None
+        labels = tuple(tuple(sorted(d)) for d in dists[0])
+        for sp, by_locus in zip(self.subpops, dists):
+            for locus, support, d in zip(self.panel, labels, by_locus):
+                if tuple(sorted(d)) != support:
+                    raise PanelMismatch(f"subpop {sp.name!r} lists other alleles at locus "
+                                        f"{locus!r} than subpop {self.subpops[0].name!r}")
+        matrix = np.array([[d[a] for support, d in zip(labels, by_locus) for a in support]
+                           for by_locus in dists], dtype=np.float64)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "offsets", (0, *itertools.accumulate(map(len, labels))))
 
     @property
     def n_subpops(self) -> int:
@@ -139,16 +178,9 @@ class FrequencyTable:
             return None
         return sizes
 
-    def locus_freqs(self, subpop: str) -> Mapping[str, Mapping[Allele, float]]:
-        """Per-locus allele distributions for one subpopulation."""
-        return self.freqs[subpop]
-
     def alleles(self, locus: str) -> tuple[Allele, ...]:
-        """Union allele support of a locus, in sorted label order."""
-        labels: set[Allele] = set()
-        for sp in self.subpops:
-            labels.update(self.freqs[sp.name][locus])
-        return tuple(sorted(labels))
+        """Allele support of a locus, in sorted label order."""
+        return self.labels[self.panel.index(locus)]
 
 
 @dataclass
@@ -375,30 +407,48 @@ def dump_frequency_table(table: FrequencyTable) -> str:
     """Serialize to the frequency CSV schema (round-trips through load)."""
     rows = []
     for sp in table.subpops:
-        for locus in table.panel:
+        for locus, labels in zip(table.panel, table.labels):
             dist = table.freqs[sp.name][locus]
-            rows += ([sp.name, locus, allele, dist[allele]] for allele in sorted(dist))
+            rows += ([sp.name, locus, allele, dist[allele]] for allele in labels)
     return _write_rows(_FREQ_COLUMNS, rows, None)
 
 
-def _pool(table: FrequencyTable, weights: Sequence[float], name: str) -> FrequencyTable:
+def _pool(table: FrequencyTable, weights: Sequence[float]) -> np.ndarray:
+    """The ``weights``-weighted mean of the table's rows, added one row at a
+    time in subpop order: ((0 + w_1 f_1) + w_2 f_2) + ..., w_k = weights[k] / total."""
     total = float(sum(weights))
-    w = [x / total for x in weights]
-    freqs: dict[str, dict[str, dict[Allele, float]]] = {name: {}}
-    for locus in table.panel:
-        merged: dict[Allele, float] = {}
-        for wk, sp in zip(w, table.subpops):
-            for allele, f in table.freqs[sp.name][locus].items():
-                merged[allele] = merged.get(allele, 0.0) + wk * f
-        freqs[name][locus] = merged
-    subpop = Subpopulation(name, 1.0)
-    return FrequencyTable(panel=table.panel, subpops=(subpop,), freqs=freqs,
-                          floor=table.floor)
+    acc = np.zeros(table.matrix.shape[1])
+    for w, row in zip(weights, table.matrix):
+        acc = acc + (w / total) * row
+    return acc
+
+
+def _pool_weights(table: FrequencyTable, scheme: str) -> Sequence[float]:
+    """The per-subpop weights of a pooling scheme; see pooled_frequencies."""
+    if scheme == "auto":
+        scheme = "samples" if table.sample_sizes is not None else "equal"
+    if scheme == "census":
+        return table.proportions
+    if scheme == "samples":
+        if table.sample_sizes is None:
+            raise MissingSampleSizes("table carries no per-subpop sample sizes")
+        return [float(n) for n in table.sample_sizes]
+    if scheme == "equal":
+        return [1.0] * table.n_subpops
+    raise InvalidParameter(f"unknown weight scheme {scheme!r}")
+
+
+def _one_subpop(table: FrequencyTable, row: np.ndarray, name: str) -> FrequencyTable:
+    values = iter(row.tolist())
+    freqs = {locus: {a: next(values) for a in labels}
+             for locus, labels in zip(table.panel, table.labels)}
+    return FrequencyTable(panel=table.panel, subpops=(Subpopulation(name, 1.0),),
+                          freqs={name: freqs}, floor=table.floor)
 
 
 def local_average(table: FrequencyTable) -> FrequencyTable:
     """Proportion-weighted average of the subpopulation frequencies."""
-    return _pool(table, table.proportions, "local")
+    return _one_subpop(table, _pool(table, table.proportions), "local")
 
 
 def pooled_frequencies(table: FrequencyTable, weights: str = "auto") -> FrequencyTable:
@@ -408,20 +458,7 @@ def pooled_frequencies(table: FrequencyTable, weights: str = "auto") -> Frequenc
     (per-subpop sample sizes), ``equal``, or ``auto`` (samples when the
     table carries them, else equal).
     """
-    if weights == "auto":
-        weights = "samples" if table.sample_sizes is not None else "equal"
-    if weights == "census":
-        w: Sequence[float] = table.proportions
-    elif weights == "samples":
-        sizes = table.sample_sizes
-        if sizes is None:
-            raise MissingSampleSizes("table carries no per-subpop sample sizes")
-        w = [float(n) for n in sizes]
-    elif weights == "equal":
-        w = [1.0] * table.n_subpops
-    else:
-        raise InvalidParameter(f"unknown weight scheme {weights!r}")
-    return _pool(table, w, "pooled")
+    return _one_subpop(table, _pool(table, _pool_weights(table, weights)), "pooled")
 
 
 def load_profile_csv(source: Union[str, TextIO]) -> Profile:

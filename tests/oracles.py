@@ -60,3 +60,19 @@ def all_genotypes(alleles, locus="L"):
 def all_unordered_pairs(alleles, locus="L"):
     gs = all_genotypes(alleles, locus)
     return list(combinations_with_replacement(gs, 2))
+
+
+def reference_pool(freqs: dict, subpops, panel, weights) -> dict:
+    """locus -> allele -> pooled frequency, the weighted mean of the
+    subpops' dicts. Adds in subpop order, one ``w_k * f`` at a time, as a
+    dict merge over the raw ``freqs`` mapping."""
+    total = float(sum(weights))
+    w = [x / total for x in weights]
+    pooled = {}
+    for locus in panel:
+        merged = {}
+        for wk, name in zip(w, subpops):
+            for allele, f in freqs[name][locus].items():
+                merged[allele] = merged.get(allele, 0.0) + wk * f
+        pooled[locus] = merged
+    return pooled

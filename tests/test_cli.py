@@ -329,6 +329,39 @@ class TestPinnedOutputs:
         assert h.hexdigest() == self.DIGESTS[name]
 
 
+class TestByteOrderMark:
+    """Spreadsheets save CSV with a leading UTF-8 byte order mark; such files
+    read exactly as the same files without it."""
+
+    @staticmethod
+    def with_bom(path, tmp_path):
+        out = tmp_path / f"bom_{path.parent.name}_{path.name}"
+        out.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return out
+
+    def run_both(self, argv, files, tmp_path, capsys):
+        assert main(argv(*files)) == 0
+        plain = capsys.readouterr().out
+        assert main(argv(*(self.with_bom(f, tmp_path) for f in files))) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_validate(self, synth_files, tmp_path, capsys):
+        self.run_both(lambda freqs, meta: ["validate", "--freqs", str(freqs),
+                                           "--meta", str(meta)],
+                      synth_files, tmp_path, capsys)
+
+    def test_lr(self, synth_files, tmp_path, capsys):
+        p1 = tmp_path / "p1.csv"
+        p2 = tmp_path / "p2.csv"
+        p1.write_text("locus,allele1,allele2\nL01,8,9\nL02,10,10\nL03,8,13\nL04,11,12\n",
+                      encoding="utf-8")
+        p2.write_text("locus,allele1,allele2\nL01,9,9\nL02,10,12\nL03,13,8\nL04,11,8\n",
+                      encoding="utf-8")
+        self.run_both(lambda freqs, meta, a, b: ["lr", str(a), str(b), "--freqs", str(freqs),
+                                                 "--meta", str(meta), "--test", "full-sib"],
+                      (*synth_files, p1, p2), tmp_path, capsys)
+
+
 class TestExitCodes:
     """2 = a KinpowerError raised before the run; 3 = any other failure."""
 

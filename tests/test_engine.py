@@ -5,7 +5,72 @@ import numpy as np
 import pytest
 
 import kinpower as kp
-from kinpower.engine import BLOCK
+from kinpower.engine import BLOCK, _compile
+
+from conftest import rng
+from oracles import reference_pool
+
+
+class TestCompiledRows:
+    """The local and pooled rows _compile builds, against a dict merge that
+    shares no code with it: equal to the last bit, column for column."""
+
+    LOADED_CSV = (
+        "subpop,locus,allele,freq\n"
+        "north,FGA,22,0.5\nnorth,FGA,9.3,0.12\nnorth,FGA,21,0.38\n"
+        "north,TH01,7,0.3\nnorth,TH01,6,0.7\n"
+        "central,FGA,21,0.31\ncentral,FGA,22,0.44\ncentral,FGA,23,0.25\n"
+        "central,TH01,9.3,0.2\ncentral,TH01,7,0.33\ncentral,TH01,6,0.47\n"
+        "south,TH01,6,0.55\nsouth,TH01,7,0.45\n"
+        "south,FGA,23,0.35\nsouth,FGA,22,0.45\nsouth,FGA,21,0.2\n"
+    )
+    LOADED_META = ("subpops = north, central, south\nproportions = 0.2, 0.5, 0.3\n"
+                   "sample_sizes = 202, 304, 212\npanel = TH01, FGA\n")
+
+    @staticmethod
+    def weights(table, scheme):
+        if scheme == "census":
+            return [s.proportion for s in table.subpops]
+        if scheme == "samples":
+            return [float(s.sample_size) for s in table.subpops]
+        return [1.0] * len(table.subpops)
+
+    def assert_rows_match(self, table, scheme):
+        names = [s.name for s in table.subpops]
+        K = len(names)
+        local = reference_pool(table.freqs, names, table.panel,
+                               self.weights(table, "census"))
+        pooled = reference_pool(table.freqs, names, table.panel,
+                                self.weights(table, scheme))
+        compiled = _compile(table, scheme)
+        assert len(compiled.fmat) == len(table.panel)
+        for f, locus in zip(compiled.fmat, table.panel):
+            labels = sorted(table.freqs[names[0]][locus])
+            assert f.shape == (K + 2, len(labels))
+            for k, name in enumerate(names):
+                assert np.array_equal(f[k], [table.freqs[name][locus][a] for a in labels])
+            assert np.array_equal(f[K], [local[locus][a] for a in labels])
+            assert np.array_equal(f[K + 1], [pooled[locus][a] for a in labels])
+
+    @pytest.mark.parametrize("scheme", ["census", "samples", "equal"])
+    @pytest.mark.parametrize("n_alleles", [3, 10, 25])
+    @pytest.mark.parametrize("n_subpops", [1, 4, 9, 17])
+    def test_synth_rows_bit_exact(self, n_subpops, n_alleles, scheme):
+        gen = rng(100 * n_subpops + n_alleles)
+        table = kp.synth_frequency_table(
+            n_subpops=n_subpops, n_loci=3, n_alleles=n_alleles, divergence=0.3,
+            seed=n_subpops + n_alleles,
+            proportions=gen.dirichlet(np.ones(n_subpops)).tolist(),
+            sample_sizes=gen.integers(20, 500, n_subpops).tolist())
+        self.assert_rows_match(table, scheme)
+
+    @pytest.mark.parametrize("scheme", ["census", "samples", "equal"])
+    def test_loaded_rows_bit_exact(self, scheme):
+        # unsorted rows, microvariant labels, alleles a subpop lacks (floored)
+        table = kp.load_frequency_table(self.LOADED_CSV,
+                                        meta=kp.load_table_meta(self.LOADED_META))
+        assert table.sample_sizes == (202, 304, 212)
+        self.assert_rows_match(table, scheme)
 
 
 def cfg_for(table, B=1000, seed=7, **kw):

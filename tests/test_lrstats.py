@@ -225,3 +225,24 @@ class TestLrAll:
         avg = math.log(sum(p * math.exp(r)
                            for p, r in zip(b.proportions, llr)))
         assert b.stats["AVG"] == pytest.approx(avg, abs=1e-12)
+
+
+class TestPerPairCost:
+    def test_lr_all_builds_no_table(self, synth_table, monkeypatch):
+        # the frequency layout is built once, when the table is; a casework
+        # pair only reads it
+        built = []
+        init = kp.FrequencyTable.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(kp.FrequencyTable, "__init__", counting_init)
+        p1 = profile_from([(locus, synth_table.alleles(locus)[:2])
+                           for locus in synth_table.panel])
+        p2 = profile_from([(locus, synth_table.alleles(locus)[1:3])
+                           for locus in synth_table.panel])
+        for _ in range(10):
+            kp.lr_all((p1, p2), kp.UNRELATED, kp.PARENT_CHILD, synth_table)
+        assert built == []

@@ -11,7 +11,7 @@ import pytest
 import kinpower as kp
 from kinpower import errors
 from kinpower.power import read_diff_cis_csv, read_power_curves_csv, read_power_reports_csv
-from kinpower.tables import FREQ_SUM_TOL
+from kinpower.tables import FREQ_SUM_TOL, PROPORTION_TOL
 
 
 BASIC_CSV = (
@@ -188,6 +188,62 @@ class TestLoadFrequencyTable:
                                  capture_output=True, text=True, check=True, timeout=120)
             digests.add(out.stdout.strip())
         assert len(digests) == 1, digests
+
+
+class TestFrequencyTableConstruction:
+    @staticmethod
+    def table(freqs, proportions=None, panel=("L1",)):
+        names = list(freqs) if proportions is None else list(proportions)
+        props = proportions or {name: 1.0 / len(names) for name in names}
+        return kp.FrequencyTable(
+            panel=panel, subpops=tuple(kp.Subpopulation(n, props[n]) for n in names),
+            freqs=freqs)
+
+    def test_layout(self):
+        t = self.table({"a": {"L1": {"9": 0.25, "10": 0.75}, "L2": {"x": 1.0}},
+                        "b": {"L1": {"10": 0.5, "9": 0.5}, "L2": {"x": 1.0}}},
+                       panel=("L1", "L2"))
+        assert t.labels == (("10", "9"), ("x",))
+        assert t.alleles("L1") == ("10", "9")
+        assert t.offsets == (0, 2, 3)
+        assert t.matrix.dtype == np.float64
+        assert np.array_equal(t.matrix, [[0.75, 0.25, 1.0], [0.5, 0.5, 1.0]])
+
+    def test_arrays_left_out_of_eq_and_repr(self, two_subpop_table):
+        t = two_subpop_table
+        same = kp.FrequencyTable(panel=t.panel, subpops=t.subpops, freqs=t.freqs,
+                                 floor=t.floor)
+        assert same == t
+        assert repr(same) == repr(t)
+        assert "matrix" not in repr(t) and "offsets" not in repr(t)
+
+    def test_matrix_is_read_only(self, synth_table):
+        assert not synth_table.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            synth_table.matrix[0, 0] = 0.5
+
+    def test_missing_subpop(self):
+        with pytest.raises(errors.MissingLocusForSubpop, match="'b'"):
+            self.table({"a": {"L1": {"A": 1.0}}}, proportions={"a": 0.5, "b": 0.5})
+
+    def test_missing_locus(self):
+        with pytest.raises(errors.MissingLocusForSubpop, match="'L2'"):
+            self.table({"a": {"L1": {"A": 1.0}, "L2": {"A": 1.0}},
+                        "b": {"L1": {"A": 1.0}}}, panel=("L1", "L2"))
+
+    def test_different_allele_support(self):
+        with pytest.raises(errors.PanelMismatch, match="'L1'"):
+            self.table({"a": {"L1": {"A": 0.5, "B": 0.5}}, "b": {"L1": {"A": 1.0}}})
+
+    def test_proportions_must_sum_to_one(self):
+        with pytest.raises(errors.ProportionSumOutOfTolerance):
+            self.table({"a": {"L1": {"A": 1.0}}}, proportions={"a": 0.5})
+
+    def test_proportions_within_tolerance_accepted(self):
+        t = self.table({"a": {"L1": {"A": 1.0}}, "b": {"L1": {"A": 1.0}}},
+                       proportions={"a": 0.5, "b": 0.5 + 0.5 * PROPORTION_TOL})
+        assert t.n_subpops == 2
+
 
 class TestMetadata:
     def test_parse(self):
