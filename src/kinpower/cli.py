@@ -9,7 +9,6 @@ before any replicate is simulated) or a missing file; 3 any other failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -17,17 +16,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import engine, ibd, lrstats, synth, tables
-from .power import (DEFAULT_CURVE_GRID, DEFAULT_TEST_ALPHAS, null_threshold,
-                    power, power_curve, power_diff_ci, power_report,
-                    power_reports_json, subpop_power, write_diff_cis_csv,
-                    write_power_curves_csv, write_power_reports_csv)
+from .power import (DEFAULT_CURVE_GRID, _linear, power_curve, power_diff_ci, power_report,
+                    power_reports_json, write_diff_cis_csv, write_power_curves_csv,
+                    write_power_reports_csv)
 from .errors import EmptySubpopSample, InvalidParameter, KinpowerError, MalformedRow
 
+# preset -> (theta0, theta1, default alpha)
 TESTS = {
-    "parent-child": (ibd.UNRELATED, ibd.PARENT_CHILD),
-    "full-sib": (ibd.UNRELATED, ibd.FULL_SIB),
-    "half-sib-paper": (ibd.UNRELATED, ibd.HALF_SIB_PAPER),
-    "half-sib-standard": (ibd.UNRELATED, ibd.HALF_SIB_STANDARD),
+    "parent-child": (ibd.UNRELATED, ibd.PARENT_CHILD, 2e-5),
+    "full-sib": (ibd.UNRELATED, ibd.FULL_SIB, 2e-4),
+    "half-sib-paper": (ibd.UNRELATED, ibd.HALF_SIB_PAPER, 2e-3),
+    "half-sib-standard": (ibd.UNRELATED, ibd.HALF_SIB_STANDARD, 2e-3),
 }
 
 DESK_SCALE_B = 100_000
@@ -69,7 +68,7 @@ def _resolve_thetas(args):
         if args.theta0 is None or args.theta1 is None:
             raise InvalidParameter("--test custom requires --theta0 and --theta1")
         return _parse_theta(args.theta0), _parse_theta(args.theta1)
-    theta0, theta1 = TESTS[args.test]
+    theta0, theta1, _ = TESTS[args.test]
     if args.theta0 is not None:
         theta0 = _parse_theta(args.theta0)
     if args.theta1 is not None:
@@ -80,8 +79,8 @@ def _resolve_thetas(args):
 def _resolve_alphas(args, required: bool) -> list[float]:
     if args.alpha:
         alphas = [a for chunk in args.alpha for a in _numbers(chunk, float, "--alpha")]
-    elif args.test in DEFAULT_TEST_ALPHAS:
-        alphas = [DEFAULT_TEST_ALPHAS[args.test]]
+    elif args.test in TESTS:
+        alphas = [TESTS[args.test][2]]
     elif required:
         raise InvalidParameter("--alpha is required for custom tests")
     else:
@@ -122,6 +121,12 @@ def _simulate(cfg: engine.SimConfig, out: Path):
     return null, alt
 
 
+def _stream(path: Path, write, items) -> None:
+    """``write(items, sink)`` into the UTF-8 file at ``path``, row by row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write(items, fh)
+
+
 def cmd_lr(args) -> int:
     table = _load_table(args)
     theta0, theta1 = _resolve_thetas(args)
@@ -132,13 +137,11 @@ def cmd_lr(args) -> int:
     print(f"test: {args.test}  theta0={theta0.as_tuple()}  theta1={theta1.as_tuple()}")
     print("per-subpop log-LR:")
     for name, value in zip(breakdown.subpops, breakdown.per_subpop_log_lr):
-        print(f"  {name:>12s}  log={value: .6f}  linear={math.exp(value):.4f}")
+        print(f"  {name:>12s}  log={value: .6f}  linear={_linear(value):.4f}")
     print("statistics:")
     for stat in lrstats.STATISTICS:
         value = breakdown.stats[stat]
-        linear = math.exp(value) if math.isfinite(value) else (
-            0.0 if value < 0 else math.inf)
-        print(f"  {stat:>5s}  log={value: .6f}  linear={linear:.4f}")
+        print(f"  {stat:>5s}  log={value: .6f}  linear={_linear(value):.4f}")
     return 0
 
 
@@ -148,15 +151,12 @@ def cmd_power(args) -> int:
     null, alt = _simulate(cfg, out)
     reports = [power_report(null, alt, stat, alpha)
                for stat in cfg.statistics for alpha in alphas]
-    (out / "power_report.csv").write_text(
-        write_power_reports_csv(reports), encoding="utf-8")
+    _stream(out / "power_report.csv", write_power_reports_csv, reports)
     (out / "power_report.json").write_text(
         power_reports_json(reports), encoding="utf-8")
     if args.dump_samples:
-        (out / "null_samples.csv").write_text(
-            engine.dump_samples(null), encoding="utf-8")
-        (out / "alt_samples.csv").write_text(
-            engine.dump_samples(alt), encoding="utf-8")
+        _stream(out / "null_samples.csv", engine.dump_samples, null)
+        _stream(out / "alt_samples.csv", engine.dump_samples, alt)
     for r in reports:
         print(f"{r.statistic} alpha={r.alpha:g} threshold={r.threshold:.6g} "
               f"power={r.power:.4f} CI=({r.ci_low:.4f}, {r.ci_high:.4f})")
@@ -171,8 +171,7 @@ def cmd_power_curve(args) -> int:
         power_curve(null.statistics[s], alt.statistics[s], grid, statistic=s)
         for s in cfg.statistics
     ]
-    (out / "power_curves.csv").write_text(
-        write_power_curves_csv(curves), encoding="utf-8")
+    _stream(out / "power_curves.csv", write_power_curves_csv, curves)
     print(f"wrote {out / 'power_curves.csv'} "
           f"({len(curves)} statistics x {len(grid)} grid points)")
     return 0
@@ -197,25 +196,22 @@ def cmd_subpop_bias(args) -> int:
                         grid, statistic=name)
             for k, name in enumerate(names)
         ]
-        (out / f"subpop_curves_{stat}.csv").write_text(
-            write_power_curves_csv(curves), encoding="utf-8")
+        _stream(out / f"subpop_curves_{stat}.csv", write_power_curves_csv, curves)
 
-        c = null_threshold(null.statistics[stat], alphas[0])
-        per = [subpop_power(alt, stat, c, k) for k in range(len(names))]
+        report = power_report(null, alt, stat, alphas[0])
+        per = [report.per_subpop[name] for name in names]
         diffs = [
             power_diff_ci(per[i][0], per[i][1], per[j][0], per[j][1],
                           subpop_i=names[i], subpop_j=names[j])
             for i in range(len(names)) for j in range(i + 1, len(names))
         ]
-        (out / f"diff_ci_{stat}.csv").write_text(
-            write_diff_cis_csv(diffs), encoding="utf-8")
+        _stream(out / f"diff_ci_{stat}.csv", write_diff_cis_csv, diffs)
 
         # self-test: per-subpop powers recombine exactly to the global power
-        global_power, _ = power(alt.statistics[stat], c)
         recombined = sum(est * n for est, n, _ in per) / alt.B
         print(f"{stat}: recombination identity "
-              f"{'ok' if abs(recombined - global_power) < 1e-9 else 'FAILED'} "
-              f"(global={global_power:.6f}, recombined={recombined:.6f})")
+              f"{'ok' if abs(recombined - report.power) < 1e-9 else 'FAILED'} "
+              f"(global={report.power:.6f}, recombined={recombined:.6f})")
     return 0
 
 
@@ -233,7 +229,7 @@ def cmd_synth_freqs(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "freqs.csv").write_text(tables.dump_frequency_table(table), encoding="utf-8")
+    _stream(out / "freqs.csv", tables.dump_frequency_table, table)
     (out / "meta.txt").write_text(tables.dump_table_meta(table), encoding="utf-8")
     print(f"wrote {out / 'freqs.csv'} and {out / 'meta.txt'} "
           f"(K={table.n_subpops}, m={table.n_loci})")

@@ -11,6 +11,7 @@ bit-identical for any number of workers.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, TextIO
@@ -255,9 +256,12 @@ def simulate_alt(cfg: SimConfig) -> SampleMatrix:
 
 def dump_samples(matrix: SampleMatrix, sink: Optional[TextIO] = None) -> Optional[str]:
     """Write a SampleMatrix as CSV (log-scale statistic columns); returns the
-    text when ``sink`` is None, else writes it to that stream."""
+    text when ``sink`` is None, else writes it to that stream. Rows are built
+    ``BLOCK`` replicates at a time, so a sink costs one block's rows of memory."""
     names = list(matrix.statistics)
-    labels = [matrix.subpop_names[t] for t in matrix.subpop_tags.tolist()]
-    rows = zip(map(str, range(matrix.B)), labels,
-               *(matrix.statistics[s].tolist() for s in names))
+    rows = itertools.chain.from_iterable(
+        zip(map(str, range(lo, lo + BLOCK)),
+            [matrix.subpop_names[t] for t in matrix.subpop_tags[lo:lo + BLOCK].tolist()],
+            *(matrix.statistics[s][lo:lo + BLOCK].tolist() for s in names))
+        for lo in range(0, matrix.B, BLOCK))
     return _write_rows(["replicate", "subpop_tag"] + names, rows, sink)

@@ -24,12 +24,6 @@ from .errors import (AlphaTooSmallForB, EmptySubpopSample, InvalidParameter,
 from .tables import _read_rows, _write_rows
 
 DEFAULT_CURVE_GRID = tuple(np.geomspace(1e-6, 4e-5, 30))
-DEFAULT_TEST_ALPHAS = {
-    "parent-child": 2e-5,
-    "full-sib": 2e-4,
-    "half-sib-paper": 2e-3,
-    "half-sib-standard": 2e-3,
-}
 
 _REPORT_COLUMNS = ("statistic", "alpha", "threshold", "power", "ci_low", "ci_high")
 _CURVE_COLUMNS = ("statistic", "alpha", "power")
@@ -49,7 +43,7 @@ class PowerReport:
     @property
     def threshold(self) -> float:
         """Linear-scale threshold (matches published table conventions)."""
-        return math.exp(self.threshold_log)
+        return _linear(self.threshold_log)
 
 
 @dataclass(frozen=True)
@@ -65,6 +59,14 @@ class DiffCI:
     estimate: float
     ci_low: float
     ci_high: float
+
+
+def _linear(log_value: float) -> float:
+    """exp(log_value) for display, or inf where that passes float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def _order_statistic(x: np.ndarray, alpha: float, select) -> float:
@@ -172,18 +174,16 @@ def power_report(
     statistic: str,
     alpha: float,
     level: float = 0.95,
-    per_subpop: bool = True,
 ) -> PowerReport:
-    """Threshold + power + exact CI for one (statistic, alpha) cell."""
+    """Threshold, power, exact CI and per-subpop (power, n, CI) for one cell."""
     c = null_threshold(null.statistics[statistic], alpha)
     est, ci = power(alt.statistics[statistic], c, level)
     by_subpop = {}
-    if per_subpop:
-        for k, name in enumerate(alt.subpop_names):
-            try:
-                by_subpop[name] = subpop_power(alt, statistic, c, k, level)
-            except EmptySubpopSample:
-                continue
+    for k, name in enumerate(alt.subpop_names):
+        try:
+            by_subpop[name] = subpop_power(alt, statistic, c, k, level)
+        except EmptySubpopSample:
+            continue
     return PowerReport(
         statistic=statistic,
         alpha=alpha,

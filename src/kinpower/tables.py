@@ -121,9 +121,11 @@ class FrequencyTable:
     panel order, columns in ``labels`` order; and ``offsets``, so that locus
     i is ``matrix[:, offsets[i]:offsets[i + 1]]``. Construction raises
     MissingLocusForSubpop when ``freqs`` lacks a subpop or panel locus,
-    PanelMismatch when subpops list different alleles at a locus, and
+    PanelMismatch when subpops list different alleles at a locus,
     ProportionSumOutOfTolerance when the proportions miss 1 by more than
-    PROPORTION_TOL.
+    PROPORTION_TOL, NonPositiveFrequency on a non-finite or negative
+    frequency, and InvalidParameter when a subpop's frequencies at a locus
+    miss 1 by more than FREQ_SUM_TOL.
 
     Immutable after construction; safe for shared read access from any
     number of concurrent workers.
@@ -154,10 +156,22 @@ class FrequencyTable:
                                         f"{locus!r} than subpop {self.subpops[0].name!r}")
         matrix = np.array([[d[a] for support, d in zip(labels, by_locus) for a in support]
                            for by_locus in dists], dtype=np.float64)
+        offsets = (0, *itertools.accumulate(map(len, labels)))
+        valid = np.isfinite(matrix) & (matrix >= 0.0)
+        for locus, lo, hi in zip(self.panel, offsets, offsets[1:]):
+            checks = zip(self.subpops, valid[:, lo:hi].all(axis=1).tolist(),
+                         matrix[:, lo:hi].sum(axis=1).tolist())
+            for sp, ok, total in checks:
+                if not ok:
+                    raise NonPositiveFrequency(f"subpop {sp.name!r} at locus {locus!r}: "
+                                               "frequencies must be finite and >= 0")
+                if abs(total - 1.0) > FREQ_SUM_TOL:
+                    raise InvalidParameter(f"subpop {sp.name!r} at locus {locus!r}: frequencies "
+                                           f"sum to {total}, outside tolerance {FREQ_SUM_TOL}")
         matrix.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "offsets", (0, *itertools.accumulate(map(len, labels))))
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def n_subpops(self) -> int:
@@ -403,14 +417,14 @@ def load_frequency_table(
     return FrequencyTable(panel=panel, subpops=subpops, freqs=freqs, floor=floor)
 
 
-def dump_frequency_table(table: FrequencyTable) -> str:
-    """Serialize to the frequency CSV schema (round-trips through load)."""
-    rows = []
-    for sp in table.subpops:
-        for locus, labels in zip(table.panel, table.labels):
-            dist = table.freqs[sp.name][locus]
-            rows += ([sp.name, locus, allele, dist[allele]] for allele in labels)
-    return _write_rows(_FREQ_COLUMNS, rows, None)
+def dump_frequency_table(table: FrequencyTable,
+                         sink: Optional[TextIO] = None) -> Optional[str]:
+    """Serialize to the frequency CSV schema (round-trips through load);
+    returns the text when ``sink`` is None, else writes it there."""
+    rows = ([sp.name, locus, allele, table.freqs[sp.name][locus][allele]]
+            for sp in table.subpops
+            for locus, labels in zip(table.panel, table.labels) for allele in labels)
+    return _write_rows(_FREQ_COLUMNS, rows, sink)
 
 
 def _pool(table: FrequencyTable, weights: Sequence[float]) -> np.ndarray:

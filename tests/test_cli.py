@@ -49,6 +49,22 @@ class TestLrCommand:
         out = capsys.readouterr().out
         assert "2.9167" in out
 
+    def test_linear_past_float_range(self, tmp_path, capsys):
+        """A log-LR past ~709.78 prints linear=inf instead of overflowing."""
+        loci = [f"L{i}" for i in range(40)]
+        freqs = tmp_path / "f.csv"
+        freqs.write_text("subpop,locus,allele,freq\n" + "".join(
+            f"pop,{locus},A,1e-9\npop,{locus},B,0.999999999\n" for locus in loci),
+            encoding="utf-8")
+        profile = tmp_path / "p.csv"
+        profile.write_text("locus,allele1,allele2\n"
+                           + "".join(f"{locus},A,A\n" for locus in loci), encoding="utf-8")
+        assert main(["lr", str(profile), str(profile), "--freqs", str(freqs),
+                     "--floor", "1e-12", "--test", "full-sib"]) == 0
+        out = capsys.readouterr().out
+        assert "linear=inf" in out
+        assert out.count("linear=inf") == 1 + len(kp.STATISTICS)
+
     def test_duplicated_subpops_collapse(self, tmp_path, profile_files, capsys):
         freqs = tmp_path / "f.csv"
         meta = tmp_path / "m.txt"
@@ -113,6 +129,20 @@ class TestPowerCommand:
             outputs.append((out / "power_report.csv").read_bytes()
                            + (out / "power_report.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("test, alpha", [
+        ("parent-child", 2e-5), ("full-sib", 2e-4),
+        ("half-sib-paper", 2e-3), ("half-sib-standard", 2e-3)])
+    def test_preset_default_alpha(self, synth_files, tmp_path, test, alpha):
+        from kinpower.power import read_power_reports_csv
+        freqs, meta = synth_files
+        out = tmp_path / "power"
+        with pytest.warns(kp.errors.AlphaTooSmallForB):
+            assert main(["power", "--freqs", str(freqs), "--meta", str(meta),
+                         "--test", test, "--B", "2000", "--stats", "LAF",
+                         "--out", str(out)]) == 0
+        rows = read_power_reports_csv((out / "power_report.csv").read_text(encoding="utf-8"))
+        assert [r["alpha"] for r in rows] == [alpha]
 
     def test_alpha_too_small_warns_but_succeeds(self, synth_files, tmp_path):
         freqs, meta = synth_files
@@ -447,3 +477,35 @@ class TestEmptySubpop:
         err = capsys.readouterr().err
         assert "EmptySubpopSample" in err and "'y'" in err and "--B" in err
         assert not list(out.glob("*.csv"))
+
+
+class TestStreamedOutputs:
+    """Every CSV a simulating command writes goes straight into its file
+    through the writer's sink, never through a whole-file string."""
+
+    WRITERS = [("kinpower.engine", "dump_samples"),
+               ("kinpower.cli", "write_power_reports_csv"),
+               ("kinpower.cli", "write_power_curves_csv"),
+               ("kinpower.cli", "write_diff_cis_csv")]
+
+    def test_every_csv_writer_gets_a_sink(self, synth_files, tmp_path, monkeypatch):
+        import importlib
+        import inspect
+        calls = []
+        for module, name in self.WRITERS:
+            owner = importlib.import_module(module)
+            writer = getattr(owner, name)
+
+            def recorder(*args, _writer=writer, _name=name, **kwargs):
+                bound = inspect.signature(_writer).bind(*args, **kwargs)
+                calls.append((_name, bound.arguments.get("sink")))
+                return _writer(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorder)
+        freqs, meta = synth_files
+        common = ["--freqs", str(freqs), "--meta", str(meta), "--alpha", "0.05",
+                  "--B", "2000", "--stats", "LAF,MIN"]
+        for command in (["power", "--dump-samples"], ["power-curve"], ["subpop-bias"]):
+            assert main(command + common + ["--out", str(tmp_path / command[0])]) == 0
+        assert {name for name, _ in calls} == {name for _, name in self.WRITERS}
+        assert [name for name, sink in calls if sink is None] == []

@@ -271,6 +271,32 @@ class TestSampleMatrixDump:
         assert kp.dump_samples(null, buf) is None
         assert buf.getvalue() == kp.dump_samples(null)
 
+    def test_stream_sink_across_blocks(self, two_subpop_table):
+        import io
+        null = kp.simulate_null(cfg_for(two_subpop_table, B=2 * BLOCK + 5))
+        buf = io.StringIO()
+        assert kp.dump_samples(null, buf) is None
+        assert buf.getvalue() == kp.dump_samples(null)
+
+    def test_sink_memory_flat_in_B(self, two_subpop_table):
+        """Writing to a sink holds one block of rows, whatever B is."""
+        import tracemalloc
+
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        def peak(B):
+            matrix = kp.simulate_null(cfg_for(two_subpop_table, B=B))
+            tracemalloc.start()
+            try:
+                kp.dump_samples(matrix, Discard())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * BLOCK) <= 1.5 * peak(2 * BLOCK)
+
     def test_path_sink_rejected(self, two_subpop_table, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         null = kp.simulate_null(cfg_for(two_subpop_table, B=10))

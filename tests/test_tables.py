@@ -244,6 +244,18 @@ class TestFrequencyTableConstruction:
                        proportions={"a": 0.5, "b": 0.5 + 0.5 * PROPORTION_TOL})
         assert t.n_subpops == 2
 
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_negative_or_non_finite_frequency(self, bad):
+        with pytest.raises(errors.NonPositiveFrequency, match="'a' at locus 'L1'"):
+            self.table({"a": {"L1": {"A": 1.1, "B": bad}}})
+
+    @pytest.mark.parametrize("total", [0.9, 1.0 + 10 * FREQ_SUM_TOL])
+    def test_locus_frequencies_must_sum_to_one(self, total):
+        with pytest.raises(errors.InvalidParameter, match="'b' at locus 'L2'"):
+            self.table({"a": {"L1": {"A": 1.0}, "L2": {"A": 0.5, "B": 0.5}},
+                        "b": {"L1": {"A": 1.0}, "L2": {"A": 0.5, "B": total - 0.5}}},
+                       panel=("L1", "L2"))
+
 
 class TestMetadata:
     def test_parse(self):
