@@ -26,6 +26,7 @@ from .power import (
     null_threshold,
     power,
     power_curve,
+    power_curves,
     power_diff_ci,
     power_report,
     subpop_power,

@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import engine, ibd, lrstats, synth, tables
-from .power import (DEFAULT_CURVE_GRID, _linear, power_curve, power_diff_ci, power_report,
-                    power_reports_json, write_diff_cis_csv, write_power_curves_csv,
-                    write_power_reports_csv)
+from .power import (DEFAULT_CURVE_GRID, _linear, power_curve, power_curves, power_diff_ci,
+                    power_report, power_reports_json, write_diff_cis_csv,
+                    write_power_curves_csv, write_power_reports_csv)
 from .errors import EmptySubpopSample, InvalidParameter, KinpowerError, MalformedRow
 
 # preset -> (theta0, theta1, default alpha)
@@ -191,11 +191,10 @@ def cmd_subpop_bias(args) -> int:
                 f"at B={cfg.B}; rerun with a larger --B")
 
     for stat in cfg.statistics:
-        curves = [
-            power_curve(null.statistics[stat], alt.statistics[stat][alt.subpop_tags == k],
-                        grid, statistic=name)
-            for k, name in enumerate(names)
-        ]
+        curves = power_curves(
+            null.statistics[stat],
+            {name: alt.statistics[stat][alt.subpop_tags == k] for k, name in enumerate(names)},
+            grid)
         _stream(out / f"subpop_curves_{stat}.csv", write_power_curves_csv, curves)
 
         report = power_report(null, alt, stat, alphas[0])

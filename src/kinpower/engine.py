@@ -12,6 +12,7 @@ bit-identical for any number of workers.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, TextIO
@@ -69,44 +70,104 @@ class SampleMatrix:
 
 
 class _Compiled(NamedTuple):
-    """Numeric view of a FrequencyTable for vectorized simulation."""
+    """Numeric view of a FrequencyTable for the log-likelihood kernel.
+
+    ``full`` stacks the K subpop rows, the local-average row (K) and the
+    pooled row (K+1) over the loci laid side by side in panel order, as in
+    ``FrequencyTable.matrix``; ``fmat`` holds its per-locus column views.
+    A genotype a <= b at locus i has the global code
+    ``geno_offsets[i] + b(b+1)/2 + a``, below ``n_genotypes`` (the sum of
+    A(A+1)/2 over loci), so an ordered genotype pair at a locus has a key
+    ``code1 * n_genotypes + code2`` that fits int64.
+    """
 
     K: int
     logp: np.ndarray              # (K,) log proportions
+    full: np.ndarray              # (K+2, sum of A)
+    fmat: tuple[np.ndarray, ...]  # per locus (K+2, A) views of full
+    offsets: np.ndarray           # (loci,) first column of each locus in full
+    geno_offsets: np.ndarray      # (loci,) first global genotype code of each locus
+    n_genotypes: int
+
+
+class _Sampler(NamedTuple):
+    """Sampling CDFs of a FrequencyTable, built only by the simulation path."""
+
     prop_cdf: np.ndarray          # (K,)
-    fmat: tuple[np.ndarray, ...]  # per locus (K+2, A); rows K=local, K+1=pooled
     cdf: tuple[np.ndarray, ...]   # per locus (K, A) per-subpop sampling CDFs
 
 
+# largest genotype count whose squared pair keys fit int64
+_MAX_GENOTYPES = math.isqrt(np.iinfo(np.int64).max)
+
+
 def _compile(table: FrequencyTable, cb_weights: str) -> _Compiled:
-    props = np.array(table.proportions)
+    n_geno = [a * (a + 1) // 2 for a in map(len, table.labels)]
+    n_genotypes = sum(n_geno)
+    if n_genotypes > _MAX_GENOTYPES:
+        raise InvalidParameter(
+            f"table has {n_genotypes} genotypes over its loci; at most {_MAX_GENOTYPES} "
+            "fit the kernel's int64 genotype-pair keys")
     full = np.vstack([table.matrix, _pool(table, table.proportions),
                       _pool(table, _pool_weights(table, cb_weights))])
-    fmat = tuple(full[:, lo:hi] for lo, hi in zip(table.offsets, table.offsets[1:]))
     return _Compiled(
         K=table.n_subpops,
-        logp=np.log(props),
-        prop_cdf=np.cumsum(props),
-        fmat=fmat,
-        cdf=tuple(np.cumsum(f[:table.n_subpops], axis=1) for f in fmat),
+        logp=np.log(np.array(table.proportions)),
+        full=full,
+        fmat=tuple(full[:, lo:hi] for lo, hi in zip(table.offsets, table.offsets[1:])),
+        offsets=np.array(table.offsets[:-1], dtype=np.int64),
+        geno_offsets=np.array([0, *itertools.accumulate(n_geno)][:-1], dtype=np.int64),
+        n_genotypes=n_genotypes,
+    )
+
+
+def _sampler(table: FrequencyTable) -> _Sampler:
+    return _Sampler(
+        prop_cdf=np.cumsum(table.proportions),
+        cdf=tuple(np.cumsum(table.matrix[:, lo:hi], axis=1)
+                  for lo, hi in zip(table.offsets, table.offsets[1:])),
     )
 
 
 def _loglik_arrays(compiled: _Compiled, g1a, g1b, g2a, g2b, theta0, theta1):
     """Per-replicate log-likelihoods, shape (n, K+2), under both thetas.
 
-    One pair_components call per locus evaluates all K+2 frequency sets,
-    the rows of ``compiled.fmat[ell]``, as (K+2, n) arrays; loci are summed
-    in panel order.
+    The (n, loci) allele-index arrays give n * loci cells, each an ordered
+    genotype pair at one locus. Cells are keyed by their two global genotype
+    codes, and the distinct keys are found with one argsort. One
+    pair_components call evaluates one cell per key over all K+2 frequency
+    sets, the rows of ``compiled.full``. Each locus's values are then
+    gathered back and added in panel order, so every cell and every sum is
+    what a per-locus evaluation would give, to the last bit.
     """
-    ll0 = np.zeros((compiled.K + 2, g1a.shape[0]))
+    n, m = g1a.shape
+
+    def code(a, b):  # (n, loci) global genotype codes
+        return compiled.geno_offsets + ((b * (b + 1)) >> 1) + a
+
+    # cell ell * n + i is replicate i at locus ell
+    key = (code(g1a, g1b) * compiled.n_genotypes + code(g2a, g2b)).T.ravel()
+    order = np.argsort(key)
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[order[1:]], key[order[:-1]], out=first[1:])
+    rep = order[first]                     # one cell per distinct key
+    inv = np.empty(key.size, dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1      # cell -> its key's column
+
+    i, ell = rep % n, rep // n
+    col = compiled.offsets[ell]
+    p0, p1, p2, mult = pair_components(g1a[i, ell] + col, g1b[i, ell] + col,
+                                       g2a[i, ell] + col, g2b[i, ell] + col, compiled.full)
+    with np.errstate(divide="ignore"):
+        v0 = np.log(mult * (theta0.z0 * p0 + theta0.z1 * p1 + theta0.z2 * p2))
+        v1 = np.log(mult * (theta1.z0 * p0 + theta1.z1 * p1 + theta1.z2 * p2))
+
+    ll0 = np.zeros((compiled.K + 2, n))
     ll1 = np.zeros_like(ll0)
-    for ell, f in enumerate(compiled.fmat):
-        p0, p1, p2, mult = pair_components(g1a[:, ell], g1b[:, ell],
-                                           g2a[:, ell], g2b[:, ell], f)
-        with np.errstate(divide="ignore"):
-            ll0 += np.log(mult * (theta0.z0 * p0 + theta0.z1 * p1 + theta0.z2 * p2))
-            ll1 += np.log(mult * (theta1.z0 * p0 + theta1.z1 * p1 + theta1.z2 * p2))
+    for lo in range(0, key.size, n):
+        ll0 += v0.take(inv[lo:lo + n], axis=1)
+        ll1 += v1.take(inv[lo:lo + n], axis=1)
     return ll0.T, ll1.T
 
 
@@ -160,7 +221,8 @@ def _block_rng(seed: int, phase: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _run_block(compiled: _Compiled, cfg: SimConfig, alt: bool, block: int, n: int):
+def _run_block(compiled: _Compiled, sampler: _Sampler, cfg: SimConfig, alt: bool,
+               block: int, n: int):
     m = cfg.table.n_loci
     rng = _block_rng(cfg.seed, 1 if alt else 0, block)
     shape = (n, 1 + 5 * m) if alt else (n, 2 + 4 * m)
@@ -171,23 +233,23 @@ def _run_block(compiled: _Compiled, cfg: SimConfig, alt: bool, block: int, n: in
     g2a = np.empty((n, m), dtype=np.int64)
     g2b = np.empty((n, m), dtype=np.int64)
 
-    k1 = categorical(compiled.prop_cdf, u[:, 0])
+    k1 = categorical(sampler.prop_cdf, u[:, 0])
     if alt:
         for ell in range(m):
             c = 1 + 5 * ell
-            rows = compiled.cdf[ell][k1]
+            rows = sampler.cdf[ell][k1]
             g1a[:, ell], g1b[:, ell] = genotypes_from_uniforms(rows, u[:, c], u[:, c + 1])
             g2a[:, ell], g2b[:, ell] = related_from_uniforms(
                 g1a[:, ell], g1b[:, ell], cfg.theta1, rows,
                 u[:, c + 2], u[:, c + 3], u[:, c + 4])
     else:
-        k2 = k1 if cfg.null_same_subpop else categorical(compiled.prop_cdf, u[:, 1])
+        k2 = k1 if cfg.null_same_subpop else categorical(sampler.prop_cdf, u[:, 1])
         for ell in range(m):
             c = 2 + 4 * ell
             g1a[:, ell], g1b[:, ell] = genotypes_from_uniforms(
-                compiled.cdf[ell][k1], u[:, c], u[:, c + 1])
+                sampler.cdf[ell][k1], u[:, c], u[:, c + 1])
             g2a[:, ell], g2b[:, ell] = genotypes_from_uniforms(
-                compiled.cdf[ell][k2], u[:, c + 2], u[:, c + 3])
+                sampler.cdf[ell][k2], u[:, c + 2], u[:, c + 3])
 
     ll0, ll1 = _loglik_arrays(compiled, g1a, g1b, g2a, g2b, cfg.theta0, cfg.theta1)
     values = _derive_block(compiled, ll0, ll1, cfg.statistics)
@@ -199,6 +261,7 @@ def _run_block(compiled: _Compiled, cfg: SimConfig, alt: bool, block: int, n: in
 
 def _simulate(cfg: SimConfig, alt: bool) -> SampleMatrix:
     compiled = _compile(cfg.table, cfg.cb_weights)
+    sampler = _sampler(cfg.table)
     m = cfg.table.n_loci
     nblocks = (cfg.B + BLOCK - 1) // BLOCK
     sizes = [min(BLOCK, cfg.B - b * BLOCK) for b in range(nblocks)]
@@ -224,12 +287,13 @@ def _simulate(cfg: SimConfig, alt: bool) -> SampleMatrix:
     workers = min(cfg.workers, nblocks)
     if workers == 1:
         for b in range(nblocks):
-            store(b, _run_block(compiled, cfg, alt, b, sizes[b]))
+            store(b, _run_block(compiled, sampler, cfg, alt, b, sizes[b]))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(
                 _run_block,
                 [compiled] * nblocks,
+                [sampler] * nblocks,
                 [cfg] * nblocks,
                 [alt] * nblocks,
                 range(nblocks),

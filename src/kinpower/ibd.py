@@ -89,6 +89,9 @@ def pair_components(g1a, g1b, g2a, g2b, f):
     axis of ``f``. An (A,) frequency vector gives (n,) components; an (S, A)
     stack of S frequency sets gives (S, n), row s being what row s alone
     gives. ``mult`` depends only on the indices and is always (n,).
+    Every output cell depends only on its own four indices, so ``f`` may
+    hold several loci side by side, indexed by global column: the engine
+    evaluates the distinct genotype pairs of all loci in one call.
     """
     fa1, fb1 = f[..., g1a], f[..., g1b]
     fa2, fb2 = f[..., g2a], f[..., g2b]
@@ -117,9 +120,9 @@ def _support(f: Mapping[Allele, float]):
     return labels, np.array([f[a] for a in labels], dtype=np.float64)
 
 
-def _positions(labels, alleles) -> list[int]:
-    """Indices of the given alleles within the sorted support ``labels``."""
-    index = {a: i for i, a in enumerate(labels)}
+def _positions(index: Mapping[Allele, int], alleles) -> list[int]:
+    """Indices of the given alleles under a label -> index map; UnknownAllele
+    for a label outside it."""
     try:
         return [index[a] for a in alleles]
     except KeyError as exc:
@@ -134,7 +137,8 @@ def pair_probability(
 ) -> float:
     """Probability of the unordered genotype pair under the relationship."""
     labels, vec = _support(f)
-    pos = _positions(labels, g1.alleles + g2.alleles)
+    index = {label: i for i, label in enumerate(labels)}
+    pos = _positions(index, g1.alleles + g2.alleles)
     pair1, pair2 = tuple(pos[:2]), tuple(pos[2:])
     # evaluate in a fixed orientation so the result is bitwise symmetric
     if pair1 > pair2:
@@ -220,7 +224,8 @@ def sample_related(
 ) -> LocusGenotype:
     """Draw the relative's genotype at one locus, conditional on g1."""
     labels, vec = _support(f)
-    a, b = (np.array([i]) for i in _positions(labels, g1.alleles))
+    index = {label: i for i, label in enumerate(labels)}
+    a, b = (np.array([i]) for i in _positions(index, g1.alleles))
     u = rng.random(3)
     g2a, g2b = related_from_uniforms(a, b, theta, np.cumsum(vec), u[:1], u[1:2], u[2:])
     return LocusGenotype(g1.locus, (labels[int(g2a[0])], labels[int(g2b[0])]))

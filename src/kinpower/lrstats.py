@@ -10,9 +10,12 @@ Seven statistics are computed, all in log scale:
 * ``CB``   - LR under frequencies pooled into one homogeneous group
 
 ``lr_all`` is the simulation engine's kernel run on a single replicate
-(B=1): the pair is encoded as allele indices in the table's label order
-and goes through the same log-likelihood, infinity rule and statistic code
-as every simulated pair, so casework and simulation agree bit for bit.
+(B=1): the pair is encoded as allele indices in the table's label order,
+read from the table's ``label_index``, and goes through the same
+log-likelihood, infinity rule and statistic code as every simulated pair,
+so casework and simulation agree bit for bit. Its loci go to the kernel
+in one ``pair_components`` call, and it builds none of the sampling CDFs
+the simulation path needs.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ class LrBreakdown:
 
 def _encode(profile: Profile, table: FrequencyTable):
     """(1, loci) allele-index arrays of one profile, in the table's label order."""
-    idx = np.array([_positions(labels, profile.genotype(locus).alleles)
-                    for locus, labels in zip(table.panel, table.labels)],
+    alleles = {g.locus: g.alleles for g in profile.genotypes}
+    idx = np.array([_positions(index, alleles[locus])
+                    for locus, index in zip(table.panel, table.label_index)],
                    dtype=np.int64).reshape(1, -1, 2)
     return idx[..., 0], idx[..., 1]
 

@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence, TextIO, Union
+from typing import Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 from scipy import stats as sps
@@ -113,27 +113,39 @@ def power(alt_samples: np.ndarray, threshold_log: float, level: float = 0.95):
     return est, clopper_pearson(hits, x.size, level)
 
 
+def power_curves(
+    null_samples: np.ndarray,
+    alt_samples: Mapping[str, np.ndarray],
+    alpha_grid: Sequence[float],
+) -> list[PowerCurve]:
+    """One curve per named alternative sample, in mapping order, each an
+    (alpha, power) point per grid entry. The null sample is sorted once and
+    each alpha's threshold read from it once, for every curve."""
+    grid = list(alpha_grid)
+    if grid != sorted(grid):
+        raise InvalidParameter("alpha grid must be sorted ascending")
+    x = np.sort(np.asarray(null_samples, dtype=np.float64))
+    alts = {name: np.asarray(alt, dtype=np.float64) for name, alt in alt_samples.items()}
+    if x.size == 0:
+        raise InvalidParameter("null sample is empty")
+    if any(alt.size == 0 for alt in alts.values()):
+        raise InvalidParameter("alternative sample is empty")
+    thresholds = [-math.inf if alpha >= 1.0 else _order_statistic(x, alpha, lambda i: x[i])
+                  for alpha in grid]
+    return [PowerCurve(statistic=name, points=tuple(
+                (alpha, float(np.count_nonzero(alt > c)) / alt.size)
+                for alpha, c in zip(grid, thresholds)))
+            for name, alt in alts.items()]
+
+
 def power_curve(
     null_samples: np.ndarray,
     alt_samples: np.ndarray,
     alpha_grid: Sequence[float],
     statistic: str = "",
 ) -> PowerCurve:
-    """One (alpha, power) point per grid entry; reuses the sorted null sample."""
-    grid = list(alpha_grid)
-    if grid != sorted(grid):
-        raise InvalidParameter("alpha grid must be sorted ascending")
-    x = np.sort(np.asarray(null_samples, dtype=np.float64))
-    alt = np.asarray(alt_samples, dtype=np.float64)
-    if x.size == 0:
-        raise InvalidParameter("null sample is empty")
-    if alt.size == 0:
-        raise InvalidParameter("alternative sample is empty")
-    points = []
-    for alpha in grid:
-        c = -math.inf if alpha >= 1.0 else _order_statistic(x, alpha, lambda i: x[i])
-        points.append((alpha, float(np.count_nonzero(alt > c)) / alt.size))
-    return PowerCurve(statistic=statistic, points=tuple(points))
+    """One (alpha, power) point per grid entry; see power_curves."""
+    return power_curves(null_samples, {statistic: alt_samples}, alpha_grid)[0]
 
 
 def subpop_power(alt: SampleMatrix, statistic: str, threshold_log: float, k: int,

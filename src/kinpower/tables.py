@@ -115,11 +115,12 @@ class FrequencyTable:
     """Validated, floored, renormalized per-subpopulation allele frequencies.
 
     ``freqs`` is the constructor argument and a read-only view. Construction
-    lays it out once as arrays, left out of ``==`` and ``repr``: ``labels``,
-    the sorted allele labels per panel locus; ``matrix``, a read-only float64
-    (K, sum of A) array with a row per subpop and the loci side by side in
-    panel order, columns in ``labels`` order; and ``offsets``, so that locus
-    i is ``matrix[:, offsets[i]:offsets[i + 1]]``. Construction raises
+    lays it out once, left out of ``==`` and ``repr``: ``labels``, the sorted
+    allele labels per panel locus; ``label_index``, per panel locus the map
+    from a label to its position in ``labels``; ``matrix``, a read-only
+    float64 (K, sum of A) array with a row per subpop and the loci side by
+    side in panel order, columns in ``labels`` order; and ``offsets``, so
+    that locus i is ``matrix[:, offsets[i]:offsets[i + 1]]``. Construction raises
     MissingLocusForSubpop when ``freqs`` lacks a subpop or panel locus,
     PanelMismatch when subpops list different alleles at a locus,
     ProportionSumOutOfTolerance when the proportions miss 1 by more than
@@ -136,6 +137,7 @@ class FrequencyTable:
     freqs: Mapping[str, Mapping[str, Mapping[Allele, float]]]  # subpop -> locus -> allele -> freq
     floor: float = DEFAULT_FLOOR
     labels: tuple[tuple[Allele, ...], ...] = field(init=False, compare=False, repr=False)
+    label_index: tuple[Mapping[Allele, int], ...] = field(init=False, compare=False, repr=False)
     matrix: np.ndarray = field(init=False, compare=False, repr=False)
     offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -170,6 +172,8 @@ class FrequencyTable:
                                            f"sum to {total}, outside tolerance {FREQ_SUM_TOL}")
         matrix.setflags(write=False)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "label_index", tuple(
+            {a: i for i, a in enumerate(support)} for support in labels))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offsets", offsets)
 

@@ -2,11 +2,17 @@
 
 These transliterate the published closed-form cells for the 7 genotype
 combination classes and stay independent of the production kernel.
+``reference_loglik_arrays`` is the exception: it keeps the engine's earlier
+per-locus loop, which shares ``pair_components`` with the engine, so it
+checks the engine's deduplication and gather rather than the cell formulas.
 """
 
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 from kinpower import LocusGenotype
+from kinpower.ibd import pair_components
 
 
 def reference_pair_probs(g1: LocusGenotype, g2: LocusGenotype, p: dict):
@@ -76,3 +82,20 @@ def reference_pool(freqs: dict, subpops, panel, weights) -> dict:
                 merged[allele] = merged.get(allele, 0.0) + wk * f
         pooled[locus] = merged
     return pooled
+
+
+def reference_loglik_arrays(compiled, g1a, g1b, g2a, g2b, theta0, theta1):
+    """(ll0, ll1), shape (n, K+2): the kernel evaluated one locus at a time.
+
+    One pair_components call per locus over that locus's (K+2, A) frequency
+    rows, every cell evaluated, logs added in panel order.
+    """
+    ll0 = np.zeros((compiled.K + 2, g1a.shape[0]))
+    ll1 = np.zeros_like(ll0)
+    for ell, f in enumerate(compiled.fmat):
+        p0, p1, p2, mult = pair_components(g1a[:, ell], g1b[:, ell],
+                                           g2a[:, ell], g2b[:, ell], f)
+        with np.errstate(divide="ignore"):
+            ll0 += np.log(mult * (theta0.z0 * p0 + theta0.z1 * p1 + theta0.z2 * p2))
+            ll1 += np.log(mult * (theta1.z0 * p0 + theta1.z1 * p1 + theta1.z2 * p2))
+    return ll0.T, ll1.T

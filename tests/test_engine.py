@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import kinpower as kp
-from kinpower.engine import BLOCK, _compile
+from kinpower.engine import BLOCK, _compile, _loglik_arrays
+from kinpower.ibd import pair_components
 
 from conftest import rng
-from oracles import reference_pool
+from oracles import reference_loglik_arrays, reference_pool
 
 
 class TestCompiledRows:
@@ -331,3 +332,115 @@ class TestPinnedOutputs:
         for k in ("g1a", "g1b", "g2a", "g2b"):
             h.update(np.ascontiguousarray(m.genotypes[k], dtype=np.int64).tobytes())
         assert h.hexdigest() == self.PINNED[(phase, test)]
+
+
+KERNEL_THETAS = {
+    "full-sib": kp.FULL_SIB,
+    "parent-child": kp.PARENT_CHILD,
+    "half-sib-paper": kp.HALF_SIB_PAPER,
+    "half-sib-standard": kp.HALF_SIB_STANDARD,
+    "custom": kp.ThetaIBD(0.1, 0.3, 0.6),
+}
+
+
+def assert_kernel_matches_loop(table, seed):
+    """_loglik_arrays against the per-locus loop, byte for byte, on null and
+    alt draws under every KERNEL_THETAS entry, at n = 1, 17 and BLOCK + 123."""
+    compiled = _compile(table, "auto")
+    B = BLOCK + 123
+    draws = [("null", kp.UNRELATED, kp.simulate_null)] + [
+        ("alt", theta, kp.simulate_alt) for theta in KERNEL_THETAS.values()]
+    for phase, drawn_under, simulate in draws:
+        g = simulate(cfg_for(table, B=B, seed=seed, theta1=drawn_under,
+                             statistics=("LAF",), keep_genotypes=True)).genotypes
+        for name, theta1 in KERNEL_THETAS.items():
+            for n in (1, 17, B):
+                args = (compiled, *(g[k][:n] for k in ("g1a", "g1b", "g2a", "g2b")),
+                        kp.UNRELATED, theta1)
+                got, want = _loglik_arrays(*args), reference_loglik_arrays(*args)
+                for x, y in zip(got, want):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), \
+                        (phase, drawn_under, name, n)
+
+
+class TestKernelOracle:
+    """The deduplicated kernel gives the per-locus loop's bytes exactly."""
+
+    @pytest.mark.parametrize("n_alleles", [2, 3, 10, 25])
+    @pytest.mark.parametrize("n_subpops", [1, 4, 9, 17])
+    def test_synth_tables(self, n_subpops, n_alleles):
+        table = kp.synth_frequency_table(
+            n_subpops=n_subpops, n_loci=3, n_alleles=n_alleles, divergence=0.3,
+            seed=7 * n_subpops + n_alleles)
+        assert_kernel_matches_loop(table, seed=n_subpops + n_alleles)
+
+    def test_structural_zeros_give_minus_inf(self, synth_table):
+        # parent-child makes most unrelated pairs impossible at some locus
+        compiled = _compile(synth_table, "auto")
+        g = kp.simulate_null(cfg_for(synth_table, B=500, keep_genotypes=True)).genotypes
+        args = (compiled, g["g1a"], g["g1b"], g["g2a"], g["g2b"],
+                kp.UNRELATED, kp.PARENT_CHILD)
+        ll0, ll1 = _loglik_arrays(*args)
+        assert np.isfinite(ll0).all() and np.isneginf(ll1).any()
+        assert ll1.tobytes() == reference_loglik_arrays(*args)[1].tobytes()
+
+    def test_large_support_locus(self):
+        # 400 alleles: 80200 genotypes, beside two small loci
+        big = kp.synth_frequency_table(n_subpops=2, n_loci=1, n_alleles=400,
+                                       divergence=0.3, seed=5)
+        small = kp.synth_frequency_table(n_subpops=2, n_loci=2, n_alleles=3,
+                                         divergence=0.3, seed=6)
+        names = [s.name for s in big.subpops]
+        freqs = {name: {**{"BIG": big.freqs[name][big.panel[0]]},
+                        **{locus: small.freqs[name][locus] for locus in small.panel}}
+                 for name in names}
+        table = kp.FrequencyTable(panel=(small.panel[0], "BIG", small.panel[1]),
+                                  subpops=big.subpops, freqs=freqs)
+        assert _compile(table, "auto").n_genotypes == 80200 + 2 * 6
+        assert_kernel_matches_loop(table, seed=400)
+
+    def test_genotype_keys_that_would_overflow_are_refused(self):
+        # 78000 alleles at one locus: about 3.04e9 genotypes, whose squared
+        # pair keys pass int64
+        n = 78_000
+        table = kp.FrequencyTable(panel=("L",), subpops=(kp.Subpopulation("pop", 1.0),),
+                                  freqs={"pop": {"L": {str(a): 1.0 / n for a in range(n)}}})
+        with pytest.raises(kp.errors.InvalidParameter, match="int64"):
+            _compile(table, "auto")
+
+
+class TestKernelCallShape:
+    """One pair_components call per block and per lr_all, evaluating each
+    distinct (locus, genotype 1, genotype 2) once. The call goes through the
+    name kinpower.engine.pair_components, which profilers wrap."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from kinpower import engine
+        seen = []
+
+        def recorder(g1a, g1b, g2a, g2b, f):
+            seen.append(len(g1a))
+            return pair_components(g1a, g1b, g2a, g2b, f)
+
+        monkeypatch.setattr(engine, "pair_components", recorder)
+        return seen
+
+    @pytest.mark.parametrize("simulate", [kp.simulate_null, kp.simulate_alt])
+    def test_one_call_per_block(self, synth_table, calls, simulate):
+        B = 2 * BLOCK + 123
+        m = simulate(cfg_for(synth_table, B=B, theta1=kp.PARENT_CHILD,
+                             statistics=("LAF",), keep_genotypes=True))
+        g = m.genotypes
+        locus = np.broadcast_to(np.arange(synth_table.n_loci), g["g1a"].shape)
+        cells = np.stack([locus] + [g[k] for k in ("g1a", "g1b", "g2a", "g2b")], axis=-1)
+        distinct = [len(np.unique(cells[lo:lo + BLOCK].reshape(-1, 5), axis=0))
+                    for lo in range(0, B, BLOCK)]
+        assert calls == distinct
+        assert all(d < BLOCK * synth_table.n_loci for d in distinct[:2])
+
+    def test_one_call_per_lr_all(self, synth_table, calls):
+        p1 = kp.Profile(tuple(kp.LocusGenotype(locus, synth_table.alleles(locus)[:2])
+                              for locus in synth_table.panel))
+        kp.lr_all((p1, p1), kp.UNRELATED, kp.PARENT_CHILD, synth_table)
+        assert calls == [synth_table.n_loci]

@@ -246,3 +246,18 @@ class TestPerPairCost:
         for _ in range(10):
             kp.lr_all((p1, p2), kp.UNRELATED, kp.PARENT_CHILD, synth_table)
         assert built == []
+
+    def test_lr_all_builds_no_sampling_cdfs(self, synth_table, monkeypatch):
+        # the CDFs only the samplers read are built on the simulation path
+        from kinpower import engine
+
+        def refuse(table):
+            raise AssertionError("lr_all built sampling CDFs")
+
+        monkeypatch.setattr(engine, "_sampler", refuse)
+        p1 = profile_from([(locus, synth_table.alleles(locus)[:2])
+                           for locus in synth_table.panel])
+        kp.lr_all((p1, p1), kp.UNRELATED, kp.FULL_SIB, synth_table)
+        with pytest.raises(AssertionError, match="sampling CDFs"):
+            kp.simulate_null(kp.SimConfig(table=synth_table, theta0=kp.UNRELATED,
+                                          theta1=kp.FULL_SIB, B=10, seed=1))

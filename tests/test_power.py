@@ -156,6 +156,24 @@ class TestPowerCurve:
         with pytest.raises(kp.errors.InvalidParameter, match=f"{which} sample is empty"):
             kp.power_curve(samples["null"], samples["alternative"], [0.1])
 
+    def test_curves_share_one_sort_of_the_null(self, monkeypatch):
+        # each alpha's threshold is read once, however many curves use it
+        import importlib
+        power_module = importlib.import_module("kinpower.power")  # kp.power is a function
+        generator = rng(14)
+        null = generator.normal(size=5_000)
+        alts = {name: generator.normal(loc=shift, size=1_000 + 7 * k)
+                for k, (name, shift) in enumerate((("a", 0.0), ("b", 1.0), ("c", 2.0)))}
+        grid = [0.001, 0.01, 0.1, 1.0]
+        separate = [kp.power_curve(null, alt, grid, statistic=name)
+                    for name, alt in alts.items()]
+        reads = []
+        order_statistic = power_module._order_statistic
+        monkeypatch.setattr(power_module, "_order_statistic",
+                            lambda *args: reads.append(1) or order_statistic(*args))
+        assert kp.power_curves(null, alts, grid) == separate
+        assert len(reads) == 3       # alpha = 1 needs no threshold
+
 
 class TestSubpopPower:
     def test_k1_equals_global(self, one_locus_table):

@@ -204,6 +204,7 @@ class TestFrequencyTableConstruction:
                         "b": {"L1": {"10": 0.5, "9": 0.5}, "L2": {"x": 1.0}}},
                        panel=("L1", "L2"))
         assert t.labels == (("10", "9"), ("x",))
+        assert t.label_index == ({"10": 0, "9": 1}, {"x": 0})
         assert t.alleles("L1") == ("10", "9")
         assert t.offsets == (0, 2, 3)
         assert t.matrix.dtype == np.float64
@@ -216,6 +217,7 @@ class TestFrequencyTableConstruction:
         assert same == t
         assert repr(same) == repr(t)
         assert "matrix" not in repr(t) and "offsets" not in repr(t)
+        assert "label_index" not in repr(t)
 
     def test_matrix_is_read_only(self, synth_table):
         assert not synth_table.matrix.flags.writeable
