@@ -11,9 +11,11 @@ bit-identical for any number of workers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, TextIO
 
@@ -74,17 +76,16 @@ class _Compiled(NamedTuple):
 
     ``full`` stacks the K subpop rows, the local-average row (K) and the
     pooled row (K+1) over the loci laid side by side in panel order, as in
-    ``FrequencyTable.matrix``; ``fmat`` holds its per-locus column views.
-    A genotype a <= b at locus i has the global code
-    ``geno_offsets[i] + b(b+1)/2 + a``, below ``n_genotypes`` (the sum of
-    A(A+1)/2 over loci), so an ordered genotype pair at a locus has a key
-    ``code1 * n_genotypes + code2`` that fits int64.
+    ``FrequencyTable.matrix``, locus i from column ``offsets[i]`` on; the
+    view holds only what the kernel reads. A genotype a <= b at locus i has
+    the global code ``geno_offsets[i] + b(b+1)/2 + a``, below ``n_genotypes``
+    (the sum of A(A+1)/2 over loci), so an ordered genotype pair at a locus
+    has a key ``code1 * n_genotypes + code2`` that fits int64.
     """
 
     K: int
     logp: np.ndarray              # (K,) log proportions
     full: np.ndarray              # (K+2, sum of A)
-    fmat: tuple[np.ndarray, ...]  # per locus (K+2, A) views of full
     offsets: np.ndarray           # (loci,) first column of each locus in full
     geno_offsets: np.ndarray      # (loci,) first global genotype code of each locus
     n_genotypes: int
@@ -114,7 +115,6 @@ def _compile(table: FrequencyTable, cb_weights: str) -> _Compiled:
         K=table.n_subpops,
         logp=np.log(np.array(table.proportions)),
         full=full,
-        fmat=tuple(full[:, lo:hi] for lo, hi in zip(table.offsets, table.offsets[1:])),
         offsets=np.array(table.offsets[:-1], dtype=np.int64),
         geno_offsets=np.array([0, *itertools.accumulate(n_geno)][:-1], dtype=np.int64),
         n_genotypes=n_genotypes,
@@ -136,9 +136,10 @@ def _loglik_arrays(compiled: _Compiled, g1a, g1b, g2a, g2b, theta0, theta1):
     genotype pair at one locus. Cells are keyed by their two global genotype
     codes, and the distinct keys are found with one argsort. One
     pair_components call evaluates one cell per key over all K+2 frequency
-    sets, the rows of ``compiled.full``. Each locus's values are then
-    gathered back and added in panel order, so every cell and every sum is
-    what a per-locus evaluation would give, to the last bit.
+    sets, the rows of ``compiled.full``, and both thetas weigh those
+    components at once, stacked on a leading axis. Each locus's values are
+    then gathered back and added in panel order, so every cell and every sum
+    is what a per-locus evaluation would give, to the last bit.
     """
     n, m = g1a.shape
 
@@ -159,16 +160,14 @@ def _loglik_arrays(compiled: _Compiled, g1a, g1b, g2a, g2b, theta0, theta1):
     col = compiled.offsets[ell]
     p0, p1, p2, mult = pair_components(g1a[i, ell] + col, g1b[i, ell] + col,
                                        g2a[i, ell] + col, g2b[i, ell] + col, compiled.full)
+    z = np.array([theta0.as_tuple(), theta1.as_tuple()])[:, :, None, None]
     with np.errstate(divide="ignore"):
-        v0 = np.log(mult * (theta0.z0 * p0 + theta0.z1 * p1 + theta0.z2 * p2))
-        v1 = np.log(mult * (theta1.z0 * p0 + theta1.z1 * p1 + theta1.z2 * p2))
+        v = np.log(mult * (z[:, 0] * p0 + z[:, 1] * p1 + z[:, 2] * p2))  # (2, K+2, keys)
 
-    ll0 = np.zeros((compiled.K + 2, n))
-    ll1 = np.zeros_like(ll0)
+    ll = np.zeros((2, compiled.K + 2, n))
     for lo in range(0, key.size, n):
-        ll0 += v0.take(inv[lo:lo + n], axis=1)
-        ll1 += v1.take(inv[lo:lo + n], axis=1)
-    return ll0.T, ll1.T
+        ll += v.take(inv[lo:lo + n], axis=2)
+    return ll[0].T, ll[1].T
 
 
 def _diff(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -223,31 +222,30 @@ def _block_rng(seed: int, phase: int, block: int) -> np.random.Generator:
 
 def _run_block(compiled: _Compiled, sampler: _Sampler, cfg: SimConfig, alt: bool,
                block: int, n: int):
+    """Subpop tags, statistics and (if kept) genotypes of one block's n pairs.
+
+    Pair i reads row i of one (n, head + width * loci) uniform matrix: the
+    subpop of individual 1, that of individual 2 (null only), then per locus
+    two uniforms for individual 1 and two (null, HWE in its own subpop) or
+    three (alt, related under theta1) for individual 2.
+    """
     m = cfg.table.n_loci
-    rng = _block_rng(cfg.seed, 1 if alt else 0, block)
-    shape = (n, 1 + 5 * m) if alt else (n, 2 + 4 * m)
-    u = rng.random(shape)
-
-    g1a = np.empty((n, m), dtype=np.int64)
-    g1b = np.empty((n, m), dtype=np.int64)
-    g2a = np.empty((n, m), dtype=np.int64)
-    g2b = np.empty((n, m), dtype=np.int64)
-
+    head, width = (1, 5) if alt else (2, 4)
+    u = _block_rng(cfg.seed, 1 if alt else 0, block).random((n, head + width * m))
     k1 = categorical(sampler.prop_cdf, u[:, 0])
-    if alt:
-        for ell in range(m):
-            c = 1 + 5 * ell
-            rows = sampler.cdf[ell][k1]
-            g1a[:, ell], g1b[:, ell] = genotypes_from_uniforms(rows, u[:, c], u[:, c + 1])
+    k2 = k1 if alt or cfg.null_same_subpop else categorical(sampler.prop_cdf, u[:, 1])
+
+    g = np.empty((4, n, m), dtype=np.int64)
+    g1a, g1b, g2a, g2b = g
+    for ell in range(m):
+        c = head + width * ell
+        rows = sampler.cdf[ell][k1]
+        g1a[:, ell], g1b[:, ell] = genotypes_from_uniforms(rows, u[:, c], u[:, c + 1])
+        if alt:
             g2a[:, ell], g2b[:, ell] = related_from_uniforms(
                 g1a[:, ell], g1b[:, ell], cfg.theta1, rows,
                 u[:, c + 2], u[:, c + 3], u[:, c + 4])
-    else:
-        k2 = k1 if cfg.null_same_subpop else categorical(sampler.prop_cdf, u[:, 1])
-        for ell in range(m):
-            c = 2 + 4 * ell
-            g1a[:, ell], g1b[:, ell] = genotypes_from_uniforms(
-                sampler.cdf[ell][k1], u[:, c], u[:, c + 1])
+        else:
             g2a[:, ell], g2b[:, ell] = genotypes_from_uniforms(
                 sampler.cdf[ell][k2], u[:, c + 2], u[:, c + 3])
 
@@ -273,35 +271,20 @@ def _simulate(cfg: SimConfig, alt: bool) -> SampleMatrix:
         genos = {k: np.empty((cfg.B, m), dtype=np.int64)
                  for k in ("g1a", "g1b", "g2a", "g2b")}
 
-    def store(block: int, result):
-        btags, bvalues, bgenos = result
-        lo = block * BLOCK
-        hi = lo + sizes[block]
-        tags[lo:hi] = btags
-        for s in cfg.statistics:
-            stats[s][lo:hi] = bvalues[s]
-        if genos is not None:
-            for k in genos:
-                genos[k][lo:hi] = bgenos[k]
-
+    run = functools.partial(_run_block, compiled, sampler, cfg, alt)
     workers = min(cfg.workers, nblocks)
-    if workers == 1:
-        for b in range(nblocks):
-            store(b, _run_block(compiled, sampler, cfg, alt, b, sizes[b]))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                _run_block,
-                [compiled] * nblocks,
-                [sampler] * nblocks,
-                [cfg] * nblocks,
-                [alt] * nblocks,
-                range(nblocks),
-                sizes,
-                chunksize=max(1, nblocks // (4 * workers)),
-            )
-            for b, result in enumerate(results):
-                store(b, result)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = (map(run, range(nblocks), sizes) if pool is None else
+                   pool.map(run, range(nblocks), sizes,
+                            chunksize=max(1, nblocks // (4 * workers))))
+        for lo, (btags, bvalues, bgenos) in zip(range(0, cfg.B, BLOCK), results):
+            hi = lo + len(btags)
+            tags[lo:hi] = btags
+            for s in cfg.statistics:
+                stats[s][lo:hi] = bvalues[s]
+            if genos is not None:
+                for k in genos:
+                    genos[k][lo:hi] = bgenos[k]
 
     names = tuple(s.name for s in cfg.table.subpops)
     return SampleMatrix(statistics=stats, subpop_tags=tags,

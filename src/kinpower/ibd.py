@@ -38,6 +38,8 @@ class ThetaIBD:
     z2: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise InvalidParameter(f"non-finite IBD coefficient in {self}")
         if min(self.z0, self.z1, self.z2) < 0.0:
             raise InvalidParameter(f"negative IBD coefficient in {self}")
         if abs(self.z0 + self.z1 + self.z2 - 1.0) > THETA_SUM_TOL:

@@ -122,6 +122,9 @@ def power_curves(
     (alpha, power) point per grid entry. The null sample is sorted once and
     each alpha's threshold read from it once, for every curve."""
     grid = list(alpha_grid)
+    for alpha in grid:
+        if not alpha >= 0.0:
+            raise InvalidParameter(f"alpha grid values must be >= 0, got {alpha}")
     if grid != sorted(grid):
         raise InvalidParameter("alpha grid must be sorted ascending")
     x = np.sort(np.asarray(null_samples, dtype=np.float64))

@@ -92,7 +92,7 @@ def reference_loglik_arrays(compiled, g1a, g1b, g2a, g2b, theta0, theta1):
     """
     ll0 = np.zeros((compiled.K + 2, g1a.shape[0]))
     ll1 = np.zeros_like(ll0)
-    for ell, f in enumerate(compiled.fmat):
+    for ell, f in enumerate(np.split(compiled.full, compiled.offsets[1:], axis=1)):
         p0, p1, p2, mult = pair_components(g1a[:, ell], g1b[:, ell],
                                            g2a[:, ell], g2b[:, ell], f)
         with np.errstate(divide="ignore"):

@@ -401,6 +401,7 @@ class TestExitCodes:
         (["--theta0", "a,b,c"], "theta"),
         (["--alpha", "0.05,x"], "--alpha"),
         (["--stats", "LAF,BOGUS"], "unknown statistics"),
+        (["--theta1", "nan,0.5,0.5"], "non-finite IBD coefficient"),
     ])
     def test_bad_parameter_exit_2(self, synth_files, tmp_path, capsys, extra, message):
         freqs, meta = synth_files

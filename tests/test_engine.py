@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -44,8 +45,9 @@ class TestCompiledRows:
         pooled = reference_pool(table.freqs, names, table.panel,
                                 self.weights(table, scheme))
         compiled = _compile(table, scheme)
-        assert len(compiled.fmat) == len(table.panel)
-        for f, locus in zip(compiled.fmat, table.panel):
+        fmat = np.split(compiled.full, compiled.offsets[1:], axis=1)
+        assert len(fmat) == len(table.panel)
+        for f, locus in zip(fmat, table.panel):
             labels = sorted(table.freqs[names[0]][locus])
             assert f.shape == (K + 2, len(labels))
             for k, name in enumerate(names):
@@ -345,7 +347,9 @@ KERNEL_THETAS = {
 
 def assert_kernel_matches_loop(table, seed):
     """_loglik_arrays against the per-locus loop, byte for byte, on null and
-    alt draws under every KERNEL_THETAS entry, at n = 1, 17 and BLOCK + 123."""
+    alt draws under every KERNEL_THETAS entry, at n = 1, 17 and BLOCK + 123.
+    Each draw is evaluated with theta0 unrelated and with theta0 full-sib,
+    whose nonzero z1 and z2 weigh the theta0 row's P1 and P2 terms too."""
     compiled = _compile(table, "auto")
     B = BLOCK + 123
     draws = [("null", kp.UNRELATED, kp.simulate_null)] + [
@@ -353,14 +357,14 @@ def assert_kernel_matches_loop(table, seed):
     for phase, drawn_under, simulate in draws:
         g = simulate(cfg_for(table, B=B, seed=seed, theta1=drawn_under,
                              statistics=("LAF",), keep_genotypes=True)).genotypes
-        for name, theta1 in KERNEL_THETAS.items():
-            for n in (1, 17, B):
-                args = (compiled, *(g[k][:n] for k in ("g1a", "g1b", "g2a", "g2b")),
-                        kp.UNRELATED, theta1)
-                got, want = _loglik_arrays(*args), reference_loglik_arrays(*args)
-                for x, y in zip(got, want):
-                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), \
-                        (phase, drawn_under, name, n)
+        for theta0, (name, theta1), n in itertools.product(
+                (kp.UNRELATED, kp.FULL_SIB), KERNEL_THETAS.items(), (1, 17, B)):
+            args = (compiled, *(g[k][:n] for k in ("g1a", "g1b", "g2a", "g2b")),
+                    theta0, theta1)
+            got, want = _loglik_arrays(*args), reference_loglik_arrays(*args)
+            for x, y in zip(got, want):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), \
+                    (phase, drawn_under, theta0, name, n)
 
 
 class TestKernelOracle:

@@ -43,6 +43,12 @@ class TestThetaIBD:
         with pytest.raises(ValueError):
             kp.ThetaIBD(0.5, 0.5, 0.1)
 
+    @pytest.mark.parametrize("z", [(math.nan, 0.5, 0.5), (0.25, math.nan, 0.25),
+                                   (0.5, 0.5, math.nan), (math.inf, 0.0, 0.0)])
+    def test_rejects_non_finite(self, z):
+        with pytest.raises(kp.errors.InvalidParameter, match="non-finite"):
+            kp.ThetaIBD(*z)
+
 
 class TestClassify:
     @pytest.mark.parametrize("g1,g2,expected", [

@@ -149,6 +149,15 @@ class TestPowerCurve:
         with pytest.raises(ValueError):
             kp.power_curve(np.arange(10.0), np.arange(10.0), [0.5, 0.1])
 
+    @pytest.mark.parametrize("alpha", [-0.1, math.nan, -math.inf])
+    def test_negative_or_nan_grid_alpha_rejected(self, alpha):
+        with pytest.raises(kp.errors.InvalidParameter, match=f"got {alpha}"):
+            kp.power_curve(np.arange(100.0), np.arange(100.0), [alpha, 0.5])
+
+    def test_grid_alpha_zero_and_one(self):
+        curve = kp.power_curve(np.arange(100.0), np.arange(100.0) + 0.5, [0.0, 1.0])
+        assert curve.points == ((0.0, 0.01), (1.0, 1.0))
+
     @pytest.mark.parametrize("which", ["null", "alternative"])
     def test_empty_sample_rejected(self, which):
         samples = {"null": np.arange(10.0), "alternative": np.arange(10.0)}
