@@ -22,11 +22,13 @@ from typing import NamedTuple, Optional, TextIO
 import numpy as np
 
 from .errors import InvalidParameter
-from .ibd import (ThetaIBD, categorical, genotypes_from_uniforms, pair_components,
-                  related_from_uniforms)
+from .ibd import ThetaIBD, categorical, pair_components, related_from_uniforms
 from .tables import FrequencyTable, _pool, _pool_weights, _write_rows
 
 BLOCK = 8192
+# buckets of each guide table; a power of two, so that u * GUIDE and its floor
+# are exact and a bucket's edges b / GUIDE are exact too
+GUIDE = 4096
 STATISTICS = ("LAF", "AVG", "MAX", "MIN", "RMAX", "RMIN", "CB")
 
 
@@ -92,10 +94,23 @@ class _Compiled(NamedTuple):
 
 
 class _Sampler(NamedTuple):
-    """Sampling CDFs of a FrequencyTable, built only by the simulation path."""
+    """Sampling tables of a FrequencyTable, built only by the simulation path.
+
+    ``cdf[k, ell]`` is subpop k's CDF row at locus ell with its last allele's
+    entry and the padding past it set to +inf. ``categorical`` on that row
+    gives what it gives on the plain row: a uniform at or above the last
+    entry counts every earlier entry and is capped at A - 1 either way.
+    ``guide`` caches those draws over GUIDE equal buckets of [0, 1): entry
+    ``(k * loci + ell) * GUIDE + b`` is the draw of every u in
+    [b / GUIDE, (b + 1) / GUIDE), or -1 when a CDF entry lies strictly
+    inside that bucket, so that the draw depends on where u falls in it.
+    Its dtype is the narrowest signed one that holds those values (int8 for
+    up to 127 alleles), so a pickled sampler and the draws stay small.
+    """
 
     prop_cdf: np.ndarray          # (K,)
-    cdf: tuple[np.ndarray, ...]   # per locus (K, A) per-subpop sampling CDFs
+    cdf: np.ndarray               # (K, loci, max A) padded per-subpop sampling CDFs
+    guide: np.ndarray             # (K * loci * GUIDE,) draw per bucket, -1 if split
 
 
 # largest genotype count whose squared pair keys fit int64
@@ -122,11 +137,40 @@ def _compile(table: FrequencyTable, cb_weights: str) -> _Compiled:
 
 
 def _sampler(table: FrequencyTable) -> _Sampler:
-    return _Sampler(
-        prop_cdf=np.cumsum(table.proportions),
-        cdf=tuple(np.cumsum(table.matrix[:, lo:hi], axis=1)
-                  for lo, hi in zip(table.offsets, table.offsets[1:])),
-    )
+    K, m = table.n_subpops, table.n_loci
+    cdf = np.full((K, m, max(map(len, table.labels))), np.inf)
+    for ell, (lo, hi) in enumerate(zip(table.offsets, table.offsets[1:])):
+        cdf[:, ell, :hi - lo - 1] = np.cumsum(table.matrix[:, lo:hi], axis=1)[:, :-1]
+
+    # The draw of u is the count of CDF entries at or below it. The entries
+    # at or below a bucket's lower edge b / GUIDE are those with
+    # ceil(entry * GUIDE) <= b, so with these edges nondecreasing along a
+    # row, draw c fills buckets edge[c - 1] to edge[c] - 1 (edge[-1] = 0).
+    # An entry with entry * GUIDE non-integer and below GUIDE lies strictly
+    # inside bucket floor(entry * GUIDE), whose draw then depends on u.
+    scaled = (cdf * GUIDE).reshape(K * m, -1)
+    edge = np.minimum(np.ceil(scaled), GUIDE).astype(np.intp)
+    amax = scaled.shape[1]
+    dtype = np.min_scalar_type(-amax - 1)  # holds -1 and every count, 0 to amax
+    guide = np.repeat(np.tile(np.arange(amax + 1, dtype=dtype), K * m),
+                      np.diff(edge, axis=1, prepend=0, append=GUIDE).ravel())
+    inside = np.floor(scaled)
+    r, c = np.nonzero((scaled != inside) & (inside < GUIDE))
+    guide[r * GUIDE + inside[r, c].astype(np.intp)] = -1
+    return _Sampler(prop_cdf=np.cumsum(table.proportions), cdf=cdf, guide=guide)
+
+
+def _alleles(sampler: _Sampler, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Allele indices of the (n, loci) uniforms u, row i drawn in subpop
+    k[i]: ``categorical`` of each uniform on its CDF row. The guide answers
+    every draw but those in split buckets, which go to ``categorical``."""
+    m = u.shape[1]
+    idx = (u * GUIDE).astype(np.intp)
+    idx += (k[:, None] * m + np.arange(m)) * GUIDE
+    a = sampler.guide.take(idx)
+    i, ell = np.nonzero(a < 0)
+    a[i, ell] = categorical(sampler.cdf[k[i], ell], u[i, ell])
+    return a
 
 
 def _loglik_arrays(compiled: _Compiled, g1a, g1b, g2a, g2b, theta0, theta1):
@@ -220,35 +264,44 @@ def _block_rng(seed: int, phase: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _run_block(compiled: _Compiled, sampler: _Sampler, cfg: SimConfig, alt: bool,
-               block: int, n: int):
-    """Subpop tags, statistics and (if kept) genotypes of one block's n pairs.
+def _ordered(x: np.ndarray, y: np.ndarray):
+    """Two draws as a canonically ordered allele pair (a <= b)."""
+    return np.minimum(x, y), np.maximum(x, y)
+
+
+def _draw_block(sampler: _Sampler, cfg: SimConfig, alt: bool, block: int, n: int):
+    """Subpop tags of individual 1 and the (n, loci) genotype arrays
+    (g1a, g1b, g2a, g2b) of one block's n pairs.
 
     Pair i reads row i of one (n, head + width * loci) uniform matrix: the
     subpop of individual 1, that of individual 2 (null only), then per locus
     two uniforms for individual 1 and two (null, HWE in its own subpop) or
-    three (alt, related under theta1) for individual 2.
+    three (alt, related under theta1) for individual 2. Each of those
+    columns is drawn for every locus at once.
     """
     m = cfg.table.n_loci
     head, width = (1, 5) if alt else (2, 4)
     u = _block_rng(cfg.seed, 1 if alt else 0, block).random((n, head + width * m))
     k1 = categorical(sampler.prop_cdf, u[:, 0])
     k2 = k1 if alt or cfg.null_same_subpop else categorical(sampler.prop_cdf, u[:, 1])
+    # uj[j][:, ell] is uniform j of locus ell, for every pair
+    uj = np.moveaxis(u[:, head:].reshape(n, m, width), 2, 0)
 
-    g = np.empty((4, n, m), dtype=np.int64)
-    g1a, g1b, g2a, g2b = g
-    for ell in range(m):
-        c = head + width * ell
-        rows = sampler.cdf[ell][k1]
-        g1a[:, ell], g1b[:, ell] = genotypes_from_uniforms(rows, u[:, c], u[:, c + 1])
-        if alt:
-            g2a[:, ell], g2b[:, ell] = related_from_uniforms(
-                g1a[:, ell], g1b[:, ell], cfg.theta1, rows,
-                u[:, c + 2], u[:, c + 3], u[:, c + 4])
-        else:
-            g2a[:, ell], g2b[:, ell] = genotypes_from_uniforms(
-                sampler.cdf[ell][k2], u[:, c + 2], u[:, c + 3])
+    g1a, g1b = _ordered(_alleles(sampler, k1, uj[0]), _alleles(sampler, k1, uj[1]))
+    if alt:
+        g2a, g2b = related_from_uniforms(g1a, g1b, cfg.theta1, uj[2], uj[3],
+                                         _alleles(sampler, k1, uj[3]),
+                                         _alleles(sampler, k1, uj[4]))
+    else:
+        g2a, g2b = _ordered(_alleles(sampler, k2, uj[2]), _alleles(sampler, k2, uj[3]))
+    # drawn in the guide's narrow dtype, widened for the kernel's genotype codes
+    return k1, *(g.astype(np.int64) for g in (g1a, g1b, g2a, g2b))
 
+
+def _run_block(compiled: _Compiled, sampler: _Sampler, cfg: SimConfig, alt: bool,
+               block: int, n: int):
+    """Subpop tags, statistics and (if kept) genotypes of one block's n pairs."""
+    k1, g1a, g1b, g2a, g2b = _draw_block(sampler, cfg, alt, block, n)
     ll0, ll1 = _loglik_arrays(compiled, g1a, g1b, g2a, g2b, cfg.theta0, cfg.theta1)
     values = _derive_block(compiled, ll0, ll1, cfg.statistics)
     genos = None

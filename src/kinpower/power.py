@@ -91,10 +91,17 @@ def null_threshold(null_samples: np.ndarray, alpha: float) -> float:
     return _order_statistic(x, alpha, lambda i: np.partition(x, i)[i])
 
 
+def _check_level(level: float) -> None:
+    """A confidence level must lie in (0, 1]; 1 gives the whole range."""
+    if not 0.0 < level <= 1.0:
+        raise InvalidParameter(f"confidence level must be in (0, 1], got {level}")
+
+
 def clopper_pearson(successes: int, trials: int, level: float = 0.95):
     """Exact binomial confidence interval from beta quantiles."""
     if not (0 <= successes <= trials) or trials <= 0:
         raise InvalidParameter(f"bad counts ({successes}, {trials})")
+    _check_level(level)
     a = 1.0 - level
     lo = 0.0 if successes == 0 else float(
         sps.beta.ppf(a / 2, successes, trials - successes + 1))
@@ -166,6 +173,11 @@ def power_diff_ci(power_i: float, n_i: int, power_j: float, n_j: int,
                   level: float = 0.95,
                   subpop_i: str = "", subpop_j: str = "") -> DiffCI:
     """Wald interval for a difference of two power estimates."""
+    if not min(n_i, n_j) >= 1:
+        raise InvalidParameter(f"sample sizes must be >= 1, got ({n_i}, {n_j})")
+    if not (0.0 <= power_i <= 1.0 and 0.0 <= power_j <= 1.0):
+        raise InvalidParameter(f"powers must be in [0, 1], got ({power_i}, {power_j})")
+    _check_level(level)
     if min(n_i, n_j) < 30:
         warnings.warn(
             f"sample sizes ({n_i}, {n_j}) too small for the normal approximation",

@@ -5,6 +5,9 @@ combination classes and stay independent of the production kernel.
 ``reference_loglik_arrays`` is the exception: it keeps the engine's earlier
 per-locus loop, which shares ``pair_components`` with the engine, so it
 checks the engine's deduplication and gather rather than the cell formulas.
+``reference_block_genotypes`` likewise keeps the engine's earlier per-locus
+sampler, which shares ``categorical`` and the block's uniform stream with
+the engine, so it checks the guide tables rather than the draw rule.
 """
 
 from itertools import combinations_with_replacement
@@ -12,7 +15,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from kinpower import LocusGenotype
-from kinpower.ibd import pair_components
+from kinpower.engine import _block_rng
+from kinpower.ibd import categorical, pair_components
 
 
 def reference_pair_probs(g1: LocusGenotype, g2: LocusGenotype, p: dict):
@@ -99,3 +103,46 @@ def reference_loglik_arrays(compiled, g1a, g1b, g2a, g2b, theta0, theta1):
             ll0 += np.log(mult * (theta0.z0 * p0 + theta0.z1 * p1 + theta0.z2 * p2))
             ll1 += np.log(mult * (theta1.z0 * p0 + theta1.z1 * p1 + theta1.z2 * p2))
     return ll0.T, ll1.T
+
+
+def reference_block_genotypes(cfg, alt: bool, block: int, n: int):
+    """(k1, g1a, g1b, g2a, g2b) of one engine block, drawn one locus at a time.
+
+    Each pair's CDF row is gathered per locus from the per-subpop cumulative
+    sums, and every uniform goes through ``categorical``. Pair i reads row i
+    of the block's (n, head + width * loci) uniform matrix: subpop 1, subpop
+    2 (null only), then per locus two uniforms for individual 1 and two
+    (null) or three (alt: J, slot and first allele, other allele) for
+    individual 2.
+    """
+    table, theta = cfg.table, cfg.theta1
+    cdf = [np.cumsum(table.matrix[:, lo:hi], axis=1)
+           for lo, hi in zip(table.offsets, table.offsets[1:])]
+    prop_cdf = np.cumsum(table.proportions)
+    m = table.n_loci
+    head, width = (1, 5) if alt else (2, 4)
+    u = _block_rng(cfg.seed, 1 if alt else 0, block).random((n, head + width * m))
+    k1 = categorical(prop_cdf, u[:, 0])
+    k2 = k1 if alt or cfg.null_same_subpop else categorical(prop_cdf, u[:, 1])
+
+    def ordered(rows, ua, ub):
+        i, j = categorical(rows, ua), categorical(rows, ub)
+        return np.minimum(i, j), np.maximum(i, j)
+
+    g1a, g1b, g2a, g2b = np.empty((4, n, m), dtype=np.int64)
+    for ell in range(m):
+        c = head + width * ell
+        rows = cdf[ell][k1]
+        g1a[:, ell], g1b[:, ell] = ordered(rows, u[:, c], u[:, c + 1])
+        if not alt:
+            g2a[:, ell], g2b[:, ell] = ordered(cdf[ell][k2], u[:, c + 2], u[:, c + 3])
+            continue
+        uj, u1, u2 = u[:, c + 2], u[:, c + 3], u[:, c + 4]
+        j = (uj >= theta.z0).astype(np.int8) + (uj >= theta.z0 + theta.z1)
+        first, other = categorical(rows, u1), categorical(rows, u2)
+        shared = np.where(u1 < 0.5, g1a[:, ell], g1b[:, ell])
+        g2a[:, ell] = np.where(j == 0, np.minimum(first, other),
+                               np.where(j == 1, np.minimum(shared, other), g1a[:, ell]))
+        g2b[:, ell] = np.where(j == 0, np.maximum(first, other),
+                               np.where(j == 1, np.maximum(shared, other), g1b[:, ell]))
+    return k1, g1a, g1b, g2a, g2b

@@ -33,3 +33,19 @@ def test_gates_pass(name, tmp_path):
     for arg in args:
         op = wl.op(state, arg, tmp_path)
         assert wl.check(state, op, arg, tmp_path) == []
+
+
+# Seed-0 benchmark panel and the sim_fullsib run's tags and statistics, as
+# the benchmark's sample_digest hashes them, recorded before the engine's
+# guide-table sampler: any change that moves a bit of a paper-scale block
+# (15 loci, 8 to 24 alleles, K=4, BLOCK-sized blocks) fails here.
+PANEL_SHA256 = "dbbfc3ea43dbc0bcd61aadc51cc2041c963448e5b2fe6aafa0fc848b5e0d3976"
+SIM_FULLSIB_SHA256 = "b73851ee18be477354eb0c2ce2ab956edb675696b9a8f43b35ef9fe6c9eabde9"
+
+
+def test_sim_fullsib_pinned_at_benchmark_scale(tmp_path):
+    table = W.build_panel(0, tmp_path)
+    assert W.table_digest(table) == PANEL_SHA256
+    cfg = W.E.SimConfig(table=table, theta0=W.I.UNRELATED, theta1=W.I.FULL_SIB,
+                        B=W.SimFullSib.B, seed=0, workers=1)
+    assert W.sample_digest(W.E.simulate_null(cfg), W.E.simulate_alt(cfg)) == SIM_FULLSIB_SHA256

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import kinpower as kp
-from kinpower.engine import BLOCK, _compile, _loglik_arrays
-from kinpower.ibd import pair_components
+from kinpower.engine import (BLOCK, GUIDE, _alleles, _compile, _draw_block, _loglik_arrays,
+                             _sampler)
+from kinpower.ibd import categorical, pair_components
 
 from conftest import rng
-from oracles import reference_loglik_arrays, reference_pool
+from oracles import reference_block_genotypes, reference_loglik_arrays, reference_pool
 
 
 class TestCompiledRows:
@@ -345,6 +346,20 @@ KERNEL_THETAS = {
 }
 
 
+def large_support_table():
+    """A 400-allele locus (80200 genotypes) between two 3-allele loci."""
+    big = kp.synth_frequency_table(n_subpops=2, n_loci=1, n_alleles=400,
+                                   divergence=0.3, seed=5)
+    small = kp.synth_frequency_table(n_subpops=2, n_loci=2, n_alleles=3,
+                                     divergence=0.3, seed=6)
+    names = [s.name for s in big.subpops]
+    freqs = {name: {**{"BIG": big.freqs[name][big.panel[0]]},
+                    **{locus: small.freqs[name][locus] for locus in small.panel}}
+             for name in names}
+    return kp.FrequencyTable(panel=(small.panel[0], "BIG", small.panel[1]),
+                             subpops=big.subpops, freqs=freqs)
+
+
 def assert_kernel_matches_loop(table, seed):
     """_loglik_arrays against the per-locus loop, byte for byte, on null and
     alt draws under every KERNEL_THETAS entry, at n = 1, 17 and BLOCK + 123.
@@ -389,17 +404,7 @@ class TestKernelOracle:
         assert ll1.tobytes() == reference_loglik_arrays(*args)[1].tobytes()
 
     def test_large_support_locus(self):
-        # 400 alleles: 80200 genotypes, beside two small loci
-        big = kp.synth_frequency_table(n_subpops=2, n_loci=1, n_alleles=400,
-                                       divergence=0.3, seed=5)
-        small = kp.synth_frequency_table(n_subpops=2, n_loci=2, n_alleles=3,
-                                         divergence=0.3, seed=6)
-        names = [s.name for s in big.subpops]
-        freqs = {name: {**{"BIG": big.freqs[name][big.panel[0]]},
-                        **{locus: small.freqs[name][locus] for locus in small.panel}}
-                 for name in names}
-        table = kp.FrequencyTable(panel=(small.panel[0], "BIG", small.panel[1]),
-                                  subpops=big.subpops, freqs=freqs)
+        table = large_support_table()
         assert _compile(table, "auto").n_genotypes == 80200 + 2 * 6
         assert_kernel_matches_loop(table, seed=400)
 
@@ -411,6 +416,106 @@ class TestKernelOracle:
                                   freqs={"pop": {"L": {str(a): 1.0 / n for a in range(n)}}})
         with pytest.raises(kp.errors.InvalidParameter, match="int64"):
             _compile(table, "auto")
+
+
+def assert_sampler_matches_loop(table, seed):
+    """The engine's guide-table draws against the per-locus categorical loop,
+    byte for byte: null with mixed subpops and with null_same_subpop, alt
+    under every KERNEL_THETAS entry, each at n = 1, 17 and BLOCK + 123."""
+    sampler = _sampler(table)
+    runs = [(False, kp.FULL_SIB, same) for same in (False, True)] + [
+        (True, theta, False) for theta in KERNEL_THETAS.values()]
+    for (alt, theta1, same), n in itertools.product(runs, (1, 17, BLOCK + 123)):
+        cfg = cfg_for(table, B=n, seed=seed, theta1=theta1, null_same_subpop=same)
+        for block, lo in enumerate(range(0, n, BLOCK)):
+            size = min(BLOCK, n - lo)
+            got = _draw_block(sampler, cfg, alt, block, size)
+            want = reference_block_genotypes(cfg, alt, block, size)
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and np.array_equal(x, y), (alt, theta1, same, n)
+
+
+class TestSamplerOracle:
+    """The guide-table sampler gives the per-locus categorical loop's draws
+    exactly, and simulate_* returns those draws."""
+
+    @pytest.mark.parametrize("n_alleles", [2, 3, 10, 25])
+    @pytest.mark.parametrize("n_subpops", [1, 4, 9, 17])
+    def test_synth_tables(self, n_subpops, n_alleles):
+        table = kp.synth_frequency_table(
+            n_subpops=n_subpops, n_loci=3, n_alleles=n_alleles, divergence=0.3,
+            seed=7 * n_subpops + n_alleles,
+            proportions=rng(n_subpops).dirichlet(np.ones(n_subpops)).tolist())
+        assert_sampler_matches_loop(table, seed=n_subpops + n_alleles)
+
+    def test_large_support_locus(self):
+        assert_sampler_matches_loop(large_support_table(), seed=400)
+
+    def test_floored_alleles_packed_into_buckets(self):
+        # strong divergence floors many of 60 alleles at 1e-7, so several CDF
+        # entries share a bucket
+        table = kp.synth_frequency_table(n_subpops=4, n_loci=3, n_alleles=60,
+                                         divergence=5.0, seed=3, floor=1e-7)
+        assert (table.matrix < 2e-7).sum() > 60
+        assert_sampler_matches_loop(table, seed=60)
+
+    @pytest.mark.parametrize("simulate,alt", [(kp.simulate_null, False),
+                                              (kp.simulate_alt, True)])
+    def test_simulate_returns_the_loop_draws(self, synth_table, simulate, alt):
+        cfg = cfg_for(synth_table, B=BLOCK + 123, theta1=kp.PARENT_CHILD,
+                      statistics=("LAF",), keep_genotypes=True)
+        m = simulate(cfg)
+        blocks = [reference_block_genotypes(cfg, alt, 0, BLOCK),
+                  reference_block_genotypes(cfg, alt, 1, 123)]
+        assert np.array_equal(m.subpop_tags, np.concatenate([b[0] for b in blocks]))
+        for i, key in enumerate(("g1a", "g1b", "g2a", "g2b"), start=1):
+            assert np.array_equal(m.genotypes[key], np.concatenate([b[i] for b in blocks]))
+
+
+def one_locus_table(freqs):
+    labels = [f"a{i:03d}" for i in range(len(freqs))]
+    return kp.FrequencyTable(panel=("L",), subpops=(kp.Subpopulation("pop", 1.0),),
+                             freqs={"pop": {"L": dict(zip(labels, freqs))}})
+
+
+class TestGuideTable:
+    """The guide lookup against ibd.categorical on hand-built CDFs, at every
+    bucket edge, at each CDF entry and its float neighbours, at 0 and at the
+    largest uniform below 1."""
+
+    CASES = {
+        "entries on bucket edges": [0.25, 0.25, 0.5],
+        "entries packed into one bucket": [0.5, 0.5 - 5e-7] + [1e-7] * 5,
+        "last entry below 1": [0.1] * 10,
+        "entry above 1 before the last": [0.6, 0.4000004, 1e-7],
+    }
+
+    @pytest.mark.parametrize("freqs", list(CASES.values()), ids=list(CASES))
+    def test_lookup_is_categorical(self, freqs):
+        table = one_locus_table(freqs)
+        cdf = np.cumsum(table.matrix[0])
+        u = np.concatenate([np.arange(GUIDE) / GUIDE, cdf, np.nextafter(cdf, 0),
+                            np.nextafter(cdf, 1), [0.0, 1.0 - 2.0 ** -53]])
+        u = u[u < 1.0]
+        want = categorical(cdf, u)
+        sampler = _sampler(table)
+        guide = sampler.guide[(u * GUIDE).astype(np.intp)]
+        assert np.all((guide == want) | (guide == -1))
+        got = _alleles(sampler, np.zeros(u.size, dtype=np.intp), u[:, None])
+        assert np.array_equal(got[:, 0], want)
+        # split exactly where an entry lies strictly inside a bucket; the
+        # last entry never splits one, since draws at or above it are capped
+        split = {int(c * GUIDE) for c in cdf[:-1] if c < 1.0 and c * GUIDE != int(c * GUIDE)}
+        assert set(np.flatnonzero(sampler.guide < 0).tolist()) == split
+
+    def test_cases_reach_their_edge(self):
+        on_edges, packed, below_one, above_one = (np.cumsum(one_locus_table(f).matrix[0])
+                                                  for f in self.CASES.values())
+        assert np.array_equal(on_edges * GUIDE, [1024, 2048, 4096])
+        assert len({int(c * GUIDE) for c in packed[1:-1]}) == 1
+        assert below_one[-1] < 1.0
+        assert categorical(below_one, np.array([below_one[-1]]))[0] == 9
+        assert 1.0 < above_one[1] < 1.0 + 1.0 / GUIDE
 
 
 class TestKernelCallShape:

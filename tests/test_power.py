@@ -89,6 +89,11 @@ class TestClopperPearson:
         assert lo == 0.0
         assert hi == pytest.approx(1 - 0.025 ** (1 / n), rel=1e-12)
 
+    @pytest.mark.parametrize("level", [1.5, 0.0, -0.5, math.nan])
+    def test_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(kp.errors.InvalidParameter, match="level"):
+            kp.clopper_pearson(3, 10, level=level)
+
     def test_contains_point_estimate(self):
         generator = rng(10)
         for _ in range(50):
@@ -112,6 +117,10 @@ class TestPower:
         est_log, _ = kp.power(alt, c)
         est_lin, _ = kp.power(np.exp(alt), math.exp(c))
         assert est_log == est_lin
+
+    def test_level_outside_unit_interval_rejected(self):
+        with pytest.raises(kp.errors.InvalidParameter, match="level"):
+            kp.power(np.array([1.0, -1.0, 2.0]), 0.0, level=1.5)
 
     def test_infinite_sentinels(self):
         alt = np.array([-np.inf, 0.0, np.inf])
@@ -245,6 +254,22 @@ class TestPowerDiffCI:
     def test_small_sample_warning(self):
         with pytest.warns(SmallSampleWarning):
             kp.power_diff_ci(0.5, 10, 0.5, 10)
+
+    @pytest.mark.parametrize("n_i,n_j", [(0, 10), (10, 0), (-5, 10)])
+    def test_sample_size_below_one_rejected(self, n_i, n_j):
+        with pytest.raises(kp.errors.InvalidParameter, match="sample sizes"):
+            kp.power_diff_ci(0.5, n_i, 0.5, n_j)
+
+    @pytest.mark.parametrize("power_i,power_j", [(1.5, 0.5), (0.5, -0.1), (math.nan, 0.5),
+                                                 (0.5, math.nan)])
+    def test_power_outside_unit_interval_or_nan_rejected(self, power_i, power_j):
+        with pytest.raises(kp.errors.InvalidParameter, match="powers"):
+            kp.power_diff_ci(power_i, 100, power_j, 100)
+
+    @pytest.mark.parametrize("level", [1.5, 0.0, math.nan])
+    def test_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(kp.errors.InvalidParameter, match="level"):
+            kp.power_diff_ci(0.5, 100, 0.5, 100, level=level)
 
 
 class TestPowerReport:
