@@ -12,10 +12,7 @@ from .ibd import (
     GenotypeCombination,
     ThetaIBD,
     classify,
-    log_pair_probability,
     pair_probability,
-    sample_genotype,
-    sample_related,
 )
 from .lrstats import STATISTICS, LrBreakdown, lr_all
 from .power import (
@@ -44,8 +41,6 @@ from .tables import (
     load_frequency_table,
     load_profile_csv,
     load_table_meta,
-    local_average,
-    pooled_frequencies,
 )
 
 __version__ = "0.1.0"

@@ -258,7 +258,10 @@ def _add_test_args(p):
     p.add_argument("--theta0", help="z0,z1,z2 for the null relationship")
     p.add_argument("--theta1", help="z0,z1,z2 for the alternative relationship")
     p.add_argument("--cb-weights", default="auto",
-                   choices=["auto", "census", "samples", "equal"])
+                   choices=["auto", "census", "samples", "equal"],
+                   help="subpop weights of the CB pooled frequencies: census = mixing "
+                        "proportions, samples = per-subpop sample sizes, equal = one "
+                        "each, auto = samples when the table has them, else equal")
 
 
 def _add_sim_args(p):

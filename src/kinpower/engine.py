@@ -54,6 +54,8 @@ class SimConfig:
             raise InvalidParameter(f"workers must be >= 1, got {self.workers}")
         if not self.statistics:
             raise InvalidParameter("at least one statistic must be requested")
+        if len(set(self.statistics)) != len(self.statistics):
+            raise InvalidParameter(f"statistics requested more than once: {list(self.statistics)}")
         unknown = set(self.statistics) - set(STATISTICS)
         if unknown:
             raise InvalidParameter(f"unknown statistics {sorted(unknown)}")

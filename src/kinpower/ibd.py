@@ -1,4 +1,4 @@
-"""Genotype-pair probabilities under an IBD relationship, and samplers.
+"""Genotype-pair probabilities under an IBD relationship, and the draw rules.
 
 The kernel evaluates the probability of an unordered pair of single-locus
 genotypes as the convex combination
@@ -12,6 +12,10 @@ Classes containing two distinct genotypes carry a factor 2 so that the
 values are probabilities of *unordered* pairs and sum to 1 over all such
 pairs. The factor is constant in the relationship parameters, so it
 cancels in every likelihood ratio.
+
+The module also holds the two rules the engine's sampler is built from:
+``categorical``, the one definition of an allele draw, and
+``related_from_uniforms``, the step that draws a relative's genotype.
 """
 
 from __future__ import annotations
@@ -116,12 +120,6 @@ def pair_components(g1a, g1b, g2a, g2b, f):
     return p0, p1, p2, mult
 
 
-def _support(f: Mapping[Allele, float]):
-    """The sorted allele labels of f and their frequencies in that order."""
-    labels = sorted(f)
-    return labels, np.array([f[a] for a in labels], dtype=np.float64)
-
-
 def _positions(index: Mapping[Allele, int], alleles) -> list[int]:
     """Indices of the given alleles under a label -> index map; UnknownAllele
     for a label outside it."""
@@ -138,9 +136,9 @@ def pair_probability(
     f: Mapping[Allele, float],
 ) -> float:
     """Probability of the unordered genotype pair under the relationship."""
-    labels, vec = _support(f)
-    index = {label: i for i, label in enumerate(labels)}
-    pos = _positions(index, g1.alleles + g2.alleles)
+    labels = sorted(f)
+    vec = np.array([f[a] for a in labels], dtype=np.float64)
+    pos = _positions({label: i for i, label in enumerate(labels)}, g1.alleles + g2.alleles)
     pair1, pair2 = tuple(pos[:2]), tuple(pos[2:])
     # evaluate in a fixed orientation so the result is bitwise symmetric
     if pair1 > pair2:
@@ -149,17 +147,6 @@ def pair_probability(
     p0, p1, p2, mult = pair_components(idx[0], idx[1], idx[2], idx[3], vec)
     value = mult * (theta.z0 * p0 + theta.z1 * p1 + theta.z2 * p2)
     return float(value[0])
-
-
-def log_pair_probability(
-    g1: LocusGenotype,
-    g2: LocusGenotype,
-    theta: ThetaIBD,
-    f: Mapping[Allele, float],
-) -> float:
-    """log of pair_probability; -inf when the pair is structurally impossible."""
-    p = pair_probability(g1, g2, theta, f)
-    return math.log(p) if p > 0.0 else -math.inf
 
 
 def categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -202,28 +189,3 @@ def related_from_uniforms(
     g2a += ibd2 * (g1a - g2a)
     g2b += ibd2 * (g1b - g2b)
     return g2a, g2b
-
-
-def sample_genotype(
-    f: Mapping[Allele, float], locus: str, rng: np.random.Generator
-) -> LocusGenotype:
-    """Draw one HWE genotype from a single-locus distribution."""
-    labels, vec = _support(f)
-    a, b = sorted(categorical(np.cumsum(vec), rng.random(2)).tolist())
-    return LocusGenotype(locus, (labels[a], labels[b]))
-
-
-def sample_related(
-    g1: LocusGenotype,
-    theta: ThetaIBD,
-    f: Mapping[Allele, float],
-    rng: np.random.Generator,
-) -> LocusGenotype:
-    """Draw the relative's genotype at one locus, conditional on g1."""
-    labels, vec = _support(f)
-    index = {label: i for i, label in enumerate(labels)}
-    a, b = (np.array([i]) for i in _positions(index, g1.alleles))
-    cdf, u = np.cumsum(vec), rng.random(3)
-    g2a, g2b = related_from_uniforms(a, b, theta, u[:1], u[1:2],
-                                     categorical(cdf, u[1:2]), categorical(cdf, u[2:]))
-    return LocusGenotype(g1.locus, (labels[int(g2a[0])], labels[int(g2b[0])]))

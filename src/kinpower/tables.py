@@ -125,8 +125,8 @@ class FrequencyTable:
     PanelMismatch when subpops list different alleles at a locus,
     ProportionSumOutOfTolerance when the proportions miss 1 by more than
     PROPORTION_TOL, NonPositiveFrequency on a non-finite or negative
-    frequency, and InvalidParameter when a subpop's frequencies at a locus
-    miss 1 by more than FREQ_SUM_TOL.
+    frequency, and InvalidParameter when the panel is empty or a subpop's
+    frequencies at a locus miss 1 by more than FREQ_SUM_TOL.
 
     Immutable after construction; safe for shared read access from any
     number of concurrent workers.
@@ -142,6 +142,8 @@ class FrequencyTable:
     offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not self.panel:
+            raise InvalidParameter("a frequency table needs at least one locus")
         total = sum(self.proportions)
         if abs(total - 1.0) > PROPORTION_TOL:
             raise ProportionSumOutOfTolerance(
@@ -442,7 +444,11 @@ def _pool(table: FrequencyTable, weights: Sequence[float]) -> np.ndarray:
 
 
 def _pool_weights(table: FrequencyTable, scheme: str) -> Sequence[float]:
-    """The per-subpop weights of a pooling scheme; see pooled_frequencies."""
+    """The per-subpop weights of a pooling scheme, for ``_pool``: ``census``
+    gives the mixing proportions, ``samples`` the per-subpop sample sizes
+    (MissingSampleSizes when the table has none), ``equal`` one weight per
+    subpop, and ``auto`` samples when the table carries them, else equal.
+    Any other scheme is an InvalidParameter."""
     if scheme == "auto":
         scheme = "samples" if table.sample_sizes is not None else "equal"
     if scheme == "census":
@@ -454,29 +460,6 @@ def _pool_weights(table: FrequencyTable, scheme: str) -> Sequence[float]:
     if scheme == "equal":
         return [1.0] * table.n_subpops
     raise InvalidParameter(f"unknown weight scheme {scheme!r}")
-
-
-def _one_subpop(table: FrequencyTable, row: np.ndarray, name: str) -> FrequencyTable:
-    values = iter(row.tolist())
-    freqs = {locus: {a: next(values) for a in labels}
-             for locus, labels in zip(table.panel, table.labels)}
-    return FrequencyTable(panel=table.panel, subpops=(Subpopulation(name, 1.0),),
-                          freqs={name: freqs}, floor=table.floor)
-
-
-def local_average(table: FrequencyTable) -> FrequencyTable:
-    """Proportion-weighted average of the subpopulation frequencies."""
-    return _one_subpop(table, _pool(table, table.proportions), "local")
-
-
-def pooled_frequencies(table: FrequencyTable, weights: str = "auto") -> FrequencyTable:
-    """Pool all subpopulations into one homogeneous frequency set.
-
-    ``weights`` is one of ``census`` (mixing proportions), ``samples``
-    (per-subpop sample sizes), ``equal``, or ``auto`` (samples when the
-    table carries them, else equal).
-    """
-    return _one_subpop(table, _pool(table, _pool_weights(table, weights)), "pooled")
 
 
 def load_profile_csv(source: Union[str, TextIO]) -> Profile:

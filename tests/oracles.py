@@ -72,6 +72,24 @@ def all_unordered_pairs(alleles, locus="L"):
     return list(combinations_with_replacement(gs, 2))
 
 
+def drawn_frequencies(labels, *genotypes) -> dict:
+    """Frequencies of the unordered genotype tuples among kept one-locus draws.
+
+    Each genotype is an (a, b) pair of allele-index arrays with a <= b, of
+    shape (n,) or (n, 1). A key is the sorted tuple of the genotypes'
+    sorted allele-label pairs, so a key of two genotypes matches
+    ``tuple(sorted((g1.alleles, g2.alleles)))`` for a pair of
+    ``all_unordered_pairs``.
+    """
+    codes = np.sort(np.column_stack([np.ravel(b * (b + 1) // 2 + a) for a, b in genotypes]),
+                    axis=1)
+    rows, counts = np.unique(codes, axis=0, return_counts=True)
+    alleles = {b * (b + 1) // 2 + a: tuple(sorted((labels[a], labels[b])))
+               for b in range(len(labels)) for a in range(b + 1)}
+    return {tuple(sorted(alleles[c] for c in row)): k / len(codes)
+            for row, k in zip(rows.tolist(), counts.tolist())}
+
+
 def reference_pool(freqs: dict, subpops, panel, weights) -> dict:
     """locus -> allele -> pooled frequency, the weighted mean of the
     subpops' dicts. Adds in subpop order, one ``w_k * f`` at a time, as a

@@ -305,6 +305,12 @@ class TestSynthFreqsCommand:
         assert "InvalidParameter" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_loci_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["synth-freqs", "--loci", "0", "--out", str(out)]) == 2
+        assert "InvalidParameter" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_divergence(self, tmp_path):
         out = tmp_path / "flat"
         assert main(["synth-freqs", "--divergence", "0", "--subpops", "2",
@@ -402,6 +408,7 @@ class TestExitCodes:
         (["--alpha", "0.05,x"], "--alpha"),
         (["--stats", "LAF,BOGUS"], "unknown statistics"),
         (["--theta1", "nan,0.5,0.5"], "non-finite IBD coefficient"),
+        (["--stats", "LAF,laf"], "more than once"),
     ])
     def test_bad_parameter_exit_2(self, synth_files, tmp_path, capsys, extra, message):
         freqs, meta = synth_files

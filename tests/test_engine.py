@@ -231,27 +231,36 @@ class TestSimulateAlt:
         result = ks_2samp(alt.statistics["MAX"], null.statistics["MAX"])
         assert result.pvalue > 1e-4
 
-    def test_alt_class_frequencies_match_analytic(self, one_locus_table):
+    @staticmethod
+    def check_pair_frequencies(table, alt, theta):
+        # every unordered genotype pair is drawn at its pair_probability under
+        # theta, the unrelated one for null pairs, and no other pair is drawn
+        from oracles import all_unordered_pairs, drawn_frequencies
         B = 200_000
-        cfg = cfg_for(one_locus_table, B=B, theta1=kp.FULL_SIB,
-                      statistics=("LAF",), keep_genotypes=True)
-        alt = kp.simulate_alt(cfg)
-        g = alt.genotypes
-        labels = one_locus_table.alleles("D3S1358")
-        f = one_locus_table.freqs["pop"]["D3S1358"]
-        counts: dict = {}
-        for i in range(B):
-            g1 = (labels[g["g1a"][i, 0]], labels[g["g1b"][i, 0]])
-            g2 = (labels[g["g2a"][i, 0]], labels[g["g2b"][i, 0]])
-            key = tuple(sorted((g1, g2)))
-            counts[key] = counts.get(key, 0) + 1
-        from oracles import all_unordered_pairs
-        for p1, p2 in all_unordered_pairs(labels, "D3S1358"):
-            expected = kp.pair_probability(p1, p2, kp.FULL_SIB, f)
+        cfg = cfg_for(table, B=B, theta1=theta, statistics=("LAF",), keep_genotypes=True)
+        g = (kp.simulate_alt if alt else kp.simulate_null)(cfg).genotypes
+        locus, labels = table.panel[0], table.labels[0]
+        observed = drawn_frequencies(labels, (g["g1a"], g["g1b"]), (g["g2a"], g["g2b"]))
+        f = table.freqs[table.subpops[0].name][locus]
+        for p1, p2 in all_unordered_pairs(labels, locus):
+            expected = kp.pair_probability(p1, p2, theta, f)
             key = tuple(sorted((p1.alleles, p2.alleles)))
-            observed = counts.get(key, 0) / B
             sigma = math.sqrt(expected * (1 - expected) / B)
-            assert abs(observed - expected) <= 4 * sigma + 1e-12
+            assert abs(observed.pop(key, 0.0) - expected) <= 4 * sigma + 1e-12
+        assert not observed
+
+    def test_alt_class_frequencies_match_analytic(self, one_locus_table):
+        self.check_pair_frequencies(one_locus_table, True, kp.FULL_SIB)
+
+    @pytest.mark.parametrize("alt, theta, freqs", [
+        (True, kp.PARENT_CHILD, [0.15, 0.20, 0.65]),
+        (True, kp.UNRELATED, [0.15, 0.20, 0.65]),
+        (True, kp.HALF_SIB_PAPER, [0.15, 0.20, 0.65]),
+        (False, kp.UNRELATED, [0.15, 0.20, 0.65]),
+        (True, kp.FULL_SIB, [1.0]),
+    ], ids=["parent-child", "unrelated", "half-sib-paper", "null", "one-allele"])
+    def test_pair_frequencies_match_analytic(self, alt, theta, freqs):
+        self.check_pair_frequencies(one_locus_table(freqs), alt, theta)
 
 
 class TestSampleMatrixDump:

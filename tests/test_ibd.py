@@ -9,7 +9,8 @@ import kinpower as kp
 from kinpower.ibd import GenotypeCombination, pair_components
 
 from conftest import rng
-from oracles import all_genotypes, all_unordered_pairs, hwe_prob, reference_pair_probs
+from oracles import (all_genotypes, all_unordered_pairs, drawn_frequencies, hwe_prob,
+                     reference_pair_probs)
 
 
 def G(a, b, locus="L"):
@@ -171,90 +172,75 @@ class TestPairComponents:
             assert np.array_equal(stacked[3], r[3])
 
 
+def one_locus_loglik(g1, g2, theta, f):
+    """log P(g1, g2 | theta) as lr_all computes it, over a one-subpop table of f."""
+    table = kp.FrequencyTable(panel=("L",), subpops=(kp.Subpopulation("pop", 1.0),),
+                              freqs={"pop": {"L": f}})
+    return kp.lr_all((kp.Profile((g1,)), kp.Profile((g2,))), theta, theta, table).loglik1[0]
+
+
 class TestLogPairProbability:
     def test_log_of_worked_example(self):
         f = {"13": 0.15, "14": 0.20, "15": 0.65}
-        value = kp.log_pair_probability(G("13", "14"), G("13", "14"),
-                                        kp.PARENT_CHILD, f)
+        value = one_locus_loglik(G("13", "14"), G("13", "14"), kp.PARENT_CHILD, f)
         assert value == pytest.approx(math.log(0.0105), abs=1e-12)
 
     def test_zero_probability_is_minus_inf(self):
         f = {"A": 0.3, "B": 0.7}
-        assert kp.log_pair_probability(G("A", "A"), G("B", "B"),
-                                       kp.PARENT_CHILD, f) == -math.inf
+        assert one_locus_loglik(G("A", "A"), G("B", "B"), kp.PARENT_CHILD, f) == -math.inf
 
     def test_unrelated_always_finite(self):
         f = {"A": 0.3, "B": 0.7}
         for g1, g2 in all_unordered_pairs(list(f)):
-            assert math.isfinite(
-                kp.log_pair_probability(g1, g2, kp.UNRELATED, f))
+            value = one_locus_loglik(g1, g2, kp.UNRELATED, f)
+            assert math.isfinite(value)
+            assert value == pytest.approx(
+                math.log(kp.pair_probability(g1, g2, kp.UNRELATED, f)), abs=1e-12)
+
+
+def one_locus_draws(f, theta, alt, n, seed):
+    """Allele labels and the kept (n, 1) genotype arrays of n pairs that
+    simulate_alt (theta) or simulate_null draws over a one-subpop table of f."""
+    table = kp.FrequencyTable(panel=("L",), subpops=(kp.Subpopulation("pop", 1.0),),
+                              freqs={"pop": {"L": f}})
+    cfg = kp.SimConfig(table=table, B=n, seed=seed, theta0=kp.UNRELATED, theta1=theta,
+                       statistics=("LAF",), keep_genotypes=True)
+    return table.labels[0], (kp.simulate_alt if alt else kp.simulate_null)(cfg).genotypes
 
 
 class TestSampleGenotype:
-    def test_degenerate_distribution(self):
-        generator = rng(1)
-        for _ in range(20):
-            g = kp.sample_genotype({"A": 1.0}, "L", generator)
-            assert g.alleles == ("A", "A")
+    """The HWE draw of individual 1, as the engine's sampler makes it."""
 
     def test_heterozygote_fraction(self):
-        generator = rng(2)
-        f = {"A": 0.5, "B": 0.5}
         n = 200_000
-        het = sum(
-            not kp.sample_genotype(f, "L", generator).is_homozygote
-            for _ in range(n))
+        _, g = one_locus_draws({"A": 0.5, "B": 0.5}, kp.UNRELATED, False, n, seed=2)
+        het = int(np.count_nonzero(g["g1a"] != g["g1b"]))
         # 2pq = 0.5; 4 sigma band
         assert abs(het / n - 0.5) < 4 * math.sqrt(0.25 / n)
 
     def test_hwe_genotype_frequencies(self):
-        generator = rng(3)
         f = {"A": 0.2, "B": 0.3, "C": 0.5}
         n = 100_000
-        counts = {}
-        for _ in range(n):
-            g = kp.sample_genotype(f, "L", generator)
-            counts[g.alleles] = counts.get(g.alleles, 0) + 1
-        for g in all_genotypes(list(f)):
-            expected = hwe_prob(g, f)
-            observed = counts.get(g.alleles, 0) / n
+        labels, g = one_locus_draws(f, kp.UNRELATED, False, n, seed=3)
+        counts = drawn_frequencies(labels, (g["g1a"], g["g1b"]))
+        for g1 in all_genotypes(list(f)):
+            expected = hwe_prob(g1, f)
+            observed = counts.get((g1.alleles,), 0.0)
             sigma = math.sqrt(expected * (1 - expected) / n)
             assert abs(observed - expected) < 4 * sigma
 
 
 class TestSampleRelated:
-    def test_unrelated_independent_of_g1(self):
-        generator = rng(4)
-        f = {"A": 0.2, "B": 0.8}
-        g1 = G("A", "A")
-        n = 50_000
-        hits = sum(
-            kp.sample_related(g1, kp.UNRELATED, f, generator).alleles == ("B", "B")
-            for _ in range(n))
-        expected = 0.64
-        assert abs(hits / n - expected) < 4 * math.sqrt(expected * (1 - expected) / n)
-
-    def test_parent_child_always_shares_allele(self):
-        generator = rng(5)
-        f = {"A": 0.2, "B": 0.3, "C": 0.5}
-        for _ in range(500):
-            g1 = kp.sample_genotype(f, "L", generator)
-            g2 = kp.sample_related(g1, kp.PARENT_CHILD, f, generator)
-            assert set(g1.alleles) & set(g2.alleles)
+    """The relative's draw (related_from_uniforms) inside simulate_alt."""
 
     def test_full_sib_joint_matches_analytic(self):
-        generator = rng(6)
         f = {"A": 0.2, "B": 0.3, "C": 0.5}
         n = 100_000
-        counts = {}
-        for _ in range(n):
-            g1 = kp.sample_genotype(f, "L", generator)
-            g2 = kp.sample_related(g1, kp.FULL_SIB, f, generator)
-            key = tuple(sorted((g1.alleles, g2.alleles)))
-            counts[key] = counts.get(key, 0) + 1
+        labels, g = one_locus_draws(f, kp.FULL_SIB, True, n, seed=6)
+        counts = drawn_frequencies(labels, (g["g1a"], g["g1b"]), (g["g2a"], g["g2b"]))
         for g1, g2 in all_unordered_pairs(list(f)):
             expected = kp.pair_probability(g1, g2, kp.FULL_SIB, f)
             key = tuple(sorted((g1.alleles, g2.alleles)))
-            observed = counts.get(key, 0) / n
+            observed = counts.get(key, 0.0)
             sigma = math.sqrt(expected * (1 - expected) / n)
             assert abs(observed - expected) <= 4 * sigma + 1e-12

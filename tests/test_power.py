@@ -248,8 +248,10 @@ class TestPowerDiffCI:
         assert half == pytest.approx(0.01192, abs=5e-6)
 
     def test_extreme_level_clips(self):
-        d = kp.power_diff_ci(0.5, 100, 0.5, 100, level=1.0 - 1e-300)
-        assert (d.ci_low, d.ci_high) == (-1.0, 1.0)
+        # 1 - 1e-300 rounds to level 1; 1 - 2**-53 is the nearest level below 1
+        for level in (1.0 - 1e-300, 1.0 - 2.0 ** -53):
+            d = kp.power_diff_ci(0.5, 100, 0.5, 100, level=level)
+            assert (d.ci_low, d.ci_high) == (-1.0, 1.0)
 
     def test_small_sample_warning(self):
         with pytest.warns(SmallSampleWarning):

@@ -11,7 +11,7 @@ import pytest
 import kinpower as kp
 from kinpower import errors
 from kinpower.power import read_diff_cis_csv, read_power_curves_csv, read_power_reports_csv
-from kinpower.tables import FREQ_SUM_TOL, PROPORTION_TOL
+from kinpower.tables import FREQ_SUM_TOL, PROPORTION_TOL, _pool, _pool_weights
 
 
 BASIC_CSV = (
@@ -304,7 +304,16 @@ class TestSubpopulation:
         assert kp.Subpopulation("a", 1.0, 1).sample_size == 1
 
 
+def pooled(table, weights):
+    """locus -> allele -> frequency of the table's ``_pool`` row under ``weights``."""
+    row = iter(_pool(table, weights).tolist())
+    return {locus: {a: next(row) for a in labels}
+            for locus, labels in zip(table.panel, table.labels)}
+
+
 class TestLocalAverage:
+    """The local-average row: the table pooled with its mixing proportions."""
+
     def test_two_subpop_mean(self):
         csv = (
             "subpop,locus,allele,freq\n"
@@ -313,13 +322,13 @@ class TestLocalAverage:
         )
         meta = kp.TableMeta(subpops=["a", "b"], proportions=[0.5, 0.5])
         table = kp.load_frequency_table(csv, meta=meta)
-        local = kp.local_average(table).freqs["local"]["L1"]
+        local = pooled(table, table.proportions)["L1"]
         assert local["A"] == pytest.approx(0.3)
         assert local["B"] == pytest.approx(0.7)
 
     def test_single_subpop_identity(self, one_locus_table):
-        local = kp.local_average(one_locus_table)
-        assert local.freqs["local"] == dict(one_locus_table.freqs["pop"])
+        local = pooled(one_locus_table, one_locus_table.proportions)
+        assert local == dict(one_locus_table.freqs["pop"])
 
     def test_three_subpop_dot_product(self):
         rows = ["subpop,locus,allele,freq"]
@@ -327,7 +336,7 @@ class TestLocalAverage:
             rows += [f"{name},L1,A,{fa}", f"{name},L1,B,{1 - fa}"]
         meta = kp.TableMeta(subpops=list("abc"), proportions=[0.2, 0.3, 0.5])
         table = kp.load_frequency_table("\n".join(rows) + "\n", meta=meta)
-        local = kp.local_average(table).freqs["local"]["L1"]
+        local = pooled(table, table.proportions)["L1"]
         assert local["A"] == pytest.approx(0.28)
 
     def test_degenerate_proportions(self, two_subpop_table):
@@ -338,25 +347,22 @@ class TestLocalAverage:
         table = kp.FrequencyTable(
             panel=two_subpop_table.panel, subpops=subpops,
             freqs=two_subpop_table.freqs, floor=two_subpop_table.floor)
-        local = kp.local_average(table)
+        local = pooled(table, table.proportions)
         for locus in table.panel:
             for allele, f in table.freqs["a"][locus].items():
-                assert local.freqs["local"][locus][allele] == pytest.approx(f, abs=1e-11)
+                assert local[locus][allele] == pytest.approx(f, abs=1e-11)
 
     def test_sums_stay_normalized(self, synth_table):
-        local = kp.local_average(synth_table)
-        for locus in local.panel:
-            assert sum(local.freqs["local"][locus].values()) \
-                == pytest.approx(1.0, abs=FREQ_SUM_TOL)
+        local = pooled(synth_table, synth_table.proportions)
+        for locus in synth_table.panel:
+            assert sum(local[locus].values()) == pytest.approx(1.0, abs=FREQ_SUM_TOL)
 
 
 class TestPooledFrequencies:
-    def test_census_matches_local_average(self, two_subpop_table):
-        pooled = kp.pooled_frequencies(two_subpop_table, "census")
-        local = kp.local_average(two_subpop_table)
-        for locus in two_subpop_table.panel:
-            assert pooled.freqs["pooled"][locus] == pytest.approx(
-                local.freqs["local"][locus])
+    """The CB row: the table pooled with the weights of a ``--cb-weights`` scheme."""
+
+    def test_census_weights_are_the_proportions(self, two_subpop_table):
+        assert _pool_weights(two_subpop_table, "census") == two_subpop_table.proportions
 
     def test_equal_weights(self):
         csv = (
@@ -366,8 +372,7 @@ class TestPooledFrequencies:
         )
         meta = kp.TableMeta(subpops=["a", "b"], proportions=[0.9, 0.1])
         table = kp.load_frequency_table(csv, meta=meta)
-        pooled = kp.pooled_frequencies(table, "equal")
-        assert pooled.freqs["pooled"]["L1"]["A"] == pytest.approx(0.2)
+        assert pooled(table, _pool_weights(table, "equal"))["L1"]["A"] == pytest.approx(0.2)
 
     def test_sample_size_weights(self):
         csv = (
@@ -378,18 +383,21 @@ class TestPooledFrequencies:
         meta = kp.TableMeta(subpops=["a", "b"], proportions=[0.5, 0.5],
                             sample_sizes=[100, 300])
         table = kp.load_frequency_table(csv, meta=meta)
-        pooled = kp.pooled_frequencies(table, "samples")
         expected = (100 * 0.1 + 300 * 0.3) / 400
-        assert pooled.freqs["pooled"]["L1"]["A"] == pytest.approx(expected)
+        assert pooled(table, _pool_weights(table, "samples"))["L1"]["A"] \
+            == pytest.approx(expected)
 
     def test_missing_sample_sizes(self, two_subpop_table):
         with pytest.raises(errors.MissingSampleSizes):
-            kp.pooled_frequencies(two_subpop_table, "samples")
+            _pool_weights(two_subpop_table, "samples")
 
     def test_auto_falls_back_to_equal(self, two_subpop_table):
-        pooled = kp.pooled_frequencies(two_subpop_table, "auto")
-        equal = kp.pooled_frequencies(two_subpop_table, "equal")
-        assert pooled.freqs["pooled"] == equal.freqs["pooled"]
+        assert _pool_weights(two_subpop_table, "auto") \
+            == _pool_weights(two_subpop_table, "equal")
+
+    def test_unknown_scheme(self, two_subpop_table):
+        with pytest.raises(errors.InvalidParameter, match="unknown weight scheme"):
+            _pool_weights(two_subpop_table, "Census")
 
 
 class TestProfiles:
