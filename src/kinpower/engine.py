@@ -183,36 +183,43 @@ def _loglik_arrays(compiled: _Compiled, g1a, g1b, g2a, g2b, theta0, theta1):
     codes, and the distinct keys are found with one argsort. One
     pair_components call evaluates one cell per key over all K+2 frequency
     sets, the rows of ``compiled.full``, and both thetas weigh those
-    components at once, stacked on a leading axis. Each locus's values are
-    then gathered back and added in panel order, so every cell and every sum
-    is what a per-locus evaluation would give, to the last bit.
+    components at once, stacked on a leading axis. Each key's (2, K+2)
+    values then form one contiguous row, and each replicate adds the rows of
+    its cells locus by locus in panel order, so every cell and every sum is
+    what a per-locus evaluation would give, to the last bit.
     """
     n, m = g1a.shape
 
     def code(a, b):  # (n, loci) global genotype codes
         return compiled.geno_offsets + ((b * (b + 1)) >> 1) + a
 
-    # cell ell * n + i is replicate i at locus ell
-    key = (code(g1a, g1b) * compiled.n_genotypes + code(g2a, g2b)).T.ravel()
+    # cell i * loci + ell is replicate i at locus ell
+    key = (code(g1a, g1b) * compiled.n_genotypes + code(g2a, g2b)).ravel()
     order = np.argsort(key)
+    sorted_key = key[order]
     first = np.empty(key.size, dtype=bool)
     first[:1] = True
-    np.not_equal(key[order[1:]], key[order[:-1]], out=first[1:])
-    rep = order[first]                     # one cell per distinct key
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+    rep = order[np.flatnonzero(first)]     # one cell per distinct key
     inv = np.empty(key.size, dtype=np.intp)
-    inv[order] = np.cumsum(first) - 1      # cell -> its key's column
+    inv[order] = np.cumsum(first) - 1      # cell -> its key's index
 
-    i, ell = rep % n, rep // n
-    col = compiled.offsets[ell]
-    p0, p1, p2, mult = pair_components(g1a[i, ell] + col, g1b[i, ell] + col,
-                                       g2a[i, ell] + col, g2b[i, ell] + col, compiled.full)
+    col = compiled.offsets[rep % m]
+    p0, p1, p2, mult = pair_components(*(g.reshape(-1).take(rep) + col
+                                         for g in (g1a, g1b, g2a, g2b)), compiled.full)
     z = np.array([theta0.as_tuple(), theta1.as_tuple()])[:, :, None, None]
     with np.errstate(divide="ignore"):
         v = np.log(mult * (z[:, 0] * p0 + z[:, 1] * p1 + z[:, 2] * p2))  # (2, K+2, keys)
 
-    ll = np.zeros((2, compiled.K + 2, n))
-    for lo in range(0, key.size, n):
-        ll += v.take(inv[lo:lo + n], axis=2)
+    # one contiguous (2, K+2) row per key, gathered per locus in panel order
+    rows = np.ascontiguousarray(np.moveaxis(v, 2, 0))
+    inv = inv.reshape(n, m)
+    ll = np.zeros((n, 2, compiled.K + 2))
+    for ell in range(m):
+        ll += rows.take(inv[:, ell], axis=0)
+    # (n, K+2) views with contiguous columns: the statistics reduce over the
+    # K+2 axis, about 5 times slower when that is the short contiguous one
+    ll = np.ascontiguousarray(ll.transpose(1, 2, 0))
     return ll[0].T, ll[1].T
 
 

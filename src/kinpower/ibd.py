@@ -13,6 +13,15 @@ values are probabilities of *unordered* pairs and sum to 1 over all such
 pairs. The factor is constant in the relationship parameters, so it
 cancels in every likelihood ratio.
 
+P1 averages, over the two slots of the first genotype (a, b), the chance
+of drawing the second genotype (c, d) when that slot's allele is the one
+shared: f_d when the slot holds c, f_c when it holds d (c != d), f_c for
+a homozygous (c, c), and 0 otherwise. ``pair_components`` picks those
+terms without a branch: it counts the slots equal to c (nc) and, for a
+heterozygous second genotype only, those equal to d (nd), and sums
+f_d * nc + f_c * nd. Multiplying by a count of 0, 1 or 2 is exact, so this
+is the sum of the per-slot terms to the last bit.
+
 The module also holds the two rules the engine's sampler is built from:
 ``categorical``, the one definition of an allele draw, and
 ``related_from_uniforms``, the step that draws a relative's genotype.
@@ -28,7 +37,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .errors import InvalidParameter, UnknownAllele
-from .tables import Allele, LocusGenotype
+from .tables import FREQ_SUM_TOL, Allele, LocusGenotype
 
 THETA_SUM_TOL = 1e-12
 
@@ -99,21 +108,18 @@ def pair_components(g1a, g1b, g2a, g2b, f):
     hold several loci side by side, indexed by global column: the engine
     evaluates the distinct genotype pairs of all loci in one call.
     """
-    fa1, fb1 = f[..., g1a], f[..., g1b]
-    fa2, fb2 = f[..., g2a], f[..., g2b]
     het1 = g1a != g1b
     het2 = g2a != g2b
-    pg1 = fa1 * fb1 * np.where(het1, 2.0, 1.0)
-    pg2 = fa2 * fb2 * np.where(het2, 2.0, 1.0)
-    p0 = pg1 * pg2
+    pg1 = f.take(g1a, axis=-1) * f.take(g1b, axis=-1) * np.where(het1, 2.0, 1.0)
+    fa2, fb2 = f.take(g2a, axis=-1), f.take(g2b, axis=-1)
+    p0 = pg1 * (fa2 * fb2 * np.where(het2, 2.0, 1.0))
 
-    # trans(t) = P(drawing genotype g2 when one slot is the shared allele t)
-    def trans(t):
-        hom_case = np.where(t == g2a, fa2, 0.0)
-        het_case = np.where(t == g2a, fb2, 0.0) + np.where(t == g2b, fa2, 0.0)
-        return np.where(het2, het_case, hom_case)
-
-    p1 = pg1 * 0.5 * (trans(g1a) + trans(g1b))
+    # slots of g1 holding g2's first allele (nc) and, for a heterozygous g2,
+    # its second (nd); P1 from these counts as in the module docstring. The
+    # float operand makes the sums counts, where bool + bool would be an or.
+    nc = (g1a == g2a) + (g1b == g2a) * 1.0
+    nd = ((g1a == g2b) + (g1b == g2b) * 1.0) * het2
+    p1 = pg1 * 0.5 * (fb2 * nc + fa2 * nd)
     same = (g1a == g2a) & (g1b == g2b)
     p2 = pg1 * same
     mult = np.where(same, 1.0, 2.0)
@@ -135,9 +141,17 @@ def pair_probability(
     theta: ThetaIBD,
     f: Mapping[Allele, float],
 ) -> float:
-    """Probability of the unordered genotype pair under the relationship."""
+    """Probability of the unordered genotype pair under the relationship.
+
+    ``f`` maps each allele to its frequency: every one finite and >= 0, the
+    sum 1 within FREQ_SUM_TOL, else InvalidParameter."""
     labels = sorted(f)
     vec = np.array([f[a] for a in labels], dtype=np.float64)
+    if not (np.isfinite(vec).all() and (vec >= 0.0).all()):
+        raise InvalidParameter(f"allele frequencies must be finite and >= 0, got {dict(f)}")
+    if abs(vec.sum() - 1.0) > FREQ_SUM_TOL:
+        raise InvalidParameter(f"allele frequencies sum to {vec.sum()}, outside tolerance "
+                               f"{FREQ_SUM_TOL}")
     pos = _positions({label: i for i, label in enumerate(labels)}, g1.alleles + g2.alleles)
     pair1, pair2 = tuple(pos[:2]), tuple(pos[2:])
     # evaluate in a fixed orientation so the result is bitwise symmetric

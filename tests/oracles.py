@@ -5,6 +5,9 @@ combination classes and stay independent of the production kernel.
 ``reference_loglik_arrays`` is the exception: it keeps the engine's earlier
 per-locus loop, which shares ``pair_components`` with the engine, so it
 checks the engine's deduplication and gather rather than the cell formulas.
+``reference_pair_components`` keeps the kernel's earlier component formula,
+whose P1 picks each transition term with ``np.where``, so that a change to
+the production formula is checked against code that shares none of it.
 ``reference_block_genotypes`` likewise keeps the engine's earlier per-locus
 sampler, which shares ``categorical`` and the block's uniform stream with
 the engine, so it checks the guide tables rather than the draw rule.
@@ -104,6 +107,31 @@ def reference_pool(freqs: dict, subpops, panel, weights) -> dict:
                 merged[allele] = merged.get(allele, 0.0) + wk * f
         pooled[locus] = merged
     return pooled
+
+
+def reference_pair_components(g1a, g1b, g2a, g2b, f):
+    """(P0, P1, P2, mult) for canonically ordered index arrays, as
+    ``ibd.pair_components`` gives them, with P1's transition terms chosen by
+    ``np.where`` on each slot of g1."""
+    fa1, fb1 = f[..., g1a], f[..., g1b]
+    fa2, fb2 = f[..., g2a], f[..., g2b]
+    het1 = g1a != g1b
+    het2 = g2a != g2b
+    pg1 = fa1 * fb1 * np.where(het1, 2.0, 1.0)
+    pg2 = fa2 * fb2 * np.where(het2, 2.0, 1.0)
+    p0 = pg1 * pg2
+
+    # trans(t) = P(drawing genotype g2 when one slot is the shared allele t)
+    def trans(t):
+        hom_case = np.where(t == g2a, fa2, 0.0)
+        het_case = np.where(t == g2a, fb2, 0.0) + np.where(t == g2b, fa2, 0.0)
+        return np.where(het2, het_case, hom_case)
+
+    p1 = pg1 * 0.5 * (trans(g1a) + trans(g1b))
+    same = (g1a == g2a) & (g1b == g2b)
+    p2 = pg1 * same
+    mult = np.where(same, 1.0, 2.0)
+    return p0, p1, p2, mult
 
 
 def reference_loglik_arrays(compiled, g1a, g1b, g2a, g2b, theta0, theta1):

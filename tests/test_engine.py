@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import kinpower as kp
-from kinpower.engine import (BLOCK, GUIDE, _alleles, _compile, _draw_block, _loglik_arrays,
-                             _sampler)
+from kinpower.engine import (BLOCK, GUIDE, _alleles, _compile, _derive_block, _draw_block,
+                             _loglik_arrays, _sampler)
 from kinpower.ibd import categorical, pair_components
 
 from conftest import rng
@@ -371,9 +371,10 @@ def large_support_table():
 
 def assert_kernel_matches_loop(table, seed):
     """_loglik_arrays against the per-locus loop, byte for byte, on null and
-    alt draws under every KERNEL_THETAS entry, at n = 1, 17 and BLOCK + 123.
-    Each draw is evaluated with theta0 unrelated and with theta0 full-sib,
-    whose nonzero z1 and z2 weigh the theta0 row's P1 and P2 terms too."""
+    alt draws under every KERNEL_THETAS entry, at n = 1, 17 and BLOCK + 123,
+    and the seven statistics _derive_block makes of each. Each draw is
+    evaluated with theta0 unrelated and with theta0 full-sib, whose nonzero
+    z1 and z2 weigh the theta0 row's P1 and P2 terms too."""
     compiled = _compile(table, "auto")
     B = BLOCK + 123
     draws = [("null", kp.UNRELATED, kp.simulate_null)] + [
@@ -389,6 +390,10 @@ def assert_kernel_matches_loop(table, seed):
             for x, y in zip(got, want):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), \
                     (phase, drawn_under, theta0, name, n)
+            got, want = (_derive_block(compiled, *ll, kp.STATISTICS) for ll in (got, want))
+            for s in kp.STATISTICS:
+                assert got[s].tobytes() == want[s].tobytes(), \
+                    (phase, drawn_under, theta0, name, n, s)
 
 
 class TestKernelOracle:

@@ -10,7 +10,7 @@ from kinpower.ibd import GenotypeCombination, pair_components
 
 from conftest import rng
 from oracles import (all_genotypes, all_unordered_pairs, drawn_frequencies, hwe_prob,
-                     reference_pair_probs)
+                     reference_pair_components, reference_pair_probs)
 
 
 def G(a, b, locus="L"):
@@ -146,6 +146,14 @@ class TestPairProbability:
                 total += p if g1 == g2 else p / 2
             assert total == pytest.approx(hwe_prob(g1, f), abs=1e-12)
 
+    @pytest.mark.parametrize("f", [{"A": 2.0}, {"A": -0.5, "B": 1.5},
+                                   {"A": math.nan, "B": 1.0}],
+                             ids=["sum 2", "negative", "nan"])
+    def test_rejects_invalid_frequencies(self, f):
+        # unchecked, these gave 16.0, 0.0625 and nan
+        with pytest.raises(kp.errors.InvalidParameter, match="frequencies"):
+            kp.pair_probability(G("A", "A"), G("A", "A"), kp.UNRELATED, f)
+
     def test_unknown_allele(self):
         with pytest.raises(kp.errors.UnknownAllele):
             kp.pair_probability(G("13", "99"), G("13", "13"), kp.UNRELATED,
@@ -170,6 +178,22 @@ class TestPairComponents:
             assert np.array_equal(stacked[k], np.stack([r[k] for r in rows]))
         for r in rows:
             assert np.array_equal(stacked[3], r[3])
+
+    @pytest.mark.parametrize("n_alleles", [1, 2, 3, 6])
+    def test_matches_where_formula_byte_for_byte(self, n_alleles):
+        # every ordered pair of canonical genotypes, against the formula that
+        # picks P1's transition terms with np.where
+        geno = [(a, b) for b in range(n_alleles) for a in range(b + 1)]
+        g1a, g1b, g2a, g2b = np.array([(*x, *y) for x in geno for y in geno]).T
+        # a homozygous g1 sharing its allele with a heterozygous g2, so that
+        # both slots of g1 hold that allele
+        assert n_alleles == 1 or np.any((g1a == g1b) & (g2a == g1a) & (g2b != g2a))
+        stacked = rng(n_alleles).dirichlet(np.ones(n_alleles), size=3)
+        for f in (stacked[0], stacked):
+            got = pair_components(g1a, g1b, g2a, g2b, f)
+            want = reference_pair_components(g1a, g1b, g2a, g2b, f)
+            for x, y in zip(got, want):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def one_locus_loglik(g1, g2, theta, f):
