@@ -20,8 +20,7 @@ cfg = kp.SimConfig(table=table, theta0=kp.UNRELATED, theta1=kp.FULL_SIB,
                    B=B, seed=2026, workers=4)
 
 print(f"simulating {B} null and {B} alternative pairs ...")
-null = kp.simulate_null(cfg)
-alt = kp.simulate_alt(cfg)
+null, alt = kp.simulate(cfg)
 
 print(f"\nfull-sibling test at alpha = {ALPHA}")
 print(f"{'statistic':>10s} {'threshold':>12s} {'power':>8s} {'95% CI':>20s}")

@@ -17,8 +17,7 @@ table = kp.synth_frequency_table(
 )
 cfg = kp.SimConfig(table=table, theta0=kp.UNRELATED, theta1=kp.FULL_SIB,
                    B=B, seed=99, statistics=("LAF", "MIN"), workers=4)
-null = kp.simulate_null(cfg)
-alt = kp.simulate_alt(cfg)
+null, alt = kp.simulate(cfg)
 
 for stat in cfg.statistics:
     c = kp.null_threshold(null.statistics[stat], ALPHA)

@@ -2,7 +2,8 @@
 STR profiles in structured populations."""
 
 from . import errors
-from .engine import BLOCK, SampleMatrix, SimConfig, dump_samples, simulate_alt, simulate_null
+from .engine import (BLOCK, SampleMatrix, SimConfig, dump_samples, simulate, simulate_alt,
+                     simulate_null)
 from .ibd import (
     FULL_SIB,
     HALF_SIB_PAPER,

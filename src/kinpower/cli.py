@@ -113,12 +113,20 @@ def _run_config(
     return cfg, alphas, sorted(alphas if args.alpha else DEFAULT_CURVE_GRID)
 
 
+def _make_dir(out: Path) -> None:
+    """Create the output directory ``out``; a path that is a file or lies
+    under one is an InvalidParameter naming --out."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise InvalidParameter(f"--out {str(out)!r}: {exc.strerror}") from None
+
+
 def _simulate(cfg: engine.SimConfig, out: Path):
-    """The run's null and alternative samples; creates the output directory."""
-    null = engine.simulate_null(cfg)
-    alt = engine.simulate_alt(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    return null, alt
+    """Create the output directory, then run null and alternative in one
+    engine call."""
+    _make_dir(out)
+    return engine.simulate(cfg)
 
 
 def _stream(path: Path, write, items) -> None:
@@ -227,7 +235,7 @@ def cmd_synth_freqs(args) -> int:
         floor=tables.DEFAULT_FLOOR if args.floor is None else args.floor,
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     _stream(out / "freqs.csv", tables.dump_frequency_table, table)
     (out / "meta.txt").write_text(tables.dump_table_meta(table), encoding="utf-8")
     print(f"wrote {out / 'freqs.csv'} and {out / 'meta.txt'} "

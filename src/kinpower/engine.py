@@ -240,9 +240,8 @@ def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
     m = np.max(x, axis=1)
     out = m.copy()
     finite = np.isfinite(m)
-    if finite.any():
-        xf = x[finite] - m[finite, None]
-        out[finite] = m[finite] + np.log(np.exp(xf).sum(axis=1))
+    xf = x[finite] - m[finite, None]
+    out[finite] = m[finite] + np.log(np.exp(xf).sum(axis=1))
     return out
 
 
@@ -308,8 +307,9 @@ def _draw_block(sampler: _Sampler, cfg: SimConfig, alt: bool, block: int, n: int
 
 
 def _run_block(compiled: _Compiled, sampler: _Sampler, cfg: SimConfig, alt: bool,
-               block: int, n: int):
-    """Subpop tags, statistics and (if kept) genotypes of one block's n pairs."""
+               block: int):
+    """Subpop tags, statistics and (if kept) genotypes of one block's pairs."""
+    n = min(BLOCK, cfg.B - block * BLOCK)
     k1, g1a, g1b, g2a, g2b = _draw_block(sampler, cfg, alt, block, n)
     ll0, ll1 = _loglik_arrays(compiled, g1a, g1b, g2a, g2b, cfg.theta0, cfg.theta1)
     values = _derive_block(compiled, ll0, ll1, cfg.statistics)
@@ -319,48 +319,49 @@ def _run_block(compiled: _Compiled, sampler: _Sampler, cfg: SimConfig, alt: bool
     return k1, values, genos
 
 
-def _simulate(cfg: SimConfig, alt: bool) -> SampleMatrix:
+def _simulate(cfg: SimConfig, alts: tuple[bool, ...]) -> tuple[SampleMatrix, ...]:
+    """One SampleMatrix per phase in ``alts`` (True for alt), all their blocks
+    run from one compile and one sampler, through at most one pool."""
     compiled = _compile(cfg.table, cfg.cb_weights)
     sampler = _sampler(cfg.table)
-    m = cfg.table.n_loci
     nblocks = (cfg.B + BLOCK - 1) // BLOCK
-    sizes = [min(BLOCK, cfg.B - b * BLOCK) for b in range(nblocks)]
+    names = tuple(s.name for s in cfg.table.subpops)
+    out = {alt: SampleMatrix(
+        statistics={s: np.empty(cfg.B) for s in cfg.statistics},
+        subpop_tags=np.empty(cfg.B, dtype=np.int64), subpop_names=names,
+        genotypes={k: np.empty((cfg.B, cfg.table.n_loci), dtype=np.int64)
+                   for k in ("g1a", "g1b", "g2a", "g2b")} if cfg.keep_genotypes else None)
+        for alt in alts}
 
-    tags = np.empty(cfg.B, dtype=np.int64)
-    stats = {s: np.empty(cfg.B) for s in cfg.statistics}
-    genos = None
-    if cfg.keep_genotypes:
-        genos = {k: np.empty((cfg.B, m), dtype=np.int64)
-                 for k in ("g1a", "g1b", "g2a", "g2b")}
-
-    run = functools.partial(_run_block, compiled, sampler, cfg, alt)
+    tasks = list(itertools.product(alts, range(nblocks)))
+    run = functools.partial(_run_block, compiled, sampler, cfg)
     workers = min(cfg.workers, nblocks)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = (map(run, range(nblocks), sizes) if pool is None else
-                   pool.map(run, range(nblocks), sizes,
-                            chunksize=max(1, nblocks // (4 * workers))))
-        for lo, (btags, bvalues, bgenos) in zip(range(0, cfg.B, BLOCK), results):
-            hi = lo + len(btags)
-            tags[lo:hi] = btags
+        results = (map if pool is None else pool.map)(run, *zip(*tasks))
+        for (alt, block), (btags, bvalues, bgenos) in zip(tasks, results):
+            matrix, rows = out[alt], slice(block * BLOCK, block * BLOCK + len(btags))
+            matrix.subpop_tags[rows] = btags
             for s in cfg.statistics:
-                stats[s][lo:hi] = bvalues[s]
-            if genos is not None:
-                for k in genos:
-                    genos[k][lo:hi] = bgenos[k]
+                matrix.statistics[s][rows] = bvalues[s]
+            for k, g in (bgenos or {}).items():
+                matrix.genotypes[k][rows] = g
+    return tuple(out.values())
 
-    names = tuple(s.name for s in cfg.table.subpops)
-    return SampleMatrix(statistics=stats, subpop_tags=tags,
-                        subpop_names=names, genotypes=genos)
+
+def simulate(cfg: SimConfig) -> tuple[SampleMatrix, SampleMatrix]:
+    """``(simulate_null(cfg), simulate_alt(cfg))``, from one compile, one
+    sampler and at most one pool."""
+    return _simulate(cfg, (False, True))
 
 
 def simulate_null(cfg: SimConfig) -> SampleMatrix:
     """Log-LR samples for unrelated pairs with multinomial subpop draws."""
-    return _simulate(cfg, alt=False)
+    return _simulate(cfg, (False,))[0]
 
 
 def simulate_alt(cfg: SimConfig) -> SampleMatrix:
     """Log-LR samples for related pairs; both individuals share one subpop."""
-    return _simulate(cfg, alt=True)
+    return _simulate(cfg, (True,))[0]
 
 
 def dump_samples(matrix: SampleMatrix, sink: Optional[TextIO] = None) -> Optional[str]:

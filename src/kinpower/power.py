@@ -70,15 +70,15 @@ def _linear(log_value: float) -> float:
 
 
 def _order_statistic(x: np.ndarray, alpha: float, select) -> float:
-    """The ceil(n*(1-alpha))-th smallest of the n values in x, or -inf when
-    that rank is 0; ``select(i)`` returns the value of 0-based rank i."""
+    """The ceil(n*(1-alpha))-th smallest of the n values in x, a rank of at
+    least 1 for alpha < 1; ``select(i)`` returns the value of 0-based rank i."""
     if alpha * x.size < 10:
         warnings.warn(
             f"alpha*B = {alpha * x.size:.3g} < 10; threshold estimate is unstable",
             AlphaTooSmallForB,
         )
     k = math.ceil(x.size * (1.0 - alpha))
-    return -math.inf if k <= 0 else float(select(k - 1))
+    return float(select(k - 1))
 
 
 def null_threshold(null_samples: np.ndarray, alpha: float) -> float:

@@ -11,6 +11,7 @@ them.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,8 +33,8 @@ def synth_frequency_table(
     """Generate a valid FrequencyTable with controllable substructure."""
     if n_alleles < 2:
         raise InvalidParameter("need at least 2 alleles per locus")
-    if divergence < 0:
-        raise InvalidParameter("divergence must be >= 0")
+    if not (math.isfinite(divergence) and divergence >= 0):
+        raise InvalidParameter(f"divergence must be finite and >= 0, got {divergence}")
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
     if n_subpops < 1:
@@ -47,6 +48,8 @@ def synth_frequency_table(
     if proportions is None:
         proportions = [1.0 / n_subpops] * n_subpops
     total = float(sum(proportions))
+    if not (math.isfinite(total) and total > 0):
+        raise InvalidParameter(f"proportions must have a finite sum > 0, got {list(proportions)}")
     proportions = [p / total for p in proportions]
     names = [f"S{k + 1}" for k in range(n_subpops)]
     loci = [f"L{i + 1:02d}" for i in range(n_loci)]

@@ -125,8 +125,9 @@ class FrequencyTable:
     PanelMismatch when subpops list different alleles at a locus,
     ProportionSumOutOfTolerance when the proportions miss 1 by more than
     PROPORTION_TOL, NonPositiveFrequency on a non-finite or negative
-    frequency, and InvalidParameter when the panel is empty or a subpop's
-    frequencies at a locus miss 1 by more than FREQ_SUM_TOL.
+    frequency, and InvalidParameter when the panel is empty, a panel locus
+    or subpop name is repeated, or a subpop's frequencies at a locus miss 1
+    by more than FREQ_SUM_TOL.
 
     Immutable after construction; safe for shared read access from any
     number of concurrent workers.
@@ -144,6 +145,11 @@ class FrequencyTable:
     def __post_init__(self):
         if not self.panel:
             raise InvalidParameter("a frequency table needs at least one locus")
+        subpop_names = [s.name for s in self.subpops]
+        for what, names in (("locus", self.panel), ("subpopulation", subpop_names)):
+            if len(set(names)) != len(names):
+                raise InvalidParameter(f"a frequency table names each {what} once; "
+                                       f"got {list(names)}")
         total = sum(self.proportions)
         if abs(total - 1.0) > PROPORTION_TOL:
             raise ProportionSumOutOfTolerance(

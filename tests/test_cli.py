@@ -305,6 +305,21 @@ class TestSynthFreqsCommand:
         assert "InvalidParameter" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--proportions", "0,0"], "proportions"),
+        (["--proportions", "1,-1"], "proportions"),
+        (["--proportions", "nan,1"], "proportions"),
+        (["--divergence", "nan"], "divergence"),
+        (["--divergence", "inf"], "divergence"),
+        (["--divergence", "-0.1"], "divergence"),
+    ])
+    def test_bad_parameter_exit_2(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "s"
+        assert main(["synth-freqs", "--subpops", "2", *extra, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "InvalidParameter" in err and message in err
+        assert not out.exists()
+
     def test_zero_loci_exit_2(self, tmp_path, capsys):
         out = tmp_path / "s"
         assert main(["synth-freqs", "--loci", "0", "--out", str(out)]) == 2
@@ -456,16 +471,78 @@ class TestExitCodes:
     def test_value_error_during_run_exit_3(self, synth_files, tmp_path, capsys,
                                            monkeypatch):
         from kinpower import engine
+        run_block = engine._run_block
 
-        def broken(cfg):
-            raise ValueError("raised mid-run")
+        def broken(compiled, sampler, cfg, alt, block):
+            if alt:
+                raise ValueError("raised mid-run")
+            return run_block(compiled, sampler, cfg, alt, block)
 
-        monkeypatch.setattr(engine, "simulate_alt", broken)
+        monkeypatch.setattr(engine, "_run_block", broken)
         freqs, meta = synth_files
         code = main(["power", "--freqs", str(freqs), "--meta", str(meta),
                      "--alpha", "0.05", "--B", "100", "--out", str(tmp_path / "o")])
         assert code == 3
         assert "runtime error: ValueError: raised mid-run" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["power", "power-curve", "subpop-bias", "synth-freqs"])
+    def test_out_not_a_directory_exit_2_before_run(self, synth_files, tmp_path, capsys,
+                                                   monkeypatch, command, under):
+        from kinpower import engine
+
+        def refuse(cfg, alts):
+            raise AssertionError("simulated before the output directory was made")
+
+        monkeypatch.setattr(engine, "_simulate", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        freqs, meta = synth_files
+        args = [] if command == "synth-freqs" else [
+            "--freqs", str(freqs), "--meta", str(meta), "--alpha", "0.05", "--B", "100"]
+        out = taken / "sub" if under else taken
+        assert main([command, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "InvalidParameter" in err and "--out" in err
+        assert taken.read_text(encoding="utf-8") == ""
+
+
+class TestOneRunPerCommand:
+    """A simulating command compiles the table once, builds one sampler and,
+    with more than one worker, opens one pool for both phases."""
+
+    @pytest.mark.parametrize("command", ["power", "power-curve", "subpop-bias"])
+    def test_one_compile_sampler_and_pool(self, synth_files, tmp_path, monkeypatch, command):
+        # a recorder stands in for the pool, so no process is started
+        from kinpower import engine
+        calls = {"pools": [], "_compile": 0, "_sampler": 0}
+
+        class Recorder:
+            def __init__(self, max_workers):
+                calls["pools"].append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", Recorder)
+        for name in ("_compile", "_sampler"):
+            def counted(*args, _real=getattr(engine, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+        freqs, meta = synth_files
+        assert main([command, "--freqs", str(freqs), "--meta", str(meta), "--alpha", "0.05",
+                     "--B", str(2 * kp.BLOCK + 1), "--workers", "2", "--stats", "LAF",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"pools": [2], "_compile": 1, "_sampler": 1}
 
 
 class TestEmptySubpop:

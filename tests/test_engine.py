@@ -157,6 +157,20 @@ class TestDeterminism:
         serial = kp.simulate_null(cfg_for(two_subpop_table, B=B, workers=1))
         assert np.array_equal(got.statistics["LAF"], serial.statistics["LAF"])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulate_is_both_one_phase_runs(self, two_subpop_table, workers):
+        cfg = cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=workers,
+                      keep_genotypes=True)
+        for got, want in zip(kp.simulate(cfg), (kp.simulate_null(cfg), kp.simulate_alt(cfg))):
+            assert got.subpop_names == want.subpop_names
+            assert got.subpop_tags.tobytes() == want.subpop_tags.tobytes()
+            assert list(got.statistics) == list(want.statistics) == list(kp.STATISTICS)
+            for s in want.statistics:
+                assert got.statistics[s].tobytes() == want.statistics[s].tobytes()
+            assert list(got.genotypes) == list(want.genotypes)
+            for k in want.genotypes:
+                assert got.genotypes[k].tobytes() == want.genotypes[k].tobytes()
+
     def test_single_replicate_reproducible(self, two_subpop_table):
         a = kp.simulate_null(cfg_for(two_subpop_table, B=1))
         b = kp.simulate_null(cfg_for(two_subpop_table, B=1))

@@ -52,6 +52,13 @@ class TestSynthFrequencyTable:
         {"n_subpops": 0},
         {"n_subpops": 3, "proportions": [0.5, 0.5]},
         {"n_subpops": 2, "sample_sizes": [10, 20, 30]},
+        {"divergence": -0.1},
+        {"divergence": float("nan")},
+        {"divergence": float("inf")},
+        {"n_subpops": 2, "proportions": [0.0, 0.0]},
+        {"n_subpops": 2, "proportions": [1.0, -1.0]},
+        {"n_subpops": 2, "proportions": [float("nan"), 1.0]},
+        {"n_subpops": 2, "proportions": [float("inf"), 1.0]},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(kp.errors.InvalidParameter):

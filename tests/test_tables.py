@@ -246,6 +246,19 @@ class TestFrequencyTableConstruction:
                        proportions={"a": 0.5, "b": 0.5 + 0.5 * PROPORTION_TOL})
         assert t.n_subpops == 2
 
+    @pytest.mark.parametrize("panel, names, what", [
+        ((), ("a",), "at least one locus"),
+        (("L1", "L1"), ("a",), "each locus once"),
+        (("L1",), ("a", "a"), "each subpopulation once"),
+    ])
+    def test_rejects_empty_panel_or_repeated_names(self, panel, names, what):
+        # a locus listed twice would count twice in every likelihood, and two
+        # subpops of one name would merge in every per-subpop report
+        with pytest.raises(errors.InvalidParameter, match=what):
+            kp.FrequencyTable(
+                panel=panel, subpops=tuple(kp.Subpopulation(n, 1 / len(names)) for n in names),
+                freqs={n: {"L1": {"1": 0.5, "2": 0.5}} for n in names})
+
     @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
     def test_negative_or_non_finite_frequency(self, bad):
         with pytest.raises(errors.NonPositiveFrequency, match="'a' at locus 'L1'"):
