@@ -59,6 +59,7 @@ class SimConfig:
         unknown = set(self.statistics) - set(STATISTICS)
         if unknown:
             raise InvalidParameter(f"unknown statistics {sorted(unknown)}")
+        _pool_weights(self.table, self.cb_weights)  # a bad scheme fails before any run
 
 
 @dataclass
@@ -81,18 +82,13 @@ class _Compiled(NamedTuple):
     ``full`` stacks the K subpop rows, the local-average row (K) and the
     pooled row (K+1) over the loci laid side by side in panel order, as in
     ``FrequencyTable.matrix``, locus i from column ``offsets[i]`` on; the
-    view holds only what the kernel reads. A genotype a <= b at locus i has
-    the global code ``geno_offsets[i] + b(b+1)/2 + a``, below ``n_genotypes``
-    (the sum of A(A+1)/2 over loci), so an ordered genotype pair at a locus
-    has a key ``code1 * n_genotypes + code2`` that fits int64.
+    view holds only what the kernel reads.
     """
 
     K: int
     logp: np.ndarray              # (K,) log proportions
     full: np.ndarray              # (K+2, sum of A)
     offsets: np.ndarray           # (loci,) first column of each locus in full
-    geno_offsets: np.ndarray      # (loci,) first global genotype code of each locus
-    n_genotypes: int
 
 
 class _Sampler(NamedTuple):
@@ -115,17 +111,15 @@ class _Sampler(NamedTuple):
     guide: np.ndarray             # (K * loci * GUIDE,) draw per bucket, -1 if split
 
 
-# largest genotype count whose squared pair keys fit int64
-_MAX_GENOTYPES = math.isqrt(np.iinfo(np.int64).max)
+# largest column count S whose base-S four-digit cell keys fit int64
+_MAX_COLUMNS = math.isqrt(math.isqrt(np.iinfo(np.int64).max))
 
 
 def _compile(table: FrequencyTable, cb_weights: str) -> _Compiled:
-    n_geno = [a * (a + 1) // 2 for a in map(len, table.labels)]
-    n_genotypes = sum(n_geno)
-    if n_genotypes > _MAX_GENOTYPES:
+    if table.offsets[-1] > _MAX_COLUMNS:
         raise InvalidParameter(
-            f"table has {n_genotypes} genotypes over its loci; at most {_MAX_GENOTYPES} "
-            "fit the kernel's int64 genotype-pair keys")
+            f"table has {table.offsets[-1]} alleles over its loci; at most {_MAX_COLUMNS} "
+            "fit the kernel's int64 cell keys")
     full = np.vstack([table.matrix, _pool(table, table.proportions),
                       _pool(table, _pool_weights(table, cb_weights))])
     return _Compiled(
@@ -133,8 +127,6 @@ def _compile(table: FrequencyTable, cb_weights: str) -> _Compiled:
         logp=np.log(np.array(table.proportions)),
         full=full,
         offsets=np.array(table.offsets[:-1], dtype=np.int64),
-        geno_offsets=np.array([0, *itertools.accumulate(n_geno)][:-1], dtype=np.int64),
-        n_genotypes=n_genotypes,
     )
 
 
@@ -179,34 +171,24 @@ def _loglik_arrays(compiled: _Compiled, g1a, g1b, g2a, g2b, theta0, theta1):
     """Per-replicate log-likelihoods, shape (n, K+2), under both thetas.
 
     The (n, loci) allele-index arrays give n * loci cells, each an ordered
-    genotype pair at one locus. Cells are keyed by their two global genotype
-    codes, and the distinct keys are found with one argsort. One
-    pair_components call evaluates one cell per key over all K+2 frequency
-    sets, the rows of ``compiled.full``, and both thetas weigh those
-    components at once, stacked on a leading axis. Each key's (2, K+2)
-    values then form one contiguous row, and each replicate adds the rows of
-    its cells locus by locus in panel order, so every cell and every sum is
-    what a per-locus evaluation would give, to the last bit.
+    genotype pair at one locus. A cell's key is its four global allele
+    columns in ``compiled.full`` read as the digits of one base-S number (S
+    columns in all), and one ``np.unique`` finds the distinct keys. One
+    pair_components call evaluates each distinct key once, on the columns
+    ``np.unravel_index`` decodes from it, over all K+2 frequency sets, the
+    rows of ``compiled.full``, and both thetas weigh those components at
+    once, stacked on a leading axis. Each key's (2, K+2) values then form one
+    contiguous row, and each replicate adds the rows of its cells locus by
+    locus in panel order, so every cell and every sum is what a per-locus
+    evaluation would give, to the last bit.
     """
     n, m = g1a.shape
-
-    def code(a, b):  # (n, loci) global genotype codes
-        return compiled.geno_offsets + ((b * (b + 1)) >> 1) + a
-
+    digits = (compiled.full.shape[1],) * 4
     # cell i * loci + ell is replicate i at locus ell
-    key = (code(g1a, g1b) * compiled.n_genotypes + code(g2a, g2b)).ravel()
-    order = np.argsort(key)
-    sorted_key = key[order]
-    first = np.empty(key.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-    rep = order[np.flatnonzero(first)]     # one cell per distinct key
-    inv = np.empty(key.size, dtype=np.intp)
-    inv[order] = np.cumsum(first) - 1      # cell -> its key's index
-
-    col = compiled.offsets[rep % m]
-    p0, p1, p2, mult = pair_components(*(g.reshape(-1).take(rep) + col
-                                         for g in (g1a, g1b, g2a, g2b)), compiled.full)
+    keys = np.ravel_multi_index([(g + compiled.offsets).ravel() for g in (g1a, g1b, g2a, g2b)],
+                                digits)
+    distinct, inv = np.unique(keys, return_inverse=True)
+    p0, p1, p2, mult = pair_components(*np.unravel_index(distinct, digits), compiled.full)
     z = np.array([theta0.as_tuple(), theta1.as_tuple()])[:, :, None, None]
     with np.errstate(divide="ignore"):
         v = np.log(mult * (z[:, 0] * p0 + z[:, 1] * p1 + z[:, 2] * p2))  # (2, K+2, keys)
@@ -302,7 +284,8 @@ def _draw_block(sampler: _Sampler, cfg: SimConfig, alt: bool, block: int, n: int
                                          _alleles(sampler, k1, uj[4]))
     else:
         g2a, g2b = _ordered(_alleles(sampler, k2, uj[2]), _alleles(sampler, k2, uj[3]))
-    # drawn in the guide's narrow dtype, widened for the kernel's genotype codes
+    # drawn in the guide's narrow dtype, widened to the int64 of
+    # SampleMatrix.genotypes and of the reference sampler
     return k1, *(g.astype(np.int64) for g in (g1a, g1b, g2a, g2b))
 
 

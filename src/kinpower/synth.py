@@ -47,9 +47,11 @@ def synth_frequency_table(
 
     if proportions is None:
         proportions = [1.0 / n_subpops] * n_subpops
+    if not all(math.isfinite(p) and p > 0 for p in proportions):
+        raise InvalidParameter(f"proportions must be finite and > 0, got {list(proportions)}")
     total = float(sum(proportions))
-    if not (math.isfinite(total) and total > 0):
-        raise InvalidParameter(f"proportions must have a finite sum > 0, got {list(proportions)}")
+    if not math.isfinite(total):
+        raise InvalidParameter(f"proportions must have a finite sum, got {list(proportions)}")
     proportions = [p / total for p in proportions]
     names = [f"S{k + 1}" for k in range(n_subpops)]
     loci = [f"L{i + 1:02d}" for i in range(n_loci)]

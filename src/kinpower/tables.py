@@ -350,7 +350,6 @@ def load_frequency_table(
         floor = meta.floor if meta.floor is not None else DEFAULT_FLOOR
 
     raw: dict[str, dict[str, dict[Allele, float]]] = {}
-    subpop_order: list[str] = []
     locus_order: list[str] = []
     for lineno, (subpop, locus, allele, freq) in _read_rows(source, _FREQ_COLUMNS, 3):
         if not (freq >= 0.0 and math.isfinite(freq)):
@@ -358,7 +357,6 @@ def load_frequency_table(
                 f"line {lineno}: frequency must be finite and >= 0, got {freq}")
         if subpop not in raw:
             raw[subpop] = {}
-            subpop_order.append(subpop)
         by_locus = raw[subpop]
         if locus not in by_locus:
             by_locus[locus] = {}
@@ -372,7 +370,7 @@ def load_frequency_table(
     if not raw:
         raise MalformedRow("frequency CSV contains no data rows")
 
-    subpop_names = meta.subpops if meta.subpops is not None else subpop_order
+    subpop_names = meta.subpops if meta.subpops is not None else list(raw)
     panel = tuple(meta.panel) if meta.panel is not None else tuple(locus_order)
     for what, names in (("subpopulation", subpop_names), ("locus", panel)):
         if not names or len(set(names)) != len(names):

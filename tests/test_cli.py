@@ -312,6 +312,7 @@ class TestSynthFreqsCommand:
         (["--divergence", "nan"], "divergence"),
         (["--divergence", "inf"], "divergence"),
         (["--divergence", "-0.1"], "divergence"),
+        (["--proportions", "2,-1"], "-1.0"),
     ])
     def test_bad_parameter_exit_2(self, tmp_path, capsys, extra, message):
         out = tmp_path / "s"
@@ -443,6 +444,17 @@ class TestExitCodes:
                      "--B", "100", "--workers", workers, "--out", str(out)])
         assert code == 2
         assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["power", "power-curve", "subpop-bias"])
+    def test_cb_weights_without_sample_sizes_exit_2(self, synth_files, tmp_path, capsys,
+                                                    command):
+        freqs, meta = synth_files
+        out = tmp_path / "out"
+        code = main([command, "--freqs", str(freqs), "--meta", str(meta), "--alpha", "0.05",
+                     "--B", "100", "--cb-weights", "samples", "--out", str(out)])
+        assert code == 2
+        assert "MissingSampleSizes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_utf8_freqs_exit_2(self, tmp_path, capsys):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import kinpower as kp
-from kinpower.engine import (BLOCK, GUIDE, _alleles, _compile, _derive_block, _draw_block,
-                             _loglik_arrays, _sampler)
+from kinpower.engine import (BLOCK, GUIDE, _MAX_COLUMNS, _alleles, _compile, _derive_block,
+                             _draw_block, _loglik_arrays, _sampler)
 from kinpower.ibd import categorical, pair_components
 
 from conftest import rng
@@ -104,6 +104,10 @@ class TestSimConfig:
     def test_rejects_workers_below_one(self, two_subpop_table, workers):
         with pytest.raises(kp.errors.InvalidParameter, match="workers"):
             cfg_for(two_subpop_table, workers=workers)
+
+    def test_rejects_unknown_cb_weights(self, two_subpop_table):
+        with pytest.raises(kp.errors.InvalidParameter, match="bogus"):
+            cfg_for(two_subpop_table, cb_weights="bogus")
 
     def test_parameter_errors_are_kinpower_and_value_errors(self, two_subpop_table):
         with pytest.raises(kp.errors.InvalidParameter) as info:
@@ -433,12 +437,15 @@ class TestKernelOracle:
 
     def test_large_support_locus(self):
         table = large_support_table()
-        assert _compile(table, "auto").n_genotypes == 80200 + 2 * 6
+        assert _compile(table, "auto").full.shape[1] == 400 + 2 * 3
         assert_kernel_matches_loop(table, seed=400)
 
+    def test_max_columns_is_the_largest_whose_keys_fit_int64(self):
+        assert _MAX_COLUMNS ** 4 <= np.iinfo(np.int64).max < (_MAX_COLUMNS + 1) ** 4
+
     def test_genotype_keys_that_would_overflow_are_refused(self):
-        # 78000 alleles at one locus: about 3.04e9 genotypes, whose squared
-        # pair keys pass int64
+        # 78000 alleles at one locus: more than _MAX_COLUMNS columns, whose
+        # four-digit cell keys pass int64
         n = 78_000
         table = kp.FrequencyTable(panel=("L",), subpops=(kp.Subpopulation("pop", 1.0),),
                                   freqs={"pop": {"L": {str(a): 1.0 / n for a in range(n)}}})

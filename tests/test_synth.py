@@ -59,6 +59,8 @@ class TestSynthFrequencyTable:
         {"n_subpops": 2, "proportions": [1.0, -1.0]},
         {"n_subpops": 2, "proportions": [float("nan"), 1.0]},
         {"n_subpops": 2, "proportions": [float("inf"), 1.0]},
+        {"n_subpops": 2, "proportions": [2, -1]},
+        {"n_subpops": 2, "proportions": [4, -2]},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(kp.errors.InvalidParameter):
