@@ -2,8 +2,11 @@
 
 Subcommands: ``lr``, ``power``, ``power-curve``, ``subpop-bias``,
 ``synth-freqs``, ``validate``. Exit codes: 0 success; 2 a
-:class:`~kinpower.errors.KinpowerError` (bad input or parameters, raised
-before any replicate is simulated) or a missing file; 3 any other failure.
+:class:`~kinpower.errors.KinpowerError` (bad input or parameters) or a
+missing file; 3 any other failure. Every exit-2 error is raised before any
+replicate is simulated, except ``subpop-bias``'s
+:class:`~kinpower.errors.EmptySubpopSample`, which only the finished run
+can show.
 """
 
 from __future__ import annotations
@@ -49,13 +52,17 @@ def _parse_theta(text: str) -> ibd.ThetaIBD:
 
 
 def _read(path, loader, **kwargs):
-    """``loader`` applied to a UTF-8 text file, BOM or not; undecodable bytes are a MalformedRow."""
+    """``loader`` applied to a UTF-8 text file, BOM or not; undecodable bytes
+    are a MalformedRow, and a path that is not a readable file (a directory,
+    under a file, or not permitted) an InvalidParameter, each naming the path."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return loader(fh, **kwargs)
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") \
             from None
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        raise InvalidParameter(f"{path}: {exc.strerror}") from None
 
 
 def _load_table(args) -> tables.FrequencyTable:

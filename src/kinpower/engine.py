@@ -76,21 +76,6 @@ class SampleMatrix:
         return len(self.subpop_tags)
 
 
-class _Compiled(NamedTuple):
-    """Numeric view of a FrequencyTable for the log-likelihood kernel.
-
-    ``full`` stacks the K subpop rows, the local-average row (K) and the
-    pooled row (K+1) over the loci laid side by side in panel order, as in
-    ``FrequencyTable.matrix``, locus i from column ``offsets[i]`` on; the
-    view holds only what the kernel reads.
-    """
-
-    K: int
-    logp: np.ndarray              # (K,) log proportions
-    full: np.ndarray              # (K+2, sum of A)
-    offsets: np.ndarray           # (loci,) first column of each locus in full
-
-
 class _Sampler(NamedTuple):
     """Sampling tables of a FrequencyTable, built only by the simulation path.
 
@@ -115,19 +100,16 @@ class _Sampler(NamedTuple):
 _MAX_COLUMNS = math.isqrt(math.isqrt(np.iinfo(np.int64).max))
 
 
-def _compile(table: FrequencyTable, cb_weights: str) -> _Compiled:
+def _compile(table: FrequencyTable, cb_weights: str) -> np.ndarray:
+    """The kernel's (K+2, sum of A) frequency sets: the table's K subpop rows,
+    the local-average row (K) and the ``cb_weights`` pooled row (K+1), with
+    the loci side by side as in ``FrequencyTable.matrix``."""
     if table.offsets[-1] > _MAX_COLUMNS:
         raise InvalidParameter(
             f"table has {table.offsets[-1]} alleles over its loci; at most {_MAX_COLUMNS} "
             "fit the kernel's int64 cell keys")
-    full = np.vstack([table.matrix, _pool(table, table.proportions),
+    return np.vstack([table.matrix, _pool(table, table.proportions),
                       _pool(table, _pool_weights(table, cb_weights))])
-    return _Compiled(
-        K=table.n_subpops,
-        logp=np.log(np.array(table.proportions)),
-        full=full,
-        offsets=np.array(table.offsets[:-1], dtype=np.int64),
-    )
 
 
 def _sampler(table: FrequencyTable) -> _Sampler:
@@ -167,28 +149,28 @@ def _alleles(sampler: _Sampler, k: np.ndarray, u: np.ndarray) -> np.ndarray:
     return a
 
 
-def _loglik_arrays(compiled: _Compiled, g1a, g1b, g2a, g2b, theta0, theta1):
+def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
     """Per-replicate log-likelihoods, shape (n, K+2), under both thetas.
 
-    The (n, loci) allele-index arrays give n * loci cells, each an ordered
-    genotype pair at one locus. A cell's key is its four global allele
-    columns in ``compiled.full`` read as the digits of one base-S number (S
-    columns in all), and one ``np.unique`` finds the distinct keys. One
+    ``full`` is ``_compile``'s (K+2, S) array and locus i's alleles start at
+    its column ``offsets[i]``. The (n, loci) allele-index arrays give
+    n * loci cells, each an ordered genotype pair at one locus. A cell's key
+    is its four global allele columns in ``full`` read as the digits of one
+    base-S number, and one ``np.unique`` finds the distinct keys. One
     pair_components call evaluates each distinct key once, on the columns
     ``np.unravel_index`` decodes from it, over all K+2 frequency sets, the
-    rows of ``compiled.full``, and both thetas weigh those components at
-    once, stacked on a leading axis. Each key's (2, K+2) values then form one
+    rows of ``full``, and both thetas weigh those components at once,
+    stacked on a leading axis. Each key's (2, K+2) values then form one
     contiguous row, and each replicate adds the rows of its cells locus by
     locus in panel order, so every cell and every sum is what a per-locus
     evaluation would give, to the last bit.
     """
     n, m = g1a.shape
-    digits = (compiled.full.shape[1],) * 4
+    digits = (full.shape[1],) * 4
     # cell i * loci + ell is replicate i at locus ell
-    keys = np.ravel_multi_index([(g + compiled.offsets).ravel() for g in (g1a, g1b, g2a, g2b)],
-                                digits)
+    keys = np.ravel_multi_index([(g + offsets).ravel() for g in (g1a, g1b, g2a, g2b)], digits)
     distinct, inv = np.unique(keys, return_inverse=True)
-    p0, p1, p2, mult = pair_components(*np.unravel_index(distinct, digits), compiled.full)
+    p0, p1, p2, mult = pair_components(*np.unravel_index(distinct, digits), full)
     z = np.array([theta0.as_tuple(), theta1.as_tuple()])[:, :, None, None]
     with np.errstate(divide="ignore"):
         v = np.log(mult * (z[:, 0] * p0 + z[:, 1] * p1 + z[:, 2] * p2))  # (2, K+2, keys)
@@ -196,7 +178,7 @@ def _loglik_arrays(compiled: _Compiled, g1a, g1b, g2a, g2b, theta0, theta1):
     # one contiguous (2, K+2) row per key, gathered per locus in panel order
     rows = np.ascontiguousarray(np.moveaxis(v, 2, 0))
     inv = inv.reshape(n, m)
-    ll = np.zeros((n, 2, compiled.K + 2))
+    ll = np.zeros((n, 2, len(full)))
     for ell in range(m):
         ll += rows.take(inv[:, ell], axis=0)
     # (n, K+2) views with contiguous columns: the statistics reduce over the
@@ -227,26 +209,27 @@ def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _derive_block(compiled: _Compiled, ll0, ll1, statistics):
-    K = compiled.K
-    values = {}
-    llr_sub = _diff(ll1[:, :K], ll0[:, :K])
-    for stat in statistics:
-        if stat == "LAF":
-            values[stat] = _diff(ll1[:, K], ll0[:, K])
-        elif stat == "CB":
-            values[stat] = _diff(ll1[:, K + 1], ll0[:, K + 1])
-        elif stat == "AVG":
-            values[stat] = _logsumexp_rows(llr_sub + compiled.logp[None, :])
-        elif stat == "MAX":
-            values[stat] = llr_sub.max(axis=1)
-        elif stat == "MIN":
-            values[stat] = llr_sub.min(axis=1)
-        elif stat == "RMAX":
-            values[stat] = _diff(ll1[:, :K].max(axis=1), ll0[:, :K].max(axis=1))
-        elif stat == "RMIN":
-            values[stat] = _diff(ll1[:, :K].min(axis=1), ll0[:, :K].min(axis=1))
-    return values
+def _derive_block(ll0, ll1, logp):
+    """The seven statistics, keyed in STATISTICS order, of (n, K+2)
+    log-likelihoods under theta0 and theta1 with K log proportions ``logp``.
+
+    LAF and CB are the local-average and pooled columns of the one log-LR
+    array ``_diff(ll1, ll0)``, and AVG, MAX and MIN reduce its K subpop
+    columns. RMAX and RMIN apply the same infinity rule to the extreme
+    subpop log-likelihoods under each theta.
+    """
+    K = len(logp)
+    llr = _diff(ll1, ll0)
+    sub = llr[:, :K]
+    return {
+        "LAF": llr[:, K],
+        "AVG": _logsumexp_rows(sub + logp),
+        "MAX": sub.max(axis=1),
+        "MIN": sub.min(axis=1),
+        "RMAX": _diff(ll1[:, :K].max(axis=1), ll0[:, :K].max(axis=1)),
+        "RMIN": _diff(ll1[:, :K].min(axis=1), ll0[:, :K].min(axis=1)),
+        "CB": llr[:, K + 1],
+    }
 
 
 def _block_rng(seed: int, phase: int, block: int) -> np.random.Generator:
@@ -289,23 +272,24 @@ def _draw_block(sampler: _Sampler, cfg: SimConfig, alt: bool, block: int, n: int
     return k1, *(g.astype(np.int64) for g in (g1a, g1b, g2a, g2b))
 
 
-def _run_block(compiled: _Compiled, sampler: _Sampler, cfg: SimConfig, alt: bool,
+def _run_block(full: np.ndarray, sampler: _Sampler, cfg: SimConfig, alt: bool,
                block: int):
     """Subpop tags, statistics and (if kept) genotypes of one block's pairs."""
     n = min(BLOCK, cfg.B - block * BLOCK)
     k1, g1a, g1b, g2a, g2b = _draw_block(sampler, cfg, alt, block, n)
-    ll0, ll1 = _loglik_arrays(compiled, g1a, g1b, g2a, g2b, cfg.theta0, cfg.theta1)
-    values = _derive_block(compiled, ll0, ll1, cfg.statistics)
+    ll0, ll1 = _loglik_arrays(full, cfg.table.offsets[:-1], g1a, g1b, g2a, g2b,
+                              cfg.theta0, cfg.theta1)
+    values = _derive_block(ll0, ll1, np.log(cfg.table.proportions))
     genos = None
     if cfg.keep_genotypes:
         genos = {"g1a": g1a, "g1b": g1b, "g2a": g2a, "g2b": g2b}
-    return k1, values, genos
+    return k1, {s: values[s] for s in cfg.statistics}, genos
 
 
 def _simulate(cfg: SimConfig, alts: tuple[bool, ...]) -> tuple[SampleMatrix, ...]:
     """One SampleMatrix per phase in ``alts`` (True for alt), all their blocks
     run from one compile and one sampler, through at most one pool."""
-    compiled = _compile(cfg.table, cfg.cb_weights)
+    full = _compile(cfg.table, cfg.cb_weights)
     sampler = _sampler(cfg.table)
     nblocks = (cfg.B + BLOCK - 1) // BLOCK
     names = tuple(s.name for s in cfg.table.subpops)
@@ -317,7 +301,7 @@ def _simulate(cfg: SimConfig, alts: tuple[bool, ...]) -> tuple[SampleMatrix, ...
         for alt in alts}
 
     tasks = list(itertools.product(alts, range(nblocks)))
-    run = functools.partial(_run_block, compiled, sampler, cfg)
+    run = functools.partial(_run_block, full, sampler, cfg)
     workers = min(cfg.workers, nblocks)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = (map if pool is None else pool.map)(run, *zip(*tasks))

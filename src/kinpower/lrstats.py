@@ -72,13 +72,13 @@ def lr_all(
             raise PanelMismatch(
                 f"profile loci {sorted(profile.loci)} do not cover panel {sorted(table.panel)}")
 
-    compiled = _compile(table, cb_weights)
+    full = _compile(table, cb_weights)
     g1a, g1b = _encode(pair[0], table)
     g2a, g2b = _encode(pair[1], table)
-    ll0, ll1 = _loglik_arrays(compiled, g1a, g1b, g2a, g2b, theta0, theta1)
-    values = _derive_block(compiled, ll0, ll1, STATISTICS)
+    ll0, ll1 = _loglik_arrays(full, table.offsets[:-1], g1a, g1b, g2a, g2b, theta0, theta1)
+    values = _derive_block(ll0, ll1, np.log(table.proportions))
 
-    K = compiled.K
+    K = table.n_subpops
     return LrBreakdown(
         subpops=tuple(s.name for s in table.subpops),
         proportions=table.proportions,

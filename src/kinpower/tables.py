@@ -124,10 +124,11 @@ class FrequencyTable:
     MissingLocusForSubpop when ``freqs`` lacks a subpop or panel locus,
     PanelMismatch when subpops list different alleles at a locus,
     ProportionSumOutOfTolerance when the proportions miss 1 by more than
-    PROPORTION_TOL, NonPositiveFrequency on a non-finite or negative
-    frequency, and InvalidParameter when the panel is empty, a panel locus
-    or subpop name is repeated, or a subpop's frequencies at a locus miss 1
-    by more than FREQ_SUM_TOL.
+    PROPORTION_TOL, NonPositiveFrequency on a floor outside
+    :func:`_check_floor`'s range or a non-finite or negative frequency, and
+    InvalidParameter when the panel is empty, a panel locus or subpop name
+    is repeated, or a subpop's frequencies at a locus miss 1 by more than
+    FREQ_SUM_TOL.
 
     Immutable after construction; safe for shared read access from any
     number of concurrent workers.
@@ -164,6 +165,7 @@ class FrequencyTable:
                 if tuple(sorted(d)) != support:
                     raise PanelMismatch(f"subpop {sp.name!r} lists other alleles at locus "
                                         f"{locus!r} than subpop {self.subpops[0].name!r}")
+        _check_floor(self.floor, max(map(len, labels)))
         matrix = np.array([[d[a] for support, d in zip(labels, by_locus) for a in support]
                            for by_locus in dists], dtype=np.float64)
         offsets = (0, *itertools.accumulate(map(len, labels)))
@@ -413,6 +415,8 @@ def load_frequency_table(
         locus: sorted(set().union(*(raw[name][locus].keys() for name in subpop_names)))
         for locus in panel
     }
+    # checked again by FrequencyTable, but first here: flooring a locus whose
+    # listed frequencies are all 0 divides by zero under a floor <= 0 or NaN
     _check_floor(floor, max(len(labels) for labels in union.values()))
     freqs: dict[str, dict[str, dict[Allele, float]]] = {}
     for name in subpop_names:

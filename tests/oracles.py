@@ -134,15 +134,15 @@ def reference_pair_components(g1a, g1b, g2a, g2b, f):
     return p0, p1, p2, mult
 
 
-def reference_loglik_arrays(compiled, g1a, g1b, g2a, g2b, theta0, theta1):
+def reference_loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
     """(ll0, ll1), shape (n, K+2): the kernel evaluated one locus at a time.
 
     One pair_components call per locus over that locus's (K+2, A) frequency
     rows, every cell evaluated, logs added in panel order.
     """
-    ll0 = np.zeros((compiled.K + 2, g1a.shape[0]))
+    ll0 = np.zeros((full.shape[0], g1a.shape[0]))
     ll1 = np.zeros_like(ll0)
-    for ell, f in enumerate(np.split(compiled.full, compiled.offsets[1:], axis=1)):
+    for ell, f in enumerate(np.split(full, offsets[1:], axis=1)):
         p0, p1, p2, mult = pair_components(g1a[:, ell], g1b[:, ell],
                                            g2a[:, ell], g2b[:, ell], f)
         with np.errstate(divide="ignore"):

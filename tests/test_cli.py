@@ -425,6 +425,10 @@ class TestExitCodes:
         (["--stats", "LAF,BOGUS"], "unknown statistics"),
         (["--theta1", "nan,0.5,0.5"], "non-finite IBD coefficient"),
         (["--stats", "LAF,laf"], "more than once"),
+        (["--theta1", "0,1"], "theta needs 3"),
+        (["--test", "custom", "--theta0", "1,0,0"], "--test custom requires"),
+        (["--alpha", "1.5"], "alpha 1.5 not in (0, 1)"),
+        (["--alpha", "0"], "alpha 0.0 not in (0, 1)"),
     ])
     def test_bad_parameter_exit_2(self, synth_files, tmp_path, capsys, extra, message):
         freqs, meta = synth_files
@@ -464,6 +468,21 @@ class TestExitCodes:
         assert main(["validate", "--freqs", str(freqs)]) == 2
         err = capsys.readouterr().err
         assert "MalformedRow" in err and "latin1.csv" in err
+
+    @pytest.mark.parametrize("argument", ["--freqs", "--meta", "profile"])
+    @pytest.mark.parametrize("path", ["directory", "under-file"])
+    def test_unreadable_input_path_exit_2(self, table_files, profile_files, tmp_path, capsys,
+                                          argument, path):
+        # a path that cannot be opened for reading; PermissionError takes the
+        # same route but cannot be provoked when the tests run as root
+        freqs, meta = table_files
+        p1, p2 = profile_files
+        bad = tmp_path if path == "directory" else freqs / "x"
+        files = {"--freqs": freqs, "--meta": meta, "profile": p2, argument: bad}
+        assert main(["lr", str(p1), str(files["profile"]), "--freqs", str(files["--freqs"]),
+                     "--meta", str(files["--meta"])]) == 2
+        err = capsys.readouterr().err
+        assert "InvalidParameter" in err and str(bad) in err
 
     def test_non_utf8_profile_exit_2(self, table_files, profile_files, tmp_path, capsys):
         freqs, meta = table_files

@@ -45,8 +45,7 @@ class TestCompiledRows:
                                self.weights(table, "census"))
         pooled = reference_pool(table.freqs, names, table.panel,
                                 self.weights(table, scheme))
-        compiled = _compile(table, scheme)
-        fmat = np.split(compiled.full, compiled.offsets[1:], axis=1)
+        fmat = np.split(_compile(table, scheme), table.offsets[1:-1], axis=1)
         assert len(fmat) == len(table.panel)
         for f, locus in zip(fmat, table.panel):
             labels = sorted(table.freqs[names[0]][locus])
@@ -393,7 +392,7 @@ def assert_kernel_matches_loop(table, seed):
     and the seven statistics _derive_block makes of each. Each draw is
     evaluated with theta0 unrelated and with theta0 full-sib, whose nonzero
     z1 and z2 weigh the theta0 row's P1 and P2 terms too."""
-    compiled = _compile(table, "auto")
+    full, logp = _compile(table, "auto"), np.log(table.proportions)
     B = BLOCK + 123
     draws = [("null", kp.UNRELATED, kp.simulate_null)] + [
         ("alt", theta, kp.simulate_alt) for theta in KERNEL_THETAS.values()]
@@ -402,13 +401,13 @@ def assert_kernel_matches_loop(table, seed):
                              statistics=("LAF",), keep_genotypes=True)).genotypes
         for theta0, (name, theta1), n in itertools.product(
                 (kp.UNRELATED, kp.FULL_SIB), KERNEL_THETAS.items(), (1, 17, B)):
-            args = (compiled, *(g[k][:n] for k in ("g1a", "g1b", "g2a", "g2b")),
+            args = (full, table.offsets[:-1], *(g[k][:n] for k in ("g1a", "g1b", "g2a", "g2b")),
                     theta0, theta1)
             got, want = _loglik_arrays(*args), reference_loglik_arrays(*args)
             for x, y in zip(got, want):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), \
                     (phase, drawn_under, theta0, name, n)
-            got, want = (_derive_block(compiled, *ll, kp.STATISTICS) for ll in (got, want))
+            got, want = (_derive_block(*ll, logp) for ll in (got, want))
             for s in kp.STATISTICS:
                 assert got[s].tobytes() == want[s].tobytes(), \
                     (phase, drawn_under, theta0, name, n, s)
@@ -427,9 +426,9 @@ class TestKernelOracle:
 
     def test_structural_zeros_give_minus_inf(self, synth_table):
         # parent-child makes most unrelated pairs impossible at some locus
-        compiled = _compile(synth_table, "auto")
+        full = _compile(synth_table, "auto")
         g = kp.simulate_null(cfg_for(synth_table, B=500, keep_genotypes=True)).genotypes
-        args = (compiled, g["g1a"], g["g1b"], g["g2a"], g["g2b"],
+        args = (full, synth_table.offsets[:-1], g["g1a"], g["g1b"], g["g2a"], g["g2b"],
                 kp.UNRELATED, kp.PARENT_CHILD)
         ll0, ll1 = _loglik_arrays(*args)
         assert np.isfinite(ll0).all() and np.isneginf(ll1).any()
@@ -437,7 +436,7 @@ class TestKernelOracle:
 
     def test_large_support_locus(self):
         table = large_support_table()
-        assert _compile(table, "auto").full.shape[1] == 400 + 2 * 3
+        assert _compile(table, "auto").shape[1] == 400 + 2 * 3
         assert_kernel_matches_loop(table, seed=400)
 
     def test_max_columns_is_the_largest_whose_keys_fit_int64(self):

@@ -69,6 +69,10 @@ class TestNullThreshold:
         with pytest.raises(ValueError):
             kp.null_threshold(np.arange(10.0), 0.0)
 
+    def test_empty_sample_rejected(self):
+        with pytest.raises(kp.errors.InvalidParameter, match="null sample is empty"):
+            kp.null_threshold(np.array([]), 0.1)
+
 
 class TestClopperPearson:
     @pytest.mark.parametrize("k,n", [(0, 100), (1, 100), (50, 100),
@@ -93,6 +97,11 @@ class TestClopperPearson:
     def test_level_outside_unit_interval_rejected(self, level):
         with pytest.raises(kp.errors.InvalidParameter, match="level"):
             kp.clopper_pearson(3, 10, level=level)
+
+    @pytest.mark.parametrize("k,n", [(3, 2), (-1, 10), (0, 0)])
+    def test_bad_counts_rejected(self, k, n):
+        with pytest.raises(kp.errors.InvalidParameter, match="bad counts"):
+            kp.clopper_pearson(k, n)
 
     def test_contains_point_estimate(self):
         generator = rng(10)
@@ -121,6 +130,10 @@ class TestPower:
     def test_level_outside_unit_interval_rejected(self):
         with pytest.raises(kp.errors.InvalidParameter, match="level"):
             kp.power(np.array([1.0, -1.0, 2.0]), 0.0, level=1.5)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(kp.errors.InvalidParameter, match="alternative sample is empty"):
+            kp.power(np.array([]), 0.0)
 
     def test_infinite_sentinels(self):
         alt = np.array([-np.inf, 0.0, np.inf])
@@ -285,6 +298,15 @@ class TestPowerReport:
         assert 0.0 <= report.ci_low <= report.power <= report.ci_high <= 1.0
         assert report.threshold == math.exp(report.threshold_log)
         assert sum(n for _, n, _ in report.per_subpop.values()) == alt.B
+
+    def test_subpop_without_alt_replicates_left_out(self):
+        def matrix(tags):
+            return kp.SampleMatrix(statistics={"LAF": np.arange(20.0)},
+                                   subpop_tags=np.array(tags), subpop_names=("x", "y"))
+
+        report = kp.power_report(matrix([0, 1] * 10), matrix([0] * 20), "LAF", 0.5)
+        assert list(report.per_subpop) == ["x"]
+        assert report.per_subpop["x"][:2] == (report.power, 20)
 
     def test_csv_json_round_trip(self, synth_table):
         from kinpower.power import (power_reports_json, read_power_reports_csv,

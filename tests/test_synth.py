@@ -61,6 +61,7 @@ class TestSynthFrequencyTable:
         {"n_subpops": 2, "proportions": [float("inf"), 1.0]},
         {"n_subpops": 2, "proportions": [2, -1]},
         {"n_subpops": 2, "proportions": [4, -2]},
+        {"n_subpops": 2, "proportions": [1e308, 1e308]},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(kp.errors.InvalidParameter):

@@ -127,6 +127,24 @@ class TestLoadFrequencyTable:
         with pytest.raises(errors.NonPositiveFrequency):
             kp.load_frequency_table(BASIC_CSV, meta=meta)
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan])
+    def test_bad_floor_refused_before_flooring(self, floor):
+        # b lists only a zero at L1, so flooring it would divide by zero
+        with pytest.raises(errors.NonPositiveFrequency):
+            kp.load_frequency_table(BASIC_CSV + "b,L1,10,0\n", floor=floor)
+
+    @pytest.mark.parametrize("meta_text, error, message", [
+        ("subpops = a, c\n", errors.MissingLocusForSubpop, "'c' absent"),
+        ("subpops = a, b\nproportions = 1.0\n", errors.ProportionSumOutOfTolerance,
+         "1 proportions for 2"),
+        ("subpops = a, b\nsample_sizes = 10, 20, 30\n", errors.MissingSampleSizes,
+         "3 sample sizes for 2"),
+    ], ids=["absent-subpop", "proportion-count", "sample-size-count"])
+    def test_metadata_that_does_not_fit_the_csv(self, meta_text, error, message):
+        csv = BASIC_CSV + "b,L1,10,0.5\nb,L1,11,0.5\n"
+        with pytest.raises(error, match=message):
+            kp.load_frequency_table(csv, meta=kp.load_table_meta(meta_text))
+
     @pytest.mark.parametrize("meta_text, what", [
         ("subpops = \n", "subpopulation"),
         ("subpops = a, a\n", "subpopulation"),
@@ -258,6 +276,14 @@ class TestFrequencyTableConstruction:
             kp.FrequencyTable(
                 panel=panel, subpops=tuple(kp.Subpopulation(n, 1 / len(names)) for n in names),
                 freqs={n: {"L1": {"1": 0.5, "2": 0.5}} for n in names})
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf, 0.5, 0.75])
+    def test_rejects_bad_floor(self, floor):
+        # L1 has 2 alleles, so the floor must stay below 1/2
+        freqs = {"a": {"L1": {"A": 0.5, "B": 0.5}}}
+        with pytest.raises(errors.NonPositiveFrequency, match="floor"):
+            kp.FrequencyTable(panel=("L1",), subpops=(kp.Subpopulation("a", 1.0),),
+                              freqs=freqs, floor=floor)
 
     @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
     def test_negative_or_non_finite_frequency(self, bad):
