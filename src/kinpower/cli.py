@@ -7,6 +7,10 @@ missing file; 3 any other failure. Every exit-2 error is raised before any
 replicate is simulated, except ``subpop-bias``'s
 :class:`~kinpower.errors.EmptySubpopSample`, which only the finished run
 can show.
+
+``subpop-bias`` with several ``--alpha`` values writes every
+``subpop_curves_<stat>.csv`` at all of them, but ``diff_ci_<stat>.csv``
+only at the first one given; that file has no alpha column.
 """
 
 from __future__ import annotations

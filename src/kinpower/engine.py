@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -64,7 +65,8 @@ class SimConfig:
 
 @dataclass
 class SampleMatrix:
-    """Per-statistic log-LR arrays plus per-replicate subpopulation tags."""
+    """Per-statistic log-LR arrays, per-replicate subpopulation tags and, under
+    ``SimConfig.keep_genotypes``, the int64 allele indices redrawn by ``_draws``."""
 
     statistics: dict[str, np.ndarray]
     subpop_tags: np.ndarray
@@ -242,9 +244,9 @@ def _ordered(x: np.ndarray, y: np.ndarray):
     return np.minimum(x, y), np.maximum(x, y)
 
 
-def _draw_block(sampler: _Sampler, cfg: SimConfig, alt: bool, block: int, n: int):
-    """Subpop tags of individual 1 and the (n, loci) genotype arrays
-    (g1a, g1b, g2a, g2b) of one block's n pairs.
+def _draw_block(sampler: _Sampler, cfg: SimConfig, alt: bool, block: int):
+    """Subpop tags of individual 1 and the (n, loci) allele-index arrays
+    (g1a, g1b, g2a, g2b), in the guide's narrow dtype, of the block's n pairs.
 
     Pair i reads row i of one (n, head + width * loci) uniform matrix: the
     subpop of individual 1, that of individual 2 (null only), then per locus
@@ -252,7 +254,7 @@ def _draw_block(sampler: _Sampler, cfg: SimConfig, alt: bool, block: int, n: int
     three (alt, related under theta1) for individual 2. Each of those
     columns is drawn for every locus at once.
     """
-    m = cfg.table.n_loci
+    n, m = min(BLOCK, cfg.B - block * BLOCK), cfg.table.n_loci
     head, width = (1, 5) if alt else (2, 4)
     u = _block_rng(cfg.seed, 1 if alt else 0, block).random((n, head + width * m))
     k1 = categorical(sampler.prop_cdf, u[:, 0])
@@ -267,51 +269,50 @@ def _draw_block(sampler: _Sampler, cfg: SimConfig, alt: bool, block: int, n: int
                                          _alleles(sampler, k1, uj[4]))
     else:
         g2a, g2b = _ordered(_alleles(sampler, k2, uj[2]), _alleles(sampler, k2, uj[3]))
-    # drawn in the guide's narrow dtype, widened to the int64 of
-    # SampleMatrix.genotypes and of the reference sampler
-    return k1, *(g.astype(np.int64) for g in (g1a, g1b, g2a, g2b))
+    return k1, g1a, g1b, g2a, g2b
 
 
-def _run_block(full: np.ndarray, sampler: _Sampler, cfg: SimConfig, alt: bool,
-               block: int):
-    """Subpop tags, statistics and (if kept) genotypes of one block's pairs."""
-    n = min(BLOCK, cfg.B - block * BLOCK)
-    k1, g1a, g1b, g2a, g2b = _draw_block(sampler, cfg, alt, block, n)
-    ll0, ll1 = _loglik_arrays(full, cfg.table.offsets[:-1], g1a, g1b, g2a, g2b,
-                              cfg.theta0, cfg.theta1)
+def _draws(sampler: _Sampler, cfg: SimConfig, alt: bool):
+    """``_draw_block``'s (k1, g1a, g1b, g2a, g2b) over every block of one
+    phase, concatenated and widened to the int64 of SampleMatrix.genotypes."""
+    blocks = [_draw_block(sampler, cfg, alt, b) for b in range((cfg.B + BLOCK - 1) // BLOCK)]
+    return tuple(np.concatenate(column).astype(np.int64) for column in zip(*blocks))
+
+
+def _run_block(full: np.ndarray, sampler: _Sampler, cfg: SimConfig, alt: bool, block: int):
+    """Subpop tags and requested statistics of one block's pairs."""
+    k1, *g = _draw_block(sampler, cfg, alt, block)
+    ll0, ll1 = _loglik_arrays(full, cfg.table.offsets[:-1], *g, cfg.theta0, cfg.theta1)
     values = _derive_block(ll0, ll1, np.log(cfg.table.proportions))
-    genos = None
-    if cfg.keep_genotypes:
-        genos = {"g1a": g1a, "g1b": g1b, "g2a": g2a, "g2b": g2b}
-    return k1, {s: values[s] for s in cfg.statistics}, genos
+    return k1, {s: values[s] for s in cfg.statistics}
 
 
 def _simulate(cfg: SimConfig, alts: tuple[bool, ...]) -> tuple[SampleMatrix, ...]:
     """One SampleMatrix per phase in ``alts`` (True for alt), all their blocks
-    run from one compile and one sampler, through at most one pool."""
+    run from one compile and one sampler, through at most one pool of at most
+    one worker per block and per CPU."""
     full = _compile(cfg.table, cfg.cb_weights)
     sampler = _sampler(cfg.table)
     nblocks = (cfg.B + BLOCK - 1) // BLOCK
     names = tuple(s.name for s in cfg.table.subpops)
-    out = {alt: SampleMatrix(
-        statistics={s: np.empty(cfg.B) for s in cfg.statistics},
-        subpop_tags=np.empty(cfg.B, dtype=np.int64), subpop_names=names,
-        genotypes={k: np.empty((cfg.B, cfg.table.n_loci), dtype=np.int64)
-                   for k in ("g1a", "g1b", "g2a", "g2b")} if cfg.keep_genotypes else None)
-        for alt in alts}
+    out = {alt: SampleMatrix(statistics={s: np.empty(cfg.B) for s in cfg.statistics},
+                             subpop_tags=np.empty(cfg.B, dtype=np.int64), subpop_names=names)
+           for alt in alts}
 
     tasks = list(itertools.product(alts, range(nblocks)))
     run = functools.partial(_run_block, full, sampler, cfg)
-    workers = min(cfg.workers, nblocks)
+    workers = min(cfg.workers, nblocks, os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = (map if pool is None else pool.map)(run, *zip(*tasks))
-        for (alt, block), (btags, bvalues, bgenos) in zip(tasks, results):
+        for (alt, block), (btags, bvalues) in zip(tasks, results):
             matrix, rows = out[alt], slice(block * BLOCK, block * BLOCK + len(btags))
             matrix.subpop_tags[rows] = btags
             for s in cfg.statistics:
                 matrix.statistics[s][rows] = bvalues[s]
-            for k, g in (bgenos or {}).items():
-                matrix.genotypes[k][rows] = g
+    if cfg.keep_genotypes:
+        for alt, matrix in out.items():
+            matrix.genotypes = dict(zip(("g1a", "g1b", "g2a", "g2b"),
+                                        _draws(sampler, cfg, alt)[1:]))
     return tuple(out.values())
 
 

@@ -126,13 +126,16 @@ def pair_components(g1a, g1b, g2a, g2b, f):
     return p0, p1, p2, mult
 
 
-def _positions(index: Mapping[Allele, int], alleles) -> list[int]:
+def _positions(index: Mapping[Allele, int], alleles, locus: str, profile: int = 0) -> list[int]:
     """Indices of the given alleles under a label -> index map; UnknownAllele
-    for a label outside it."""
+    for a label outside it, naming its locus and, if nonzero, the number of
+    its profile in a pair."""
     try:
         return [index[a] for a in alleles]
     except KeyError as exc:
-        raise UnknownAllele(f"allele {exc.args[0]!r} absent from frequency support") from exc
+        where = f"locus {locus!r}" + (f" of profile {profile}" if profile else "")
+        raise UnknownAllele(f"allele {exc.args[0]!r} at {where} absent from frequency "
+                            "support") from exc
 
 
 def pair_probability(
@@ -152,8 +155,8 @@ def pair_probability(
     if abs(vec.sum() - 1.0) > FREQ_SUM_TOL:
         raise InvalidParameter(f"allele frequencies sum to {vec.sum()}, outside tolerance "
                                f"{FREQ_SUM_TOL}")
-    pos = _positions({label: i for i, label in enumerate(labels)}, g1.alleles + g2.alleles)
-    pair1, pair2 = tuple(pos[:2]), tuple(pos[2:])
+    index = {label: i for i, label in enumerate(labels)}
+    pair1, pair2 = (tuple(_positions(index, g.alleles, g.locus)) for g in (g1, g2))
     # evaluate in a fixed orientation so the result is bitwise symmetric
     if pair1 > pair2:
         pair1, pair2 = pair2, pair1

@@ -50,10 +50,11 @@ class LrBreakdown:
         return tuple(_diff(np.array(self.loglik1), np.array(self.loglik0)).tolist())
 
 
-def _encode(profile: Profile, table: FrequencyTable):
-    """(1, loci) allele-index arrays of one profile, in the table's label order."""
+def _encode(profile: Profile, table: FrequencyTable, number: int):
+    """(1, loci) allele-index arrays of one profile, in the table's label
+    order; ``number`` is the profile's place in its pair, 1 or 2."""
     alleles = {g.locus: g.alleles for g in profile.genotypes}
-    idx = np.array([_positions(index, alleles[locus])
+    idx = np.array([_positions(index, alleles[locus], locus, number)
                     for locus, index in zip(table.panel, table.label_index)],
                    dtype=np.int64).reshape(1, -1, 2)
     return idx[..., 0], idx[..., 1]
@@ -73,8 +74,8 @@ def lr_all(
                 f"profile loci {sorted(profile.loci)} do not cover panel {sorted(table.panel)}")
 
     full = _compile(table, cb_weights)
-    g1a, g1b = _encode(pair[0], table)
-    g2a, g2b = _encode(pair[1], table)
+    g1a, g1b = _encode(pair[0], table, 1)
+    g2a, g2b = _encode(pair[1], table, 2)
     ll0, ll1 = _loglik_arrays(full, table.offsets[:-1], g1a, g1b, g2a, g2b, theta0, theta1)
     values = _derive_block(ll0, ll1, np.log(table.proportions))
 

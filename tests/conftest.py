@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import kinpower as kp
+from kinpower.engine import _draws, _sampler
 
 
 @pytest.fixture
@@ -39,6 +40,13 @@ def synth_table():
         n_subpops=4, n_loci=15, n_alleles=10, divergence=0.3, seed=11,
         proportions=[0.1108, 0.3695, 0.3538, 0.1659],
     )
+
+
+def drawn_pairs(cfg, alt):
+    """The int64 (B, loci) allele-index arrays of the pairs that cfg's alt
+    (or null) phase draws, keyed g1a, g1b, g2a, g2b as in
+    SampleMatrix.genotypes."""
+    return dict(zip(("g1a", "g1b", "g2a", "g2b"), _draws(_sampler(cfg.table), cfg, alt)[1:]))
 
 
 def rng(seed=0):

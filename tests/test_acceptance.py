@@ -20,6 +20,7 @@ from scipy import stats as sps
 
 import kinpower as kp
 from kinpower.cli import main
+from conftest import drawn_pairs
 from oracles import reference_pair_probs
 
 P2_ONLY = kp.ThetaIBD(0.0, 0.0, 1.0)
@@ -96,9 +97,8 @@ def test_03_normalization():
                 assert abs(total - 1.0) <= 1e-10
 
 
-def _pair_counts(matrix, n_alleles):
+def _pair_counts(g, n_alleles):
     """Empirical counts of unordered single-locus genotype pairs."""
-    g = matrix.genotypes
     key1 = g["g1a"][:, 0].astype(np.int64) * n_alleles + g["g1b"][:, 0]
     key2 = g["g2a"][:, 0].astype(np.int64) * n_alleles + g["g2b"][:, 0]
     lo = np.minimum(key1, key2)
@@ -118,8 +118,8 @@ def test_04_sampler_matches_analytic(one_locus_table):
                             (33, kp.FULL_SIB)):
             cfg = kp.SimConfig(table=one_locus_table, theta0=kp.UNRELATED,
                                theta1=theta, B=B, seed=seed,
-                               statistics=("LAF",), keep_genotypes=True)
-            counts = _pair_counts(kp.simulate_alt(cfg), n)
+                               statistics=("LAF",))
+            counts = _pair_counts(drawn_pairs(cfg, alt=True), n)
             for g1, g2 in genotype_pairs(labels, "D3S1358"):
                 expected = kp.pair_probability(g1, g2, theta, f)
                 k1 = index[g1.alleles[0]] * n + index[g1.alleles[1]]

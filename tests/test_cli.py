@@ -1,7 +1,9 @@
+import os
+
 import pytest
 
 import kinpower as kp
-from kinpower.cli import main
+from kinpower.cli import _run_config, build_parser, main
 
 
 @pytest.fixture
@@ -84,14 +86,20 @@ class TestLrCommand:
         values = {l.split("log=")[1].split()[0] for l in lines}
         assert len(values) == 1
 
-    def test_unknown_allele_exit_2(self, table_files, tmp_path, capsys):
+    def test_unknown_allele_exit_2(self, table_files, profile_files, tmp_path, capsys):
         freqs, meta = table_files
         bad = tmp_path / "bad.csv"
         bad.write_text("locus,allele1,allele2\nD3S1358,13,99\n", encoding="utf-8")
         code = main(["lr", str(bad), str(bad), "--freqs", str(freqs),
                      "--meta", str(meta)])
         assert code == 2
-        assert "UnknownAllele" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "UnknownAllele" in err
+        assert "allele '99' at locus 'D3S1358' of profile 1" in err
+        # the message names the profile the allele came from
+        assert main(["lr", str(profile_files[0]), str(bad), "--freqs", str(freqs),
+                     "--meta", str(meta)]) == 2
+        assert "allele '99' at locus 'D3S1358' of profile 2" in capsys.readouterr().err
 
 
     def test_oversized_field_exit_2(self, table_files, profile_files, tmp_path, capsys):
@@ -250,7 +258,10 @@ class TestValidateCommand:
         ("", "sample_sizes = 0, 0\n", "InvalidParameter"),
         ("", "sample_sizes = -5, 10\n", "InvalidParameter"),
         ("", "sample_size = 100, 300\n", "MalformedRow"),
-    ], ids=["nan", "inf", "-inf", "1e400", "oversized", "sizes-0", "sizes-neg", "unknown-key"])
+        ("", "proportions = 1.5, -0.5\n",
+         "ProportionSumOutOfTolerance: subpop 'x' proportion 1.5 not in (0, 1]"),
+    ], ids=["nan", "inf", "-inf", "1e400", "oversized", "sizes-0", "sizes-neg", "unknown-key",
+            "proportion-range"])
     def test_bad_input_exit_2(self, tmp_path, capsys, row, meta, error):
         freqs = tmp_path / "f.csv"
         meta_file = tmp_path / "m.txt"
@@ -539,6 +550,20 @@ class TestExitCodes:
         assert taken.read_text(encoding="utf-8") == ""
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("extra, B", [
+        ([], 100_000),
+        (["--paper-scale"], 1_000_000),
+        (["--paper-scale", "--B", "5"], 5),
+    ])
+    def test_default_B(self, synth_files, extra, B):
+        # _run_config only builds the SimConfig, so no replicate is drawn
+        freqs, meta = synth_files
+        args = build_parser().parse_args(["power", "--freqs", str(freqs), "--meta", str(meta),
+                                          *extra])
+        assert _run_config(args)[0].B == B
+
+
 class TestOneRunPerCommand:
     """A simulating command compiles the table once, builds one sampler and,
     with more than one worker, opens one pool for both phases."""
@@ -563,6 +588,7 @@ class TestOneRunPerCommand:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         for name in ("_compile", "_sampler"):
             def counted(*args, _real=getattr(engine, name), _name=name):
                 calls[_name] += 1

@@ -1,16 +1,17 @@
 import hashlib
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
 import kinpower as kp
 from kinpower.engine import (BLOCK, GUIDE, _MAX_COLUMNS, _alleles, _compile, _derive_block,
-                             _draw_block, _loglik_arrays, _sampler)
+                             _draws, _loglik_arrays, _sampler)
 from kinpower.ibd import categorical, pair_components
 
-from conftest import rng
+from conftest import drawn_pairs, rng
 from oracles import reference_block_genotypes, reference_loglik_arrays, reference_pool
 
 
@@ -128,15 +129,10 @@ class TestDeterminism:
                 assert np.array_equal(base.statistics[s], other.statistics[s],
                                       equal_nan=True)
 
-    @pytest.mark.parametrize("workers, B, expected", [
-        (8, 2 * BLOCK + 123, 3),
-        (2, 2 * BLOCK + 123, 2),
-        (8, BLOCK, None),
-        (1, 2 * BLOCK, None),
-    ])
-    def test_pool_never_larger_than_block_count(self, two_subpop_table, monkeypatch,
-                                                 workers, B, expected):
-        # a recorder stands in for the pool, so no process is started
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """The max_workers of every pool a run opens. A recorder stands in for
+        the pool, so no process is started."""
         from kinpower import engine
         opened = []
 
@@ -154,11 +150,30 @@ class TestDeterminism:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", Recorder)
+        return opened
+
+    @pytest.mark.parametrize("workers, B, expected", [
+        (8, 2 * BLOCK + 123, 3),
+        (2, 2 * BLOCK + 123, 2),
+        (8, BLOCK, None),
+        (1, 2 * BLOCK, None),
+    ])
+    def test_pool_never_larger_than_block_count(self, two_subpop_table, monkeypatch, opened,
+                                                 workers, B, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         cfg = cfg_for(two_subpop_table, B=B, workers=workers)
         got = kp.simulate_null(cfg)
         assert opened == ([] if expected is None else [expected])
         serial = kp.simulate_null(cfg_for(two_subpop_table, B=B, workers=1))
         assert np.array_equal(got.statistics["LAF"], serial.statistics["LAF"])
+
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (1, None), (None, None)])
+    def test_pool_never_larger_than_cpu_count(self, two_subpop_table, monkeypatch, opened,
+                                              cpus, expected):
+        # os.cpu_count() gives None when it cannot tell; that counts as one CPU
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        kp.simulate_null(cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=100_000))
+        assert opened == ([] if expected is None else [expected])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_simulate_is_both_one_phase_runs(self, two_subpop_table, workers):
@@ -225,10 +240,7 @@ class TestSimulateNull:
 
 class TestSimulateAlt:
     def test_parent_child_shares_allele_every_locus(self, two_subpop_table):
-        cfg = cfg_for(two_subpop_table, B=2000, theta1=kp.PARENT_CHILD,
-                      keep_genotypes=True)
-        alt = kp.simulate_alt(cfg)
-        g = alt.genotypes
+        g = drawn_pairs(cfg_for(two_subpop_table, B=2000, theta1=kp.PARENT_CHILD), alt=True)
         shares = ((g["g1a"] == g["g2a"]) | (g["g1a"] == g["g2b"])
                   | (g["g1b"] == g["g2a"]) | (g["g1b"] == g["g2b"]))
         assert shares.all()
@@ -254,8 +266,7 @@ class TestSimulateAlt:
         # theta, the unrelated one for null pairs, and no other pair is drawn
         from oracles import all_unordered_pairs, drawn_frequencies
         B = 200_000
-        cfg = cfg_for(table, B=B, theta1=theta, statistics=("LAF",), keep_genotypes=True)
-        g = (kp.simulate_alt if alt else kp.simulate_null)(cfg).genotypes
+        g = drawn_pairs(cfg_for(table, B=B, theta1=theta, statistics=("LAF",)), alt)
         locus, labels = table.panel[0], table.labels[0]
         observed = drawn_frequencies(labels, (g["g1a"], g["g1b"]), (g["g2a"], g["g2b"]))
         f = table.freqs[table.subpops[0].name][locus]
@@ -394,11 +405,11 @@ def assert_kernel_matches_loop(table, seed):
     z1 and z2 weigh the theta0 row's P1 and P2 terms too."""
     full, logp = _compile(table, "auto"), np.log(table.proportions)
     B = BLOCK + 123
-    draws = [("null", kp.UNRELATED, kp.simulate_null)] + [
-        ("alt", theta, kp.simulate_alt) for theta in KERNEL_THETAS.values()]
-    for phase, drawn_under, simulate in draws:
-        g = simulate(cfg_for(table, B=B, seed=seed, theta1=drawn_under,
-                             statistics=("LAF",), keep_genotypes=True)).genotypes
+    draws = [("null", kp.UNRELATED, False)] + [
+        ("alt", theta, True) for theta in KERNEL_THETAS.values()]
+    for phase, drawn_under, alt in draws:
+        g = drawn_pairs(cfg_for(table, B=B, seed=seed, theta1=drawn_under,
+                                statistics=("LAF",)), alt)
         for theta0, (name, theta1), n in itertools.product(
                 (kp.UNRELATED, kp.FULL_SIB), KERNEL_THETAS.items(), (1, 17, B)):
             args = (full, table.offsets[:-1], *(g[k][:n] for k in ("g1a", "g1b", "g2a", "g2b")),
@@ -427,7 +438,7 @@ class TestKernelOracle:
     def test_structural_zeros_give_minus_inf(self, synth_table):
         # parent-child makes most unrelated pairs impossible at some locus
         full = _compile(synth_table, "auto")
-        g = kp.simulate_null(cfg_for(synth_table, B=500, keep_genotypes=True)).genotypes
+        g = drawn_pairs(cfg_for(synth_table, B=500), alt=False)
         args = (full, synth_table.offsets[:-1], g["g1a"], g["g1b"], g["g2a"], g["g2b"],
                 kp.UNRELATED, kp.PARENT_CHILD)
         ll0, ll1 = _loglik_arrays(*args)
@@ -461,12 +472,11 @@ def assert_sampler_matches_loop(table, seed):
         (True, theta, False) for theta in KERNEL_THETAS.values()]
     for (alt, theta1, same), n in itertools.product(runs, (1, 17, BLOCK + 123)):
         cfg = cfg_for(table, B=n, seed=seed, theta1=theta1, null_same_subpop=same)
-        for block, lo in enumerate(range(0, n, BLOCK)):
-            size = min(BLOCK, n - lo)
-            got = _draw_block(sampler, cfg, alt, block, size)
-            want = reference_block_genotypes(cfg, alt, block, size)
-            for x, y in zip(got, want):
-                assert x.dtype == y.dtype and np.array_equal(x, y), (alt, theta1, same, n)
+        blocks = [reference_block_genotypes(cfg, alt, block, min(BLOCK, n - lo))
+                  for block, lo in enumerate(range(0, n, BLOCK))]
+        got, want = _draws(sampler, cfg, alt), map(np.concatenate, zip(*blocks))
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y), (alt, theta1, same, n)
 
 
 class TestSamplerOracle:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import kinpower as kp
 from kinpower.ibd import GenotypeCombination, pair_components
 
-from conftest import rng
+from conftest import drawn_pairs, rng
 from oracles import (all_genotypes, all_unordered_pairs, drawn_frequencies, hwe_prob,
                      reference_pair_components, reference_pair_probs)
 
@@ -155,7 +155,7 @@ class TestPairProbability:
             kp.pair_probability(G("A", "A"), G("A", "A"), kp.UNRELATED, f)
 
     def test_unknown_allele(self):
-        with pytest.raises(kp.errors.UnknownAllele):
+        with pytest.raises(kp.errors.UnknownAllele, match="allele '99' at locus 'L' absent"):
             kp.pair_probability(G("13", "99"), G("13", "13"), kp.UNRELATED,
                                 {"13": 1.0})
 
@@ -223,13 +223,13 @@ class TestLogPairProbability:
 
 
 def one_locus_draws(f, theta, alt, n, seed):
-    """Allele labels and the kept (n, 1) genotype arrays of n pairs that
-    simulate_alt (theta) or simulate_null draws over a one-subpop table of f."""
+    """Allele labels and the (n, 1) genotype arrays of n pairs that the
+    engine's alt (theta) or null phase draws over a one-subpop table of f."""
     table = kp.FrequencyTable(panel=("L",), subpops=(kp.Subpopulation("pop", 1.0),),
                               freqs={"pop": {"L": f}})
     cfg = kp.SimConfig(table=table, B=n, seed=seed, theta0=kp.UNRELATED, theta1=theta,
-                       statistics=("LAF",), keep_genotypes=True)
-    return table.labels[0], (kp.simulate_alt if alt else kp.simulate_null)(cfg).genotypes
+                       statistics=("LAF",))
+    return table.labels[0], drawn_pairs(cfg, alt)
 
 
 class TestSampleGenotype:

@@ -99,8 +99,7 @@ class TestLrAll:
     def test_min_avg_max_ordering(self, synth_table):
         generator = rng(13)
         cfg = kp.SimConfig(table=synth_table, theta0=kp.UNRELATED,
-                           theta1=kp.FULL_SIB, B=2000, seed=5,
-                           keep_genotypes=True)
+                           theta1=kp.FULL_SIB, B=2000, seed=5)
         alt = kp.simulate_alt(cfg)
         assert np.all(alt.statistics["MIN"] <= alt.statistics["AVG"] + 1e-9)
         assert np.all(alt.statistics["AVG"] <= alt.statistics["MAX"] + 1e-9)

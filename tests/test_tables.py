@@ -452,6 +452,17 @@ class TestProfiles:
         with pytest.raises(errors.MalformedRow):
             kp.load_profile_csv(csv)
 
+    @pytest.mark.parametrize("alleles", [("", "13"), ("13", "")])
+    def test_empty_allele_label_rejected(self, alleles):
+        with pytest.raises(errors.MalformedRow, match="empty allele label at locus 'L1'"):
+            kp.LocusGenotype("L1", alleles)
+
+    def test_genotype_by_locus(self):
+        profile = kp.load_profile_csv("locus,allele1,allele2\nL1,1,2\nL2,3,3\n")
+        assert profile.genotype("L2") == kp.LocusGenotype("L2", ("3", "3"))
+        with pytest.raises(errors.PanelMismatch, match="'L3'"):
+            profile.genotype("L3")
+
     def test_round_trip(self):
         csv = "locus,allele1,allele2\nL1,1,2\nL2,3,3\n"
         profile = kp.load_profile_csv(csv)
