@@ -277,25 +277,10 @@ def _add_test_args(p):
     p.add_argument("--theta0", help="z0,z1,z2 for the null relationship")
     p.add_argument("--theta1", help="z0,z1,z2 for the alternative relationship")
     p.add_argument("--cb-weights", default="auto",
-                   choices=["auto", "census", "samples", "equal"],
+                   choices=tables.CB_WEIGHTS,
                    help="subpop weights of the CB pooled frequencies: census = mixing "
                         "proportions, samples = per-subpop sample sizes, equal = one "
                         "each, auto = samples when the table has them, else equal")
-
-
-def _add_sim_args(p):
-    p.add_argument("--alpha", action="append", default=[],
-                   help="false positive rate(s), comma separated; repeatable")
-    p.add_argument("--B", type=int, default=None, help="replicate count")
-    p.add_argument("--paper-scale", action="store_true",
-                   help="use B=1,000,000 when --B is not given")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stats", help="comma-separated subset of "
-                   + ",".join(lrstats.STATISTICS))
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--null-same-subpop", action="store_true",
-                   help="force both null individuals into one subpopulation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,26 +298,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_test_args(p)
     p.set_defaults(func=cmd_lr)
 
-    p = sub.add_parser("power", help="null thresholds, power, exact CIs")
-    _add_table_args(p)
-    _add_test_args(p)
-    _add_sim_args(p)
-    p.add_argument("--dump-samples", action="store_true",
-                   help="also write the raw log-LR sample matrices")
-    p.set_defaults(func=cmd_power)
-
-    p = sub.add_parser("power-curve", help="power versus FPR curves")
-    _add_table_args(p)
-    _add_test_args(p)
-    _add_sim_args(p)
-    p.set_defaults(func=cmd_power_curve)
-
-    p = sub.add_parser("subpop-bias",
-                       help="per-subpopulation power and difference-in-power CIs")
-    _add_table_args(p)
-    _add_test_args(p)
-    _add_sim_args(p)
-    p.set_defaults(func=cmd_subpop_bias)
+    # the simulating commands: the same arguments, and --dump-samples on power
+    for name, help_text, func in (
+        ("power", "null thresholds, power, exact CIs", cmd_power),
+        ("power-curve", "power versus FPR curves", cmd_power_curve),
+        ("subpop-bias", "per-subpopulation power and difference-in-power CIs",
+         cmd_subpop_bias),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_table_args(p)
+        _add_test_args(p)
+        p.add_argument("--alpha", action="append", default=[],
+                       help="false positive rate(s), comma separated; repeatable")
+        p.add_argument("--B", type=int, default=None, help="replicate count")
+        p.add_argument("--paper-scale", action="store_true",
+                       help="use B=1,000,000 when --B is not given")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--stats", help="comma-separated subset of "
+                       + ",".join(lrstats.STATISTICS))
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--null-same-subpop", action="store_true",
+                       help="force both null individuals into one subpopulation")
+        if func is cmd_power:
+            p.add_argument("--dump-samples", action="store_true",
+                           help="also write the raw log-LR sample matrices")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("synth-freqs", help="generate a synthetic frequency table")
     p.add_argument("--subpops", type=int, default=4)

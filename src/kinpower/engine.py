@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -47,6 +48,12 @@ class SimConfig:
     keep_genotypes: bool = False
 
     def __post_init__(self):
+        for name in ("B", "seed", "workers"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)  # an int or a numpy integer
+            except TypeError:
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
         if self.B < 1:
             raise InvalidParameter("B must be >= 1")
         if self.seed < 0:

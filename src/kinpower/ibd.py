@@ -36,7 +36,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameter, UnknownAllele
+from .errors import InvalidParameter, PanelMismatch, UnknownAllele
 from .tables import FREQ_SUM_TOL, Allele, LocusGenotype
 
 THETA_SUM_TOL = 1e-12
@@ -146,8 +146,11 @@ def pair_probability(
 ) -> float:
     """Probability of the unordered genotype pair under the relationship.
 
-    ``f`` maps each allele to its frequency: every one finite and >= 0, the
-    sum 1 within FREQ_SUM_TOL, else InvalidParameter."""
+    Both genotypes must be at one locus, else PanelMismatch. ``f`` maps each
+    allele to its frequency: every one finite and >= 0, the sum 1 within
+    FREQ_SUM_TOL, else InvalidParameter."""
+    if g1.locus != g2.locus:
+        raise PanelMismatch(f"genotypes at two loci, {g1.locus!r} and {g2.locus!r}")
     labels = sorted(f)
     vec = np.array([f[a] for a in labels], dtype=np.float64)
     if not (np.isfinite(vec).all() and (vec >= 0.0).all()):

@@ -46,7 +46,12 @@ FREQ_SUM_TOL = 1e-6
 
 _FREQ_COLUMNS = ("subpop", "locus", "allele", "freq")
 _PROFILE_COLUMNS = ("locus", "allele1", "allele2")
-_META_KEYS = ("subpops", "proportions", "sample_sizes", "panel", "floor")
+# Each metadata key, in file order: the type of its values, and whether it
+# holds a comma-separated list of them (floor is one number).
+_META_KEYS = {"subpops": (str, True), "proportions": (float, True),
+              "sample_sizes": (int, True), "panel": (str, True), "floor": (float, False)}
+# the CB pooling schemes of _pool_weights
+CB_WEIGHTS = ("auto", "census", "samples", "equal")
 
 # An allele is an opaque string token; STR nomenclature includes
 # microvariants such as "9.3", so labels are never parsed as numbers.
@@ -114,13 +119,17 @@ class Subpopulation:
 class FrequencyTable:
     """Validated, floored, renormalized per-subpopulation allele frequencies.
 
-    ``freqs`` is the constructor argument and a read-only view. Construction
-    lays it out once, left out of ``==`` and ``repr``: ``labels``, the sorted
-    allele labels per panel locus; ``label_index``, per panel locus the map
-    from a label to its position in ``labels``; ``matrix``, a read-only
-    float64 (K, sum of A) array with a row per subpop and the loci side by
-    side in panel order, columns in ``labels`` order; and ``offsets``, so
-    that locus i is ``matrix[:, offsets[i]:offsets[i + 1]]``. Construction raises
+    ``freqs`` is a copy, in plain dicts, of the constructor argument's
+    entries for the table's subpops and panel loci, each distribution in its
+    given key order; entries outside them are dropped, so ``==`` ignores
+    them, and a later change to the argument changes nothing here.
+    Everything else is derived from the copy, laid out once and left out of
+    ``==`` and ``repr``: ``labels``, the sorted allele labels per panel
+    locus; ``label_index``, per panel locus the map from a label to its
+    position in ``labels``; ``matrix``, a read-only float64 (K, sum of A)
+    array with a row per subpop and the loci side by side in panel order,
+    columns in ``labels`` order; and ``offsets``, so that locus i is
+    ``matrix[:, offsets[i]:offsets[i + 1]]``. Construction raises
     MissingLocusForSubpop when ``freqs`` lacks a subpop or panel locus,
     PanelMismatch when subpops list different alleles at a locus,
     ProportionSumOutOfTolerance when the proportions miss 1 by more than
@@ -156,9 +165,11 @@ class FrequencyTable:
             raise ProportionSumOutOfTolerance(
                 f"proportions sum to {total}, outside tolerance {PROPORTION_TOL}")
         try:
-            dists = [[self.freqs[s.name][locus] for locus in self.panel] for s in self.subpops]
+            freqs = {s.name: {locus: dict(self.freqs[s.name][locus]) for locus in self.panel}
+                     for s in self.subpops}
         except KeyError as exc:
             raise MissingLocusForSubpop(f"freqs has no entry for {exc.args[0]!r}") from None
+        dists = [list(freqs[s.name].values()) for s in self.subpops]
         labels = tuple(tuple(sorted(d)) for d in dists[0])
         for sp, by_locus in zip(self.subpops, dists):
             for locus, support, d in zip(self.panel, labels, by_locus):
@@ -181,6 +192,7 @@ class FrequencyTable:
                     raise InvalidParameter(f"subpop {sp.name!r} at locus {locus!r}: frequencies "
                                            f"sum to {total}, outside tolerance {FREQ_SUM_TOL}")
         matrix.setflags(write=False)
+        object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "label_index", tuple(
             {a: i for i, a in enumerate(support)} for support in labels))
@@ -284,32 +296,29 @@ def load_table_meta(source: Union[str, TextIO]) -> TableMeta:
                                f"expected one of {', '.join(_META_KEYS)}")
         if getattr(meta, key) is not None:
             raise MalformedRow(f"metadata line {lineno}: {key!r} given twice")
-        items = [tok.strip() for tok in value.split(",") if tok.strip()]
+        item, is_list = _META_KEYS[key]
         try:
-            if key == "subpops":
-                meta.subpops = items
-            elif key == "proportions":
-                meta.proportions = [float(tok) for tok in items]
-            elif key == "sample_sizes":
-                meta.sample_sizes = [int(tok) for tok in items]
-            elif key == "panel":
-                meta.panel = items
-            elif key == "floor":
-                meta.floor = float(value)
+            parsed = ([item(tok.strip()) for tok in value.split(",") if tok.strip()]
+                      if is_list else item(value))
         except ValueError as exc:
             raise MalformedRow(f"metadata line {lineno}: {exc}") from exc
+        setattr(meta, key, parsed)
     return meta
 
 
 def dump_table_meta(table: FrequencyTable) -> str:
-    lines = [
-        "subpops = " + ", ".join(s.name for s in table.subpops),
-        "proportions = " + ", ".join(repr(float(s.proportion)) for s in table.subpops),
-    ]
-    if table.sample_sizes is not None:
-        lines.append("sample_sizes = " + ", ".join(str(n) for n in table.sample_sizes))
-    lines.append("panel = " + ", ".join(table.panel))
-    lines.append(f"floor = {float(table.floor)!r}")
+    """``table``'s metadata as load_table_meta reads it, one line per key in
+    _META_KEYS order; no sample_sizes line when the table has none."""
+    values = ([s.name for s in table.subpops], table.proportions, table.sample_sizes,
+              table.panel, table.floor)
+    lines = []
+    for key, value in zip(_META_KEYS, values):
+        if value is None:
+            continue
+        item, is_list = _META_KEYS[key]
+        cells = (repr(float(v)) if item is float else str(v)
+                 for v in (value if is_list else [value]))
+        lines.append(f"{key} = " + ", ".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -343,8 +352,10 @@ def load_frequency_table(
     another at the same locus) are raised to the floor and the per-(subpop,
     locus) distribution renormalized; see :func:`_check_floor` for the
     floor's range.
-    Proportions are renormalized to sum exactly to 1 if they are within
-    1e-4, otherwise :class:`ProportionSumOutOfTolerance` is raised.
+    Each proportion must be finite and > 0, and they are renormalized to sum
+    exactly to 1 if they are within 1e-4; otherwise
+    :class:`ProportionSumOutOfTolerance` is raised, naming the first bad
+    subpop and its value as given, or else the sum.
     """
     if meta is None:
         meta = TableMeta()
@@ -393,6 +404,10 @@ def load_frequency_table(
         props = list(meta.proportions)
     else:
         props = [1.0 / K] * K
+    for name, p in zip(subpop_names, props):
+        if not (math.isfinite(p) and p > 0.0):
+            raise ProportionSumOutOfTolerance(
+                f"subpop {name!r} proportion {p} must be finite and > 0")
     total = sum(props)
     if abs(total - 1.0) > PROPORTION_TOL:
         raise ProportionSumOutOfTolerance(
@@ -456,7 +471,9 @@ def _pool_weights(table: FrequencyTable, scheme: str) -> Sequence[float]:
     gives the mixing proportions, ``samples`` the per-subpop sample sizes
     (MissingSampleSizes when the table has none), ``equal`` one weight per
     subpop, and ``auto`` samples when the table carries them, else equal.
-    Any other scheme is an InvalidParameter."""
+    A scheme not in CB_WEIGHTS is an InvalidParameter."""
+    if scheme not in CB_WEIGHTS:
+        raise InvalidParameter(f"unknown weight scheme {scheme!r}")
     if scheme == "auto":
         scheme = "samples" if table.sample_sizes is not None else "equal"
     if scheme == "census":
@@ -465,9 +482,7 @@ def _pool_weights(table: FrequencyTable, scheme: str) -> Sequence[float]:
         if table.sample_sizes is None:
             raise MissingSampleSizes("table carries no per-subpop sample sizes")
         return [float(n) for n in table.sample_sizes]
-    if scheme == "equal":
-        return [1.0] * table.n_subpops
-    raise InvalidParameter(f"unknown weight scheme {scheme!r}")
+    return [1.0] * table.n_subpops
 
 
 def load_profile_csv(source: Union[str, TextIO]) -> Profile:

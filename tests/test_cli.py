@@ -259,9 +259,15 @@ class TestValidateCommand:
         ("", "sample_sizes = -5, 10\n", "InvalidParameter"),
         ("", "sample_size = 100, 300\n", "MalformedRow"),
         ("", "proportions = 1.5, -0.5\n",
-         "ProportionSumOutOfTolerance: subpop 'x' proportion 1.5 not in (0, 1]"),
+         "ProportionSumOutOfTolerance: subpop 'y' proportion -0.5 must be finite and > 0"),
+        ("", "proportions = 1.50005, -0.5\n",
+         "ProportionSumOutOfTolerance: subpop 'y' proportion -0.5 must be finite and > 0"),
+        ("", "proportions = 0.5, nan\n",
+         "ProportionSumOutOfTolerance: subpop 'y' proportion nan must be finite and > 0"),
+        ("", "proportions = inf, 0.5\n",
+         "ProportionSumOutOfTolerance: subpop 'x' proportion inf must be finite and > 0"),
     ], ids=["nan", "inf", "-inf", "1e400", "oversized", "sizes-0", "sizes-neg", "unknown-key",
-            "proportion-range"])
+            "proportion-range", "proportion-over-one", "proportion-nan", "proportion-inf"])
     def test_bad_input_exit_2(self, tmp_path, capsys, row, meta, error):
         freqs = tmp_path / "f.csv"
         meta_file = tmp_path / "m.txt"

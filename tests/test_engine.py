@@ -105,6 +105,18 @@ class TestSimConfig:
         with pytest.raises(kp.errors.InvalidParameter, match="workers"):
             cfg_for(two_subpop_table, workers=workers)
 
+    @pytest.mark.parametrize("field, value", [("B", 2.5), ("B", 1000.0), ("seed", 1.5),
+                                              ("workers", 2.5), ("workers", "2")])
+    def test_rejects_non_integer(self, two_subpop_table, field, value):
+        # unchecked, B=2.5 and seed=1.5 failed inside numpy and workers=2.5 ran
+        with pytest.raises(kp.errors.InvalidParameter, match=f"{field} must be an integer"):
+            cfg_for(two_subpop_table, **{field: value})
+
+    def test_accepts_numpy_integers(self, two_subpop_table):
+        cfg = cfg_for(two_subpop_table, B=np.int64(1000), seed=np.uint32(7),
+                      workers=np.int32(2))
+        assert (cfg.B, cfg.seed, cfg.workers) == (1000, 7, 2)
+
     def test_rejects_unknown_cb_weights(self, two_subpop_table):
         with pytest.raises(kp.errors.InvalidParameter, match="bogus"):
             cfg_for(two_subpop_table, cb_weights="bogus")

@@ -159,6 +159,12 @@ class TestPairProbability:
             kp.pair_probability(G("13", "99"), G("13", "13"), kp.UNRELATED,
                                 {"13": 1.0})
 
+    def test_rejects_genotypes_at_two_loci(self):
+        # unchecked, the pair was scored as if both genotypes were at one locus
+        f = {"13": 0.3, "14": 0.3, "15": 0.4}
+        with pytest.raises(kp.errors.PanelMismatch, match="'D3' and 'FGA'"):
+            kp.pair_probability(G("13", "14", "D3"), G("13", "15", "FGA"), kp.FULL_SIB, f)
+
 
 class TestPairComponents:
     def test_frequency_stack_is_an_exact_batch_axis(self):

@@ -237,6 +237,26 @@ class TestFrequencyTableConstruction:
         assert "matrix" not in repr(t) and "offsets" not in repr(t)
         assert "label_index" not in repr(t)
 
+    def test_caller_dict_mutation_changes_nothing(self):
+        given = {"S1": {"L1": {"A": 0.5, "B": 0.5}}}
+        t = self.table(given)
+        given["S1"]["L1"].update(A=0.9, B=0.1)
+        fresh = self.table({"S1": {"L1": {"A": 0.5, "B": 0.5}}})
+        assert t == fresh
+        assert t.freqs == {"S1": {"L1": {"A": 0.5, "B": 0.5}}}
+        assert kp.dump_frequency_table(t) == kp.dump_frequency_table(fresh)
+        assert np.array_equal(t.matrix, [[0.5, 0.5]])
+
+    def test_freqs_keeps_only_its_subpops_and_loci_in_order(self):
+        t = kp.FrequencyTable(
+            panel=("L2", "L1"), subpops=(kp.Subpopulation("b", 1.0),),
+            freqs={"a": {"L1": {"x": 1.0}},
+                   "b": {"L1": {"y": 0.5, "x": 0.5}, "L2": {"x": 1.0}, "L3": {"x": 1.0}}})
+        assert t.freqs == {"b": {"L2": {"x": 1.0}, "L1": {"y": 0.5, "x": 0.5}}}
+        assert list(t.freqs["b"]) == ["L2", "L1"]
+        assert list(t.freqs["b"]["L1"]) == ["y", "x"]
+        assert all(type(d) is dict for d in (t.freqs, t.freqs["b"], t.freqs["b"]["L1"]))
+
     def test_matrix_is_read_only(self, synth_table):
         assert not synth_table.matrix.flags.writeable
         with pytest.raises(ValueError):
