@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import engine, ibd, lrstats, synth, tables
-from .power import (DEFAULT_CURVE_GRID, _linear, power_curve, power_curves, power_diff_ci,
-                    power_report, power_reports_json, write_diff_cis_csv,
+from .power import (DEFAULT_CURVE_GRID, _check_alpha, _linear, power_curve, power_curves,
+                    power_diff_ci, power_report, power_reports_json, write_diff_cis_csv,
                     write_power_curves_csv, write_power_reports_csv)
 from .errors import EmptySubpopSample, InvalidParameter, KinpowerError, MalformedRow
 
@@ -89,17 +89,13 @@ def _resolve_thetas(args):
 
 def _resolve_alphas(args, required: bool) -> list[float]:
     if args.alpha:
-        alphas = [a for chunk in args.alpha for a in _numbers(chunk, float, "--alpha")]
-    elif args.test in TESTS:
-        alphas = [TESTS[args.test][2]]
-    elif required:
+        return [_check_alpha(a)
+                for chunk in args.alpha for a in _numbers(chunk, float, "--alpha")]
+    if args.test in TESTS:
+        return [TESTS[args.test][2]]
+    if required:
         raise InvalidParameter("--alpha is required for custom tests")
-    else:
-        alphas = []
-    for a in alphas:
-        if not (0.0 < a < 1.0):
-            raise InvalidParameter(f"alpha {a} not in (0, 1)")
-    return alphas
+    return []
 
 
 def _run_config(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .ibd import ThetaIBD, categorical, pair_components, related_from_uniforms
-from .tables import FrequencyTable, _pool, _pool_weights, _write_rows
+from .tables import FrequencyTable, _check_integers, _pool, _pool_weights, _write_rows
 
 BLOCK = 8192
 # buckets of each guide table; a power of two, so that u * GUIDE and its floor
@@ -48,12 +47,7 @@ class SimConfig:
     keep_genotypes: bool = False
 
     def __post_init__(self):
-        for name in ("B", "seed", "workers"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)  # an int or a numpy integer
-            except TypeError:
-                raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+        _check_integers(B=self.B, seed=self.seed, workers=self.workers)
         if self.B < 1:
             raise InvalidParameter("B must be >= 1")
         if self.seed < 0:

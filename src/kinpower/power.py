@@ -4,7 +4,9 @@ subpopulation bias analysis over simulated log-LR samples.
 Threshold convention: rejection uses the strict inequality ``LR > c``.
 The threshold for a false positive rate alpha is the ceil(B*(1-alpha))-th
 order statistic of the null sample, so the realized FPR on the null
-sample never exceeds alpha (ties count as non-rejections).
+sample never exceeds alpha (ties count as non-rejections). Every alpha, in
+a report or on a curve's grid, lies in (0, 1), and every interval is a 95%
+one (``CI_LEVEL``). Success counts and sample sizes are integers.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from scipy import stats as sps
 from .engine import SampleMatrix
 from .errors import (AlphaTooSmallForB, EmptySubpopSample, InvalidParameter,
                      SmallSampleWarning)
-from .tables import _read_rows, _write_rows
+from .tables import _is_integer, _read_rows, _write_rows
 
 DEFAULT_CURVE_GRID = tuple(np.geomspace(1e-6, 4e-5, 30))
+CI_LEVEL = 0.95
+_Z = sps.norm.ppf(1 - (1 - CI_LEVEL) / 2)  # the Wald intervals' normal quantile
 
 _REPORT_COLUMNS = ("statistic", "alpha", "threshold", "power", "ci_low", "ci_high")
 _CURVE_COLUMNS = ("statistic", "alpha", "power")
@@ -69,40 +73,46 @@ def _linear(log_value: float) -> float:
         return math.inf
 
 
-def _order_statistic(x: np.ndarray, alpha: float, select) -> float:
-    """The ceil(n*(1-alpha))-th smallest of the n values in x, a rank of at
-    least 1 for alpha < 1; ``select(i)`` returns the value of 0-based rank i."""
-    if alpha * x.size < 10:
+def _check_alpha(alpha: float) -> float:
+    """``alpha``, which as a false positive rate must lie in (0, 1); NaN does not."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidParameter(f"alpha {alpha} not in (0, 1)")
+    return alpha
+
+
+def _rank(n: int, alpha: float) -> int:
+    """0-based rank ceil(n*(1-alpha)) - 1 of the threshold among n sorted null
+    values, at least 0 for alpha < 1."""
+    if alpha * n < 10:
         warnings.warn(
-            f"alpha*B = {alpha * x.size:.3g} < 10; threshold estimate is unstable",
+            f"alpha*B = {alpha * n:.3g} < 10; threshold estimate is unstable",
             AlphaTooSmallForB,
         )
-    k = math.ceil(x.size * (1.0 - alpha))
-    return float(select(k - 1))
+    return math.ceil(n * (1.0 - alpha)) - 1
+
+
+def _sample(samples: np.ndarray, which: str) -> np.ndarray:
+    """``samples`` as float64; an empty one is an InvalidParameter."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.size == 0:
+        raise InvalidParameter(f"{which} sample is empty")
+    return x
 
 
 def null_threshold(null_samples: np.ndarray, alpha: float) -> float:
     """Empirical threshold c with realized P(x > c) <= alpha on the sample."""
-    if not (0.0 < alpha < 1.0):
-        raise InvalidParameter(f"alpha must be in (0, 1), got {alpha}")
-    x = np.asarray(null_samples, dtype=np.float64)
-    if x.size == 0:
-        raise InvalidParameter("null sample is empty")
-    return _order_statistic(x, alpha, lambda i: np.partition(x, i)[i])
+    _check_alpha(alpha)
+    x = _sample(null_samples, "null")
+    i = _rank(x.size, alpha)
+    return float(np.partition(x, i)[i])
 
 
-def _check_level(level: float) -> None:
-    """A confidence level must lie in (0, 1]; 1 gives the whole range."""
-    if not 0.0 < level <= 1.0:
-        raise InvalidParameter(f"confidence level must be in (0, 1], got {level}")
-
-
-def clopper_pearson(successes: int, trials: int, level: float = 0.95):
-    """Exact binomial confidence interval from beta quantiles."""
-    if not (0 <= successes <= trials) or trials <= 0:
+def clopper_pearson(successes: int, trials: int):
+    """Exact binomial 95% confidence interval from beta quantiles."""
+    if not (_is_integer(successes) and _is_integer(trials)
+            and 0 <= successes <= trials and trials > 0):
         raise InvalidParameter(f"bad counts ({successes}, {trials})")
-    _check_level(level)
-    a = 1.0 - level
+    a = 1.0 - CI_LEVEL
     lo = 0.0 if successes == 0 else float(
         sps.beta.ppf(a / 2, successes, trials - successes + 1))
     hi = 1.0 if successes == trials else float(
@@ -110,14 +120,12 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.95):
     return lo, hi
 
 
-def power(alt_samples: np.ndarray, threshold_log: float, level: float = 0.95):
+def power(alt_samples: np.ndarray, threshold_log: float):
     """Exceedance proportion over the threshold plus its exact 95% CI."""
-    x = np.asarray(alt_samples, dtype=np.float64)
-    if x.size == 0:
-        raise InvalidParameter("alternative sample is empty")
+    x = _sample(alt_samples, "alternative")
     hits = int(np.count_nonzero(x > threshold_log))
     est = hits / x.size
-    return est, clopper_pearson(hits, x.size, level)
+    return est, clopper_pearson(hits, x.size)
 
 
 def power_curves(
@@ -128,20 +136,12 @@ def power_curves(
     """One curve per named alternative sample, in mapping order, each an
     (alpha, power) point per grid entry. The null sample is sorted once and
     each alpha's threshold read from it once, for every curve."""
-    grid = list(alpha_grid)
-    for alpha in grid:
-        if not alpha >= 0.0:
-            raise InvalidParameter(f"alpha grid values must be >= 0, got {alpha}")
+    grid = [_check_alpha(alpha) for alpha in alpha_grid]
     if grid != sorted(grid):
         raise InvalidParameter("alpha grid must be sorted ascending")
-    x = np.sort(np.asarray(null_samples, dtype=np.float64))
-    alts = {name: np.asarray(alt, dtype=np.float64) for name, alt in alt_samples.items()}
-    if x.size == 0:
-        raise InvalidParameter("null sample is empty")
-    if any(alt.size == 0 for alt in alts.values()):
-        raise InvalidParameter("alternative sample is empty")
-    thresholds = [-math.inf if alpha >= 1.0 else _order_statistic(x, alpha, lambda i: x[i])
-                  for alpha in grid]
+    x = np.sort(_sample(null_samples, "null"))
+    alts = {name: _sample(alt, "alternative") for name, alt in alt_samples.items()}
+    thresholds = [float(x[_rank(x.size, alpha)]) for alpha in grid]
     return [PowerCurve(statistic=name, points=tuple(
                 (alpha, float(np.count_nonzero(alt > c)) / alt.size)
                 for alpha, c in zip(grid, thresholds)))
@@ -158,34 +158,30 @@ def power_curve(
     return power_curves(null_samples, {statistic: alt_samples}, alpha_grid)[0]
 
 
-def subpop_power(alt: SampleMatrix, statistic: str, threshold_log: float, k: int,
-                 level: float = 0.95):
+def subpop_power(alt: SampleMatrix, statistic: str, threshold_log: float, k: int):
     """Power restricted to alternative pairs tagged with subpopulation k."""
     mask = alt.subpop_tags == k
     n = int(mask.sum())
     if n == 0:
         raise EmptySubpopSample(f"no alternative replicates tagged subpop {k}")
-    est, ci = power(alt.statistics[statistic][mask], threshold_log, level)
+    est, ci = power(alt.statistics[statistic][mask], threshold_log)
     return est, n, ci
 
 
 def power_diff_ci(power_i: float, n_i: int, power_j: float, n_j: int,
-                  level: float = 0.95,
                   subpop_i: str = "", subpop_j: str = "") -> DiffCI:
-    """Wald interval for a difference of two power estimates."""
-    if not min(n_i, n_j) >= 1:
-        raise InvalidParameter(f"sample sizes must be >= 1, got ({n_i}, {n_j})")
+    """Wald 95% interval for a difference of two power estimates."""
+    if not (_is_integer(n_i) and _is_integer(n_j) and min(n_i, n_j) >= 1):
+        raise InvalidParameter(f"sample sizes must be integers >= 1, got ({n_i}, {n_j})")
     if not (0.0 <= power_i <= 1.0 and 0.0 <= power_j <= 1.0):
         raise InvalidParameter(f"powers must be in [0, 1], got ({power_i}, {power_j})")
-    _check_level(level)
     if min(n_i, n_j) < 30:
         warnings.warn(
             f"sample sizes ({n_i}, {n_j}) too small for the normal approximation",
             SmallSampleWarning,
         )
     est = power_i - power_j
-    z = sps.norm.ppf(1 - (1 - level) / 2)
-    half = z * math.sqrt(power_i * (1 - power_i) / n_i + power_j * (1 - power_j) / n_j)
+    half = _Z * math.sqrt(power_i * (1 - power_i) / n_i + power_j * (1 - power_j) / n_j)
     return DiffCI(
         subpop_i=subpop_i,
         subpop_j=subpop_j,
@@ -200,15 +196,14 @@ def power_report(
     alt: SampleMatrix,
     statistic: str,
     alpha: float,
-    level: float = 0.95,
 ) -> PowerReport:
     """Threshold, power, exact CI and per-subpop (power, n, CI) for one cell."""
     c = null_threshold(null.statistics[statistic], alpha)
-    est, ci = power(alt.statistics[statistic], c, level)
+    est, ci = power(alt.statistics[statistic], c)
     by_subpop = {}
     for k, name in enumerate(alt.subpop_names):
         try:
-            by_subpop[name] = subpop_power(alt, statistic, c, k, level)
+            by_subpop[name] = subpop_power(alt, statistic, c, k)
         except EmptySubpopSample:
             continue
     return PowerReport(

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameter
-from .tables import DEFAULT_FLOOR, FrequencyTable, Subpopulation, _check_floor
+from .tables import DEFAULT_FLOOR, FrequencyTable, Subpopulation, _check_floor, _check_integers
 
 
 def synth_frequency_table(
@@ -31,6 +31,7 @@ def synth_frequency_table(
     floor: float = DEFAULT_FLOOR,
 ) -> FrequencyTable:
     """Generate a valid FrequencyTable with controllable substructure."""
+    _check_integers(n_subpops=n_subpops, n_loci=n_loci, n_alleles=n_alleles, seed=seed)
     if n_alleles < 2:
         raise InvalidParameter("need at least 2 alleles per locus")
     if not (math.isfinite(divergence) and divergence >= 0):

@@ -24,6 +24,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, TextIO, Union
 
@@ -99,6 +100,22 @@ class Profile:
         raise PanelMismatch(f"profile has no genotype for locus {locus!r}")
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer: whatever operator.index accepts."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _check_integers(**values) -> None:
+    """Each named value must be an integer (InvalidParameter otherwise)."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Subpopulation:
     name: str
@@ -110,9 +127,10 @@ class Subpopulation:
             raise ProportionSumOutOfTolerance(
                 f"subpop {self.name!r} proportion {self.proportion} not in (0, 1]"
             )
-        if self.sample_size is not None and self.sample_size < 1:
+        size = self.sample_size
+        if size is not None and not (_is_integer(size) and size >= 1):
             raise InvalidParameter(
-                f"subpop {self.name!r} sample size {self.sample_size} is below 1")
+                f"subpop {self.name!r} sample size {size!r} is not an integer >= 1")
 
 
 @dataclass(frozen=True)

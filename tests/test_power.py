@@ -1,4 +1,7 @@
+import inspect
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -93,15 +96,14 @@ class TestClopperPearson:
         assert lo == 0.0
         assert hi == pytest.approx(1 - 0.025 ** (1 / n), rel=1e-12)
 
-    @pytest.mark.parametrize("level", [1.5, 0.0, -0.5, math.nan])
-    def test_level_outside_unit_interval_rejected(self, level):
-        with pytest.raises(kp.errors.InvalidParameter, match="level"):
-            kp.clopper_pearson(3, 10, level=level)
-
-    @pytest.mark.parametrize("k,n", [(3, 2), (-1, 10), (0, 0)])
+    @pytest.mark.parametrize("k,n", [(3, 2), (-1, 10), (0, 0), (2.5, 10), (3, 10.0),
+                                     (np.float64(3), 10), ("3", 10)])
     def test_bad_counts_rejected(self, k, n):
         with pytest.raises(kp.errors.InvalidParameter, match="bad counts"):
             kp.clopper_pearson(k, n)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert kp.clopper_pearson(np.int64(3), np.int32(10)) == kp.clopper_pearson(3, 10)
 
     def test_contains_point_estimate(self):
         generator = rng(10)
@@ -127,10 +129,6 @@ class TestPower:
         est_lin, _ = kp.power(np.exp(alt), math.exp(c))
         assert est_log == est_lin
 
-    def test_level_outside_unit_interval_rejected(self):
-        with pytest.raises(kp.errors.InvalidParameter, match="level"):
-            kp.power(np.array([1.0, -1.0, 2.0]), 0.0, level=1.5)
-
     def test_empty_sample_rejected(self):
         with pytest.raises(kp.errors.InvalidParameter, match="alternative sample is empty"):
             kp.power(np.array([]), 0.0)
@@ -142,12 +140,6 @@ class TestPower:
 
 
 class TestPowerCurve:
-    def test_alpha_one_gives_power_one(self):
-        null = np.arange(100.0)
-        alt = np.arange(100.0) - 50
-        curve = kp.power_curve(null, alt, [0.5, 1.0])
-        assert curve.points[-1] == (1.0, 1.0)
-
     def test_self_calibration(self):
         generator = rng(12)
         null = generator.normal(size=200_000)
@@ -173,12 +165,36 @@ class TestPowerCurve:
 
     @pytest.mark.parametrize("alpha", [-0.1, math.nan, -math.inf])
     def test_negative_or_nan_grid_alpha_rejected(self, alpha):
-        with pytest.raises(kp.errors.InvalidParameter, match=f"got {alpha}"):
+        with pytest.raises(kp.errors.InvalidParameter,
+                           match=re.escape(f"alpha {alpha} not in (0, 1)")):
             kp.power_curve(np.arange(100.0), np.arange(100.0), [alpha, 0.5])
 
-    def test_grid_alpha_zero_and_one(self):
-        curve = kp.power_curve(np.arange(100.0), np.arange(100.0) + 0.5, [0.0, 1.0])
-        assert curve.points == ((0.0, 0.01), (1.0, 1.0))
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_grid_alpha_zero_or_one_rejected(self, alpha):
+        # the same (0, 1) rule as null_threshold, power_report and --alpha
+        message = re.escape(f"alpha {alpha} not in (0, 1)")
+        grid = [alpha, 0.5] if alpha == 0.0 else [0.5, alpha]
+        with pytest.raises(kp.errors.InvalidParameter, match=message):
+            kp.power_curve(np.arange(100.0), np.arange(100.0) + 0.5, grid)
+        with pytest.raises(kp.errors.InvalidParameter, match=message):
+            kp.null_threshold(np.arange(100.0), alpha)
+
+    @pytest.mark.parametrize("n", [1, 9, 100, 2_001])
+    def test_matches_null_threshold_then_power(self, n):
+        # power_curves reads thresholds from a sorted copy, null_threshold
+        # from np.partition: the two must pick the same order statistic
+        generator = rng(15 + n)
+        values = np.array([-np.inf, -2.0, 0.0, 0.0, 0.5, 3.0, np.inf])
+        null = generator.choice(values, size=n)
+        alt = generator.choice(values, size=n + 5)
+        grid = sorted({1e-4, 0.01, 0.1, 0.25, 0.5, 0.75, 0.999,
+                       *generator.uniform(0.0, 1.0, size=8).tolist()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AlphaTooSmallForB)
+            curve = kp.power_curve(null, alt, grid)
+            expected = tuple((alpha, kp.power(alt, kp.null_threshold(null, alpha))[0])
+                             for alpha in grid)
+        assert curve.points == expected
 
     @pytest.mark.parametrize("which", ["null", "alternative"])
     def test_empty_sample_rejected(self, which):
@@ -195,15 +211,15 @@ class TestPowerCurve:
         null = generator.normal(size=5_000)
         alts = {name: generator.normal(loc=shift, size=1_000 + 7 * k)
                 for k, (name, shift) in enumerate((("a", 0.0), ("b", 1.0), ("c", 2.0)))}
-        grid = [0.001, 0.01, 0.1, 1.0]
+        grid = [0.001, 0.01, 0.1]
         separate = [kp.power_curve(null, alt, grid, statistic=name)
                     for name, alt in alts.items()]
         reads = []
-        order_statistic = power_module._order_statistic
-        monkeypatch.setattr(power_module, "_order_statistic",
-                            lambda *args: reads.append(1) or order_statistic(*args))
+        rank = power_module._rank
+        monkeypatch.setattr(power_module, "_rank",
+                            lambda *args: reads.append(1) or rank(*args))
         assert kp.power_curves(null, alts, grid) == separate
-        assert len(reads) == 3       # alpha = 1 needs no threshold
+        assert len(reads) == 3
 
 
 class TestSubpopPower:
@@ -260,11 +276,11 @@ class TestPowerDiffCI:
         assert d.ci_high - d.estimate == pytest.approx(half, abs=1e-12)
         assert half == pytest.approx(0.01192, abs=5e-6)
 
-    def test_extreme_level_clips(self):
-        # 1 - 1e-300 rounds to level 1; 1 - 2**-53 is the nearest level below 1
-        for level in (1.0 - 1e-300, 1.0 - 2.0 ** -53):
-            d = kp.power_diff_ci(0.5, 100, 0.5, 100, level=level)
-            assert (d.ci_low, d.ci_high) == (-1.0, 1.0)
+    def test_wide_interval_clips(self):
+        # one replicate each: the half width 1.96 * sqrt(0.5) passes 1
+        with pytest.warns(SmallSampleWarning):
+            d = kp.power_diff_ci(0.5, 1, 0.5, 1)
+        assert (d.ci_low, d.ci_high) == (-1.0, 1.0)
 
     def test_small_sample_warning(self):
         with pytest.warns(SmallSampleWarning):
@@ -275,16 +291,26 @@ class TestPowerDiffCI:
         with pytest.raises(kp.errors.InvalidParameter, match="sample sizes"):
             kp.power_diff_ci(0.5, n_i, 0.5, n_j)
 
+    @pytest.mark.parametrize("n_i,n_j", [(40.5, 40), (40, 40.0), (np.float64(40), 40)])
+    def test_non_integer_sample_size_rejected(self, n_i, n_j):
+        with pytest.raises(kp.errors.InvalidParameter, match="sample sizes"):
+            kp.power_diff_ci(0.5, n_i, 0.4, n_j)
+
+    def test_numpy_integer_sample_sizes_accepted(self):
+        assert kp.power_diff_ci(0.5, np.int64(40), 0.4, np.int32(40)) == \
+            kp.power_diff_ci(0.5, 40, 0.4, 40)
+
     @pytest.mark.parametrize("power_i,power_j", [(1.5, 0.5), (0.5, -0.1), (math.nan, 0.5),
                                                  (0.5, math.nan)])
     def test_power_outside_unit_interval_or_nan_rejected(self, power_i, power_j):
         with pytest.raises(kp.errors.InvalidParameter, match="powers"):
             kp.power_diff_ci(power_i, 100, power_j, 100)
 
-    @pytest.mark.parametrize("level", [1.5, 0.0, math.nan])
-    def test_level_outside_unit_interval_rejected(self, level):
-        with pytest.raises(kp.errors.InvalidParameter, match="level"):
-            kp.power_diff_ci(0.5, 100, 0.5, 100, level=level)
+    @pytest.mark.parametrize("function", [kp.clopper_pearson, kp.power, kp.subpop_power,
+                                          kp.power_diff_ci, kp.power_report])
+    def test_every_interval_is_95_percent(self, function):
+        # the level is the power module's CI_LEVEL, not a parameter
+        assert "level" not in inspect.signature(function).parameters
 
 
 class TestPowerReport:

@@ -62,6 +62,12 @@ class TestSynthFrequencyTable:
         {"n_subpops": 2, "proportions": [2, -1]},
         {"n_subpops": 2, "proportions": [4, -2]},
         {"n_subpops": 2, "proportions": [1e308, 1e308]},
+        {"n_subpops": 2.0},
+        {"n_loci": 3.5},
+        {"n_alleles": np.float64(8)},
+        {"seed": 1.5},
+        {"n_loci": "4"},
+        {"n_subpops": 2, "sample_sizes": [2.5, 3]},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(kp.errors.InvalidParameter):
@@ -76,6 +82,13 @@ class TestSynthFrequencyTable:
     def test_rejects_sample_size_below_one(self, size):
         with pytest.raises(kp.errors.InvalidParameter, match="sample size"):
             kp.synth_frequency_table(n_subpops=2, sample_sizes=[size, 10])
+
+    def test_numpy_integer_counts_accepted(self):
+        table = kp.synth_frequency_table(n_subpops=np.int64(2), n_loci=np.int32(3),
+                                         n_alleles=np.int16(5), seed=np.uint8(4),
+                                         sample_sizes=np.array([10, 20]))
+        assert table == kp.synth_frequency_table(n_subpops=2, n_loci=3, n_alleles=5, seed=4,
+                                                 sample_sizes=[10, 20])
 
     def test_rejects_floor_at_one_over_alleles(self):
         with pytest.raises(kp.errors.NonPositiveFrequency, match="1/4"):

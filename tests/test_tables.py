@@ -358,9 +358,16 @@ class TestSubpopulation:
         with pytest.raises(errors.InvalidParameter, match="sample size"):
             kp.Subpopulation("a", 1.0, size)
 
+    @pytest.mark.parametrize("size", [2.5, 10.0, np.float64(10), "10", math.nan])
+    def test_rejects_non_integer_sample_size(self, size):
+        # a fractional size would be dumped as metadata that the loader refuses
+        with pytest.raises(errors.InvalidParameter, match="subpop 'a' sample size"):
+            kp.Subpopulation("a", 1.0, size)
+
     def test_sample_size_optional(self):
         assert kp.Subpopulation("a", 1.0).sample_size is None
         assert kp.Subpopulation("a", 1.0, 1).sample_size == 1
+        assert kp.Subpopulation("a", 1.0, np.int64(7)).sample_size == 7
 
 
 def pooled(table, weights):
