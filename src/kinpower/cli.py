@@ -221,11 +221,13 @@ def cmd_subpop_bias(args) -> int:
         ]
         _stream(out / f"diff_ci_{stat}.csv", write_diff_cis_csv, diffs)
 
-        # self-test: per-subpop powers recombine exactly to the global power
+        # self-test: per-subpop powers recombine exactly to the global power;
+        # a failure is a fault of the program, not of the input (exit 3)
         recombined = sum(est * n for est, n, _ in per) / alt.B
-        print(f"{stat}: recombination identity "
-              f"{'ok' if abs(recombined - report.power) < 1e-9 else 'FAILED'} "
-              f"(global={report.power:.6f}, recombined={recombined:.6f})")
+        figures = f"global={report.power:.6f}, recombined={recombined:.6f}"
+        if not abs(recombined - report.power) < 1e-9:
+            raise RuntimeError(f"{stat}: recombination identity FAILED ({figures})")
+        print(f"{stat}: recombination identity ok ({figures})")
     return 0
 
 

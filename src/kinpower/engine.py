@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .ibd import ThetaIBD, categorical, pair_components, related_from_uniforms
-from .tables import FrequencyTable, _check_integers, _pool, _pool_weights, _write_rows
+from .tables import FrequencyTable, _check_counts, _pool, _pool_weights, _write_rows
 
 BLOCK = 8192
 # buckets of each guide table; a power of two, so that u * GUIDE and its floor
@@ -47,13 +47,7 @@ class SimConfig:
     keep_genotypes: bool = False
 
     def __post_init__(self):
-        _check_integers(B=self.B, seed=self.seed, workers=self.workers)
-        if self.B < 1:
-            raise InvalidParameter("B must be >= 1")
-        if self.seed < 0:
-            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise InvalidParameter(f"workers must be >= 1, got {self.workers}")
+        _check_counts(B=(self.B, 1), seed=(self.seed, 0), workers=(self.workers, 1))
         if not self.statistics:
             raise InvalidParameter("at least one statistic must be requested")
         if len(set(self.statistics)) != len(self.statistics):

@@ -21,11 +21,11 @@ class MissingLocusForSubpop(KinpowerError):
     pass
 
 
-class ProportionSumOutOfTolerance(KinpowerError):
+class ProportionSumOutOfTolerance(InvalidParameter):
     pass
 
 
-class NonPositiveFrequency(KinpowerError):
+class NonPositiveFrequency(InvalidParameter):
     pass
 
 

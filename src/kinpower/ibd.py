@@ -37,7 +37,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .errors import InvalidParameter, PanelMismatch, UnknownAllele
-from .tables import FREQ_SUM_TOL, Allele, LocusGenotype
+from .tables import Allele, LocusGenotype, _check_frequencies
 
 THETA_SUM_TOL = 1e-12
 
@@ -147,17 +147,14 @@ def pair_probability(
     """Probability of the unordered genotype pair under the relationship.
 
     Both genotypes must be at one locus, else PanelMismatch. ``f`` maps each
-    allele to its frequency: every one finite and >= 0, the sum 1 within
-    FREQ_SUM_TOL, else InvalidParameter."""
+    allele to its frequency under a FrequencyTable's rule: every one finite
+    and >= 0 (else NonPositiveFrequency), the sum 1 within FREQ_SUM_TOL (else
+    InvalidParameter)."""
     if g1.locus != g2.locus:
         raise PanelMismatch(f"genotypes at two loci, {g1.locus!r} and {g2.locus!r}")
     labels = sorted(f)
     vec = np.array([f[a] for a in labels], dtype=np.float64)
-    if not (np.isfinite(vec).all() and (vec >= 0.0).all()):
-        raise InvalidParameter(f"allele frequencies must be finite and >= 0, got {dict(f)}")
-    if abs(vec.sum() - 1.0) > FREQ_SUM_TOL:
-        raise InvalidParameter(f"allele frequencies sum to {vec.sum()}, outside tolerance "
-                               f"{FREQ_SUM_TOL}")
+    _check_frequencies(vec[None], lambda _: f"locus {g1.locus!r}, given {dict(f)}")
     index = {label: i for i, label in enumerate(labels)}
     pair1, pair2 = (tuple(_positions(index, g.alleles, g.locus)) for g in (g1, g2))
     # evaluate in a fixed orientation so the result is bitwise symmetric

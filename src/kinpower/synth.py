@@ -12,12 +12,13 @@ them.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .tables import DEFAULT_FLOOR, FrequencyTable, Subpopulation, _check_floor, _check_integers
+from .tables import DEFAULT_FLOOR, FrequencyTable, Subpopulation, _check_counts, _check_floor
 
 
 def synth_frequency_table(
@@ -30,31 +31,30 @@ def synth_frequency_table(
     sample_sizes: Optional[Sequence[int]] = None,
     floor: float = DEFAULT_FLOOR,
 ) -> FrequencyTable:
-    """Generate a valid FrequencyTable with controllable substructure."""
-    _check_integers(n_subpops=n_subpops, n_loci=n_loci, n_alleles=n_alleles, seed=seed)
-    if n_alleles < 2:
-        raise InvalidParameter("need at least 2 alleles per locus")
+    """Generate a valid FrequencyTable with controllable substructure.
+
+    Counts are checked by _check_counts (``n_alleles`` >= 2, ``seed`` >= 0,
+    the others >= 1), proportions (equal by default) and sample sizes as
+    given by Subpopulation; the proportions need a finite sum, by which they
+    are scaled."""
+    _check_counts(n_subpops=(n_subpops, 1), n_loci=(n_loci, 1), n_alleles=(n_alleles, 2),
+                  seed=(seed, 0))
     if not (math.isfinite(divergence) and divergence >= 0):
         raise InvalidParameter(f"divergence must be finite and >= 0, got {divergence}")
-    if seed < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {seed}")
-    if n_subpops < 1:
-        raise InvalidParameter("need at least 1 subpopulation")
     for what, given in (("proportions", proportions), ("sample sizes", sample_sizes)):
         if given is not None and len(given) != n_subpops:
             raise InvalidParameter(f"{len(given)} {what} for {n_subpops} subpops")
     _check_floor(floor, n_alleles)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-    if proportions is None:
-        proportions = [1.0 / n_subpops] * n_subpops
-    if not all(math.isfinite(p) and p > 0 for p in proportions):
-        raise InvalidParameter(f"proportions must be finite and > 0, got {list(proportions)}")
-    total = float(sum(proportions))
+    names = [f"S{k + 1}" for k in range(n_subpops)]
+    subpops = tuple(map(
+        Subpopulation, names,
+        proportions if proportions is not None else [1.0 / n_subpops] * n_subpops,
+        sample_sizes if sample_sizes is not None else [None] * n_subpops))
+    total = float(sum(s.proportion for s in subpops))
     if not math.isfinite(total):
         raise InvalidParameter(f"proportions must have a finite sum, got {list(proportions)}")
-    proportions = [p / total for p in proportions]
-    names = [f"S{k + 1}" for k in range(n_subpops)]
+    subpops = tuple(replace(s, proportion=s.proportion / total) for s in subpops)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     loci = [f"L{i + 1:02d}" for i in range(n_loci)]
     labels = [str(8 + a) for a in range(n_alleles)]  # STR-style repeat labels
 
@@ -69,11 +69,5 @@ def synth_frequency_table(
             f = np.maximum(f, floor)
             f = f / f.sum()
             freqs[name][locus] = {a: float(x) for a, x in zip(labels, f)}
-
-    sizes: Sequence[Optional[int]]
-    sizes = list(sample_sizes) if sample_sizes is not None else [None] * n_subpops
-    subpops = tuple(
-        Subpopulation(name, p, n) for name, p, n in zip(names, proportions, sizes)
-    )
     return FrequencyTable(panel=tuple(loci), subpops=subpops,
                           freqs=freqs, floor=floor)

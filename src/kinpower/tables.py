@@ -25,8 +25,8 @@ import io
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence, TextIO, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -109,28 +109,56 @@ def _is_integer(value) -> bool:
     return True
 
 
-def _check_integers(**values) -> None:
-    """Each named value must be an integer (InvalidParameter otherwise)."""
-    for name, value in values.items():
+def _check_counts(**counts) -> None:
+    """The one count rule: each keyword names a (value, minimum) pair whose
+    value must be an integer (see _is_integer) no smaller than the minimum;
+    InvalidParameter otherwise."""
+    for name, (value, minimum) in counts.items():
         if not _is_integer(value):
             raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise InvalidParameter(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
 class Subpopulation:
+    """A name, a mixing proportion (finite and > 0, else a
+    ProportionSumOutOfTolerance; their sum is the table's rule) and an
+    optional sample size (an integer >= 1, see _check_counts)."""
+
     name: str
     proportion: float
     sample_size: Optional[int] = None
 
     def __post_init__(self):
-        if not (0.0 < self.proportion <= 1.0):
+        if not (math.isfinite(self.proportion) and self.proportion > 0.0):
             raise ProportionSumOutOfTolerance(
-                f"subpop {self.name!r} proportion {self.proportion} not in (0, 1]"
-            )
-        size = self.sample_size
-        if size is not None and not (_is_integer(size) and size >= 1):
-            raise InvalidParameter(
-                f"subpop {self.name!r} sample size {size!r} is not an integer >= 1")
+                f"subpop {self.name!r} proportion {self.proportion} must be finite and > 0")
+        if self.sample_size is not None:
+            _check_counts(**{f"subpop {self.name!r} sample size": (self.sample_size, 1)})
+
+
+def _check_proportion_sum(subpops: Sequence[Subpopulation]) -> float:
+    """The subpops' proportions summed in order; ProportionSumOutOfTolerance
+    when the sum misses 1 by more than PROPORTION_TOL."""
+    total = sum(s.proportion for s in subpops)
+    if abs(total - 1.0) > PROPORTION_TOL:
+        raise ProportionSumOutOfTolerance(
+            f"proportions sum to {total}, outside tolerance {PROPORTION_TOL}")
+    return total
+
+
+def _check_frequencies(block: np.ndarray, where: Callable[[int], str]) -> None:
+    """The one frequency rule: each row of ``block`` (named ``where(row)``)
+    is finite and >= 0, else NonPositiveFrequency, and sums to 1 within
+    FREQ_SUM_TOL, else InvalidParameter."""
+    valid = (np.isfinite(block) & (block >= 0.0)).all(axis=1).tolist()
+    for k, (ok, total) in enumerate(zip(valid, block.sum(axis=1).tolist())):
+        if not ok:
+            raise NonPositiveFrequency(f"{where(k)}: frequencies must be finite and >= 0")
+        if abs(total - 1.0) > FREQ_SUM_TOL:
+            raise InvalidParameter(f"{where(k)}: frequencies sum to {total}, outside "
+                                   f"tolerance {FREQ_SUM_TOL}")
 
 
 @dataclass(frozen=True)
@@ -178,10 +206,7 @@ class FrequencyTable:
             if len(set(names)) != len(names):
                 raise InvalidParameter(f"a frequency table names each {what} once; "
                                        f"got {list(names)}")
-        total = sum(self.proportions)
-        if abs(total - 1.0) > PROPORTION_TOL:
-            raise ProportionSumOutOfTolerance(
-                f"proportions sum to {total}, outside tolerance {PROPORTION_TOL}")
+        _check_proportion_sum(self.subpops)
         try:
             freqs = {s.name: {locus: dict(self.freqs[s.name][locus]) for locus in self.panel}
                      for s in self.subpops}
@@ -198,17 +223,9 @@ class FrequencyTable:
         matrix = np.array([[d[a] for support, d in zip(labels, by_locus) for a in support]
                            for by_locus in dists], dtype=np.float64)
         offsets = (0, *itertools.accumulate(map(len, labels)))
-        valid = np.isfinite(matrix) & (matrix >= 0.0)
         for locus, lo, hi in zip(self.panel, offsets, offsets[1:]):
-            checks = zip(self.subpops, valid[:, lo:hi].all(axis=1).tolist(),
-                         matrix[:, lo:hi].sum(axis=1).tolist())
-            for sp, ok, total in checks:
-                if not ok:
-                    raise NonPositiveFrequency(f"subpop {sp.name!r} at locus {locus!r}: "
-                                               "frequencies must be finite and >= 0")
-                if abs(total - 1.0) > FREQ_SUM_TOL:
-                    raise InvalidParameter(f"subpop {sp.name!r} at locus {locus!r}: frequencies "
-                                           f"sum to {total}, outside tolerance {FREQ_SUM_TOL}")
+            _check_frequencies(matrix[:, lo:hi],
+                               lambda k: f"subpop {subpop_names[k]!r} at locus {locus!r}")
         matrix.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "labels", labels)
@@ -258,18 +275,25 @@ def _as_stream(source: Union[str, TextIO]) -> TextIO:
     return source
 
 
+def _text_cell(text: str, what: str = "cell") -> str:
+    """``text`` as a written cell; empty text, or text with surrounding
+    whitespace, is an InvalidParameter naming ``what`` and the text, since
+    both readers refuse it or read it back stripped."""
+    if not text or text != text.strip():
+        raise InvalidParameter(f"cannot write {what} {text!r}: an empty cell, or one with "
+                               "surrounding whitespace, would not read back as written")
+    return text
+
+
 def _write_rows(header: Sequence[str], rows, sink: Optional[TextIO]) -> Optional[str]:
-    """CSV with text cells as given and every other cell as repr(float);
-    returns the text when ``sink`` is None, else writes it there. An empty
-    cell is refused, since _read_rows would refuse to read it back."""
+    """CSV with text cells as _text_cell gives them and every other cell as
+    repr(float), which is never empty; returns the text when ``sink`` is
+    None, else writes it there."""
     buf = sink if sink is not None else io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        cells = [v if isinstance(v, str) else repr(float(v)) for v in row]
-        if not all(cells):
-            raise InvalidParameter(f"cannot write an empty cell: {cells}")
-        writer.writerow(cells)
+        writer.writerow([_text_cell(v) if isinstance(v, str) else repr(float(v)) for v in row])
     return None if sink is not None else buf.getvalue()
 
 
@@ -326,7 +350,9 @@ def load_table_meta(source: Union[str, TextIO]) -> TableMeta:
 
 def dump_table_meta(table: FrequencyTable) -> str:
     """``table``'s metadata as load_table_meta reads it, one line per key in
-    _META_KEYS order; no sample_sizes line when the table has none."""
+    _META_KEYS order; no sample_sizes line when the table has none. A name that
+    would read back otherwise (empty, with surrounding whitespace, or holding
+    ',', '#' or a line break) is an InvalidParameter."""
     values = ([s.name for s in table.subpops], table.proportions, table.sample_sizes,
               table.panel, table.floor)
     lines = []
@@ -334,8 +360,14 @@ def dump_table_meta(table: FrequencyTable) -> str:
         if value is None:
             continue
         item, is_list = _META_KEYS[key]
-        cells = (repr(float(v)) if item is float else str(v)
-                 for v in (value if is_list else [value]))
+        cells = [repr(float(v)) if item is float else str(v)
+                 for v in (value if is_list else [value])]
+        for cell in cells:
+            if item is str:
+                _text_cell(cell, f"{key} name")
+                if cell.splitlines() != [cell] or "," in cell or "#" in cell:
+                    raise InvalidParameter(f"cannot write {key} name {cell!r}: a ',', '#' "
+                                           "or line break would not read back as written")
         lines.append(f"{key} = " + ", ".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -370,10 +402,10 @@ def load_frequency_table(
     another at the same locus) are raised to the floor and the per-(subpop,
     locus) distribution renormalized; see :func:`_check_floor` for the
     floor's range.
-    Each proportion must be finite and > 0, and they are renormalized to sum
-    exactly to 1 if they are within 1e-4; otherwise
-    :class:`ProportionSumOutOfTolerance` is raised, naming the first bad
-    subpop and its value as given, or else the sum.
+    Proportions (equal by default) and sample sizes are checked as given by
+    :class:`Subpopulation`; the proportions must then sum to 1 within
+    PROPORTION_TOL (:class:`ProportionSumOutOfTolerance` naming the sum) and
+    are renormalized to sum exactly to 1.
     """
     if meta is None:
         meta = TableMeta()
@@ -415,30 +447,16 @@ def load_frequency_table(
                 raise MissingLocusForSubpop(f"subpop {name!r} missing locus {locus!r}")
 
     K = len(subpop_names)
-    if meta.proportions is not None:
-        if len(meta.proportions) != K:
-            raise ProportionSumOutOfTolerance(
-                f"{len(meta.proportions)} proportions for {K} subpops")
-        props = list(meta.proportions)
-    else:
-        props = [1.0 / K] * K
-    for name, p in zip(subpop_names, props):
-        if not (math.isfinite(p) and p > 0.0):
-            raise ProportionSumOutOfTolerance(
-                f"subpop {name!r} proportion {p} must be finite and > 0")
-    total = sum(props)
-    if abs(total - 1.0) > PROPORTION_TOL:
-        raise ProportionSumOutOfTolerance(
-            f"proportions sum to {total}, outside tolerance {PROPORTION_TOL}")
-    props = [p / total for p in props]
-
-    sizes: Sequence[Optional[int]]
-    if meta.sample_sizes is not None:
-        if len(meta.sample_sizes) != K:
-            raise MissingSampleSizes(f"{len(meta.sample_sizes)} sample sizes for {K} subpops")
-        sizes = meta.sample_sizes
-    else:
-        sizes = [None] * K
+    props = meta.proportions if meta.proportions is not None else [1.0 / K] * K
+    if len(props) != K:
+        raise ProportionSumOutOfTolerance(f"{len(props)} proportions for {K} subpops")
+    subpops = tuple(map(Subpopulation, subpop_names, props))
+    total = _check_proportion_sum(subpops)
+    sizes = meta.sample_sizes if meta.sample_sizes is not None else [None] * K
+    if len(sizes) != K:
+        raise MissingSampleSizes(f"{len(sizes)} sample sizes for {K} subpops")
+    subpops = tuple(replace(s, proportion=s.proportion / total, sample_size=n)
+                    for s, n in zip(subpops, sizes))
 
     # Floor over the union support so every allele seen anywhere at a locus
     # gets positive frequency in every subpopulation. The support is sorted
@@ -457,10 +475,6 @@ def load_frequency_table(
         for locus in panel:
             dist = {a: raw[name][locus].get(a, 0.0) for a in union[locus]}
             freqs[name][locus] = _floor_and_normalize(dist, floor)
-
-    subpops = tuple(
-        Subpopulation(name, p, n) for name, p, n in zip(subpop_names, props, sizes)
-    )
     return FrequencyTable(panel=panel, subpops=subpops, freqs=freqs, floor=floor)
 
 

@@ -232,6 +232,27 @@ class TestSubpopBiasCommand:
         assert diffs[0]["ci_low"] <= 0.0 <= diffs[0]["ci_high"]
         assert (out / "subpop_curves_MIN.csv").exists()
 
+    def test_failed_recombination_identity_exit_3(self, synth_files, tmp_path, capsys,
+                                                   monkeypatch):
+        import dataclasses
+        from kinpower import cli
+        real = cli.power_report
+
+        def off_global_power(*args):
+            # a global power its per-subpop powers do not recombine to
+            report = real(*args)
+            return dataclasses.replace(report, power=report.power + 0.01)
+
+        monkeypatch.setattr(cli, "power_report", off_global_power)
+        freqs, meta = synth_files
+        code = main(["subpop-bias", "--freqs", str(freqs), "--meta", str(meta),
+                     "--alpha", "0.05", "--B", "2000", "--stats", "MIN",
+                     "--out", str(tmp_path / "bias")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "RuntimeError: MIN: recombination identity FAILED" in captured.err
+        assert "recombination identity ok" not in captured.out
+
 
 class TestValidateCommand:
     def test_ok(self, synth_files, capsys):
@@ -323,9 +344,13 @@ class TestSynthFreqsCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("extra, message", [
-        (["--proportions", "0,0"], "proportions"),
-        (["--proportions", "1,-1"], "proportions"),
-        (["--proportions", "nan,1"], "proportions"),
+        # a bad proportion is refused by Subpopulation, as the loader's are
+        pytest.param(["--proportions", "0,0"], "subpop 'S1' proportion 0.0 must be finite",
+                     id="extra0-proportions"),
+        pytest.param(["--proportions", "1,-1"], "subpop 'S2' proportion -1.0 must be finite",
+                     id="extra1-proportions"),
+        pytest.param(["--proportions", "nan,1"], "subpop 'S1' proportion nan must be finite",
+                     id="extra2-proportions"),
         (["--divergence", "nan"], "divergence"),
         (["--divergence", "inf"], "divergence"),
         (["--divergence", "-0.1"], "divergence"),
@@ -335,7 +360,9 @@ class TestSynthFreqsCommand:
         out = tmp_path / "s"
         assert main(["synth-freqs", "--subpops", "2", *extra, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "InvalidParameter" in err and message in err
+        error = ("ProportionSumOutOfTolerance" if extra[0] == "--proportions"
+                 else "InvalidParameter")
+        assert error in err and message in err
         assert not out.exists()
 
     def test_zero_loci_exit_2(self, tmp_path, capsys):

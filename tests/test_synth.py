@@ -50,6 +50,7 @@ class TestSynthFrequencyTable:
     @pytest.mark.parametrize("kwargs", [
         {"seed": -1},
         {"n_subpops": 0},
+        {"n_loci": 0},
         {"n_subpops": 3, "proportions": [0.5, 0.5]},
         {"n_subpops": 2, "sample_sizes": [10, 20, 30]},
         {"divergence": -0.1},

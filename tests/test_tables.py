@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 import kinpower as kp
 from kinpower import errors
 from kinpower.power import read_diff_cis_csv, read_power_curves_csv, read_power_reports_csv
-from kinpower.tables import FREQ_SUM_TOL, PROPORTION_TOL, _pool, _pool_weights
+from kinpower.tables import FREQ_SUM_TOL, PROPORTION_TOL, _check_counts, _pool, _pool_weights
 
 
 BASIC_CSV = (
@@ -139,7 +140,16 @@ class TestLoadFrequencyTable:
          "1 proportions for 2"),
         ("subpops = a, b\nsample_sizes = 10, 20, 30\n", errors.MissingSampleSizes,
          "3 sample sizes for 2"),
-    ], ids=["absent-subpop", "proportion-count", "sample-size-count"])
+        # a proportion fault is reported before a sample-size fault
+        ("subpops = a, b\nproportions = 0.5, -0.5\nsample_sizes = 10\n",
+         errors.ProportionSumOutOfTolerance, "'b' proportion -0.5"),
+        ("subpops = a, b\nproportions = 0.5, 0.6\nsample_sizes = 10\n",
+         errors.ProportionSumOutOfTolerance, "sum to"),
+        ("subpops = a, b\nproportions = 0.5, -0.5\nsample_sizes = 0, 10\n",
+         errors.ProportionSumOutOfTolerance, "'b' proportion -0.5"),
+    ], ids=["absent-subpop", "proportion-count", "sample-size-count",
+            "proportion-before-size-count", "sum-before-size-count",
+            "proportion-before-size"])
     def test_metadata_that_does_not_fit_the_csv(self, meta_text, error, message):
         csv = BASIC_CSV + "b,L1,10,0.5\nb,L1,11,0.5\n"
         with pytest.raises(error, match=message):
@@ -351,8 +361,38 @@ class TestMetadata:
         with pytest.raises(errors.MalformedRow, match="line 3: 'subpops' given twice"):
             kp.load_table_meta("subpops = a\n# b replaces a?\nsubpops = b\n")
 
+    @pytest.mark.parametrize("key", ["subpops", "panel"])
+    @pytest.mark.parametrize("name", ["a#b", "a, b", " a", "a ", "", "a\nb", "a\rb", "a\n"])
+    def test_dump_refuses_name_that_reads_back_otherwise(self, key, name):
+        # "a#b" would read back as "a", "a, b" as two names, " a" as "a"
+        subpop, locus = (name, "L1") if key == "subpops" else ("a", name)
+        table = kp.FrequencyTable(panel=(locus,), subpops=(kp.Subpopulation(subpop, 1.0),),
+                                  freqs={subpop: {locus: {"10": 0.5, "11": 0.5}}})
+        with pytest.raises(errors.InvalidParameter, match=re.escape(f"{key} name {name!r}")):
+            kp.dump_table_meta(table)
+
+    def test_dump_keeps_names_that_read_back(self):
+        table = kp.FrequencyTable(panel=("D8S1179", "vWA"),
+                                  subpops=(kp.Subpopulation("Thai North", 1.0),),
+                                  freqs={"Thai North": {locus: {"10": 1.0}
+                                                        for locus in ("D8S1179", "vWA")}})
+        meta = kp.load_table_meta(kp.dump_table_meta(table))
+        assert (meta.subpops, meta.panel) == (["Thai North"], ["D8S1179", "vWA"])
+
 
 class TestSubpopulation:
+    @pytest.mark.parametrize("proportion", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_proportion_not_finite_and_positive(self, proportion):
+        with pytest.raises(errors.ProportionSumOutOfTolerance,
+                           match=f"subpop 'a' proportion {proportion} must be finite and > 0"):
+            kp.Subpopulation("a", proportion)
+
+    def test_single_subpop_proportion_within_tolerance_accepted(self):
+        # the sum rule is the table's: K=1 at 1.00005 passes, as K=2 summing to it does
+        table = kp.FrequencyTable(panel=("L1",), subpops=(kp.Subpopulation("a", 1.00005),),
+                                  freqs={"a": {"L1": {"10": 1.0}}})
+        assert table.proportions == (1.00005,)
+
     @pytest.mark.parametrize("size", [0, -5])
     def test_rejects_sample_size_below_one(self, size):
         with pytest.raises(errors.InvalidParameter, match="sample size"):
@@ -597,3 +637,35 @@ class TestReadRows:
         from kinpower.power import PowerCurve, write_power_curves_csv
         with pytest.raises(errors.InvalidParameter, match="empty cell"):
             write_power_curves_csv([PowerCurve("", ((1e-6, 0.5),))])
+
+    @pytest.mark.parametrize("name", [" a", "a ", "a\n", "\ta"])
+    def test_writer_refuses_cell_with_surrounding_whitespace(self, name):
+        # the reader strips each cell, so " a" would read back as "a"
+        table = kp.FrequencyTable(panel=("L1",), subpops=(kp.Subpopulation(name, 1.0),),
+                                  freqs={name: {"L1": {"10": 0.5, "11": 0.5}}})
+        with pytest.raises(errors.InvalidParameter, match="surrounding whitespace"):
+            kp.dump_frequency_table(table)
+
+
+class TestInputRules:
+    def test_table_errors_are_invalid_parameters(self):
+        # one fault keeps one type on every path, and ValueError handlers catch it
+        for error in (errors.ProportionSumOutOfTolerance, errors.NonPositiveFrequency):
+            assert issubclass(error, errors.InvalidParameter)
+            assert issubclass(error, ValueError)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_count_accepts_python_and_numpy_integers(self, value):
+        _check_counts(n=(value, 3))
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3), "3", None, math.nan])
+    def test_count_must_be_an_integer(self, value):
+        with pytest.raises(errors.InvalidParameter, match="n must be an integer, got"):
+            _check_counts(n=(value, 0))
+
+    @pytest.mark.parametrize("minimum", [-1, 0, 1, 2])
+    def test_count_minimum_enforced(self, minimum):
+        _check_counts(m=(minimum, minimum), n=(minimum + 1, minimum))
+        with pytest.raises(errors.InvalidParameter,
+                           match=f"n must be >= {minimum}, got {minimum - 1}"):
+            _check_counts(m=(minimum, minimum), n=(minimum - 1, minimum))
