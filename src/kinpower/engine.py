@@ -14,9 +14,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import multiprocessing.util
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, TextIO
 
@@ -282,10 +284,71 @@ def _run_block(full: np.ndarray, sampler: _Sampler, cfg: SimConfig, alt: bool, b
     return k1, {s: values[s] for s in cfg.statistics}
 
 
+class _Pool(NamedTuple):
+    """The warm process pool, as opened by ``_pooled_map``."""
+
+    size: int
+    pid: int                            # the process that opened it
+    executor: ProcessPoolExecutor
+    exit_hook: multiprocessing.util.Finalize
+
+
+_POOL: Optional[_Pool] = None
+# held through each pooled run, so that no run shuts down a pool another uses
+_POOL_LOCK = threading.Lock()
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _close_pool() -> None:
+    """Shut the warm pool down and wait for its workers to exit. A pool that a
+    forked child inherited is only forgotten: its manager thread and workers
+    belong to the parent."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None and pool.pid == os.getpid():
+        pool.exit_hook.cancel()
+        pool.executor.shutdown(wait=True, cancel_futures=True)
+
+
+@contextmanager
+def _pooled_map(workers: int):
+    """``map`` for one run: the builtin for one worker, else that of this
+    process's warm pool of ``workers`` processes.
+
+    The warm pool is reused when it has that size; otherwise it is shut down
+    before a new one opens, so at most one is alive. A run that raises (a
+    ``BrokenProcessPool`` included) shuts it down. concurrent.futures stops a
+    pool's workers at interpreter exit, but a multiprocessing child waits for
+    its own children before that happens: the exit hook shuts the pool down
+    before that wait, and before the hooks (priority 10) that stop the feeder
+    threads of multiprocessing queues.
+    """
+    global _POOL
+    if workers == 1:
+        yield map
+        return
+    with _POOL_LOCK:
+        if _POOL is None or (_POOL.size, _POOL.pid) != (workers, os.getpid()):
+            _close_pool()
+            _POOL = _Pool(workers, os.getpid(), ProcessPoolExecutor(max_workers=workers),
+                          multiprocessing.util.Finalize(None, _close_pool, exitpriority=100))
+        try:
+            yield _POOL.executor.map
+        except BaseException:
+            _close_pool()
+            raise
+
+
 def _simulate(cfg: SimConfig, alts: tuple[bool, ...]) -> tuple[SampleMatrix, ...]:
     """One SampleMatrix per phase in ``alts`` (True for alt), all their blocks
-    run from one compile and one sampler, through at most one pool of at most
-    one worker per block and per CPU."""
+    run from one compile and one sampler, through ``_pooled_map`` with at most
+    one worker per block of a phase and per CPU this process may run on."""
     full = _compile(cfg.table, cfg.cb_weights)
     sampler = _sampler(cfg.table)
     nblocks = (cfg.B + BLOCK - 1) // BLOCK
@@ -296,10 +359,8 @@ def _simulate(cfg: SimConfig, alts: tuple[bool, ...]) -> tuple[SampleMatrix, ...
 
     tasks = list(itertools.product(alts, range(nblocks)))
     run = functools.partial(_run_block, full, sampler, cfg)
-    workers = min(cfg.workers, nblocks, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = (map if pool is None else pool.map)(run, *zip(*tasks))
-        for (alt, block), (btags, bvalues) in zip(tasks, results):
+    with _pooled_map(min(cfg.workers, nblocks, _cpus())) as pmap:
+        for (alt, block), (btags, bvalues) in zip(tasks, pmap(run, *zip(*tasks))):
             matrix, rows = out[alt], slice(block * BLOCK, block * BLOCK + len(btags))
             matrix.subpop_tags[rows] = btags
             for s in cfg.statistics:

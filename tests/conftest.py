@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import kinpower as kp
+from kinpower import engine
 from kinpower.engine import _draws, _sampler
 
 
@@ -40,6 +41,36 @@ def synth_table():
         n_subpops=4, n_loci=15, n_alleles=10, divergence=0.3, seed=11,
         proportions=[0.1108, 0.3695, 0.3538, 0.1659],
     )
+
+
+@pytest.fixture
+def pool_events(monkeypatch):
+    """Every pool the engine opens or shuts down, in order, as ("open", size)
+    and ("shut", size), or ("shut in use", size) for a pool shut down while a
+    run still reads from it. A recorder stands in for the pool, so no process
+    is started; the engine's pool slot is emptied before and after the test."""
+    events = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            self.size, self.busy = max_workers, 0
+            events.append(("open", max_workers))
+
+        def map(self, fn, *iterables):
+            self.busy += 1
+            try:
+                yield from map(fn, *iterables)
+            finally:
+                self.busy -= 1
+
+        def shutdown(self, wait=True, **kwargs):
+            assert wait
+            events.append(("shut in use" if self.busy else "shut", self.size))
+
+    engine._close_pool()
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", Recorder)
+    yield events
+    engine._close_pool()
 
 
 def drawn_pairs(cfg, alt):

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 import kinpower as kp
@@ -602,26 +600,11 @@ class TestOneRunPerCommand:
     with more than one worker, opens one pool for both phases."""
 
     @pytest.mark.parametrize("command", ["power", "power-curve", "subpop-bias"])
-    def test_one_compile_sampler_and_pool(self, synth_files, tmp_path, monkeypatch, command):
-        # a recorder stands in for the pool, so no process is started
+    def test_one_compile_sampler_and_pool(self, synth_files, tmp_path, monkeypatch, pool_events,
+                                          command):
         from kinpower import engine
-        calls = {"pools": [], "_compile": 0, "_sampler": 0}
-
-        class Recorder:
-            def __init__(self, max_workers):
-                calls["pools"].append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        calls = {"_compile": 0, "_sampler": 0}
+        monkeypatch.setattr(engine, "_cpus", lambda: 64)
         for name in ("_compile", "_sampler"):
             def counted(*args, _real=getattr(engine, name), _name=name):
                 calls[_name] += 1
@@ -632,7 +615,8 @@ class TestOneRunPerCommand:
         assert main([command, "--freqs", str(freqs), "--meta", str(meta), "--alpha", "0.05",
                      "--B", str(2 * kp.BLOCK + 1), "--workers", "2", "--stats", "LAF",
                      "--out", str(tmp_path / "out")]) == 0
-        assert calls == {"pools": [2], "_compile": 1, "_sampler": 1}
+        assert calls == {"_compile": 1, "_sampler": 1}
+        assert pool_events == [("open", 2)]
 
 
 class TestEmptySubpop:

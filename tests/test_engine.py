@@ -2,11 +2,20 @@ import hashlib
 import itertools
 import math
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kinpower as kp
+from kinpower import engine
 from kinpower.engine import (BLOCK, GUIDE, _MAX_COLUMNS, _alleles, _compile, _derive_block,
                              _draws, _loglik_arrays, _sampler)
 from kinpower.ibd import categorical, pair_components
@@ -142,27 +151,17 @@ class TestDeterminism:
                                       equal_nan=True)
 
     @pytest.fixture
-    def opened(self, monkeypatch):
-        """The max_workers of every pool a run opens. A recorder stands in for
-        the pool, so no process is started."""
-        from kinpower import engine
-        opened = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", Recorder)
-        return opened
+    def cpus(self, monkeypatch):
+        """Set the CPUs the engine sees: os.sched_getaffinity's count where the
+        platform has it, os.cpu_count() (None when it cannot tell) otherwise."""
+        def set_cpus(affinity, count):
+            if affinity is None:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                    raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+        return set_cpus
 
     @pytest.mark.parametrize("workers, B, expected", [
         (8, 2 * BLOCK + 123, 3),
@@ -170,22 +169,92 @@ class TestDeterminism:
         (8, BLOCK, None),
         (1, 2 * BLOCK, None),
     ])
-    def test_pool_never_larger_than_block_count(self, two_subpop_table, monkeypatch, opened,
+    def test_pool_never_larger_than_block_count(self, two_subpop_table, cpus, pool_events,
                                                  workers, B, expected):
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        cpus(None, 64)
         cfg = cfg_for(two_subpop_table, B=B, workers=workers)
         got = kp.simulate_null(cfg)
-        assert opened == ([] if expected is None else [expected])
+        assert pool_events == ([] if expected is None else [("open", expected)])
         serial = kp.simulate_null(cfg_for(two_subpop_table, B=B, workers=1))
         assert np.array_equal(got.statistics["LAF"], serial.statistics["LAF"])
 
-    @pytest.mark.parametrize("cpus, expected", [(2, 2), (1, None), (None, None)])
-    def test_pool_never_larger_than_cpu_count(self, two_subpop_table, monkeypatch, opened,
-                                              cpus, expected):
+    @pytest.mark.parametrize("count, expected", [(2, 2), (1, None), (None, None)])
+    def test_pool_never_larger_than_cpu_count(self, two_subpop_table, cpus, pool_events,
+                                              count, expected):
         # os.cpu_count() gives None when it cannot tell; that counts as one CPU
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cpus(None, count)
         kp.simulate_null(cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=100_000))
-        assert opened == ([] if expected is None else [expected])
+        assert pool_events == ([] if expected is None else [("open", expected)])
+
+    def test_pool_never_larger_than_cpu_affinity(self, two_subpop_table, cpus, pool_events):
+        # a process pinned to 2 of 64 CPUs gets a pool of 2
+        cpus(2, 64)
+        kp.simulate_null(cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=8))
+        assert pool_events == [("open", 2)]
+
+    def test_runs_at_one_size_share_one_pool(self, two_subpop_table, cpus, pool_events):
+        cpus(None, 64)
+        cfg = cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=2)
+        kp.simulate_null(cfg)
+        kp.simulate(cfg)
+        kp.simulate_null(cfg_for(two_subpop_table, B=BLOCK, workers=2))  # serial
+        kp.simulate_alt(cfg)
+        assert pool_events == [("open", 2)]
+
+    def test_another_size_shuts_the_old_pool_first(self, two_subpop_table, cpus, pool_events):
+        cpus(None, 64)
+        for workers in (2, 3, 3, 2):
+            kp.simulate_null(cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=workers))
+        assert pool_events == [("open", 2), ("shut", 2), ("open", 3), ("shut", 3),
+                               ("open", 2)]
+
+    def test_pool_of_another_process_is_left_alone(self, two_subpop_table, cpus, pool_events,
+                                                   monkeypatch):
+        # a forked child sees its parent's pool in the slot: it opens its own
+        # and does not shut down the parent's
+        cpus(None, 64)
+        cfg = cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=2)
+        kp.simulate_null(cfg)
+        monkeypatch.setattr(os, "getpid", lambda: -1)
+        kp.simulate_null(cfg)
+        assert pool_events == [("open", 2), ("open", 2)]
+
+    def test_failed_run_shuts_its_pool(self, two_subpop_table, cpus, pool_events, monkeypatch):
+        def broken(*args):
+            raise ValueError("raised mid-run")
+
+        cpus(None, 64)
+        monkeypatch.setattr(engine, "_run_block", broken)
+        with pytest.raises(ValueError, match="raised mid-run"):
+            kp.simulate_null(cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=2))
+        assert pool_events == [("open", 2), ("shut", 2)]
+
+    def test_threads_never_shut_a_pool_in_use(self, two_subpop_table, cpus, pool_events):
+        # runs of two sizes from four threads at once, switching threads as
+        # often as the interpreter allows
+        cpus(None, 64)
+        B = 2 * BLOCK + 123
+        serial = kp.simulate_null(cfg_for(two_subpop_table, B=B, workers=1))
+        same = []
+
+        def runs(workers):
+            for _ in range(5):
+                got = kp.simulate_null(cfg_for(two_subpop_table, B=B, workers=workers))
+                same.append(_same_samples(got, serial))
+
+        threads = [threading.Thread(target=runs, args=(2 + i % 2,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert same == [True] * 20
+        assert {event for event, _ in pool_events} == {"open", "shut"}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_simulate_is_both_one_phase_runs(self, two_subpop_table, workers):
@@ -217,6 +286,102 @@ class TestDeterminism:
         a = kp.simulate_null(cfg_for(two_subpop_table, B=200, seed=1))
         b = kp.simulate_null(cfg_for(two_subpop_table, B=200, seed=2))
         assert not np.array_equal(a.statistics["LAF"], b.statistics["LAF"])
+
+
+def _same_samples(a, b):
+    return (a.subpop_tags.tobytes() == b.subpop_tags.tobytes()
+            and all(a.statistics[s].tobytes() == b.statistics[s].tobytes()
+                    for s in b.statistics))
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestWarmPool:
+    """The real pool: replaced when broken, never shared with a forked child,
+    and gone with the interpreter that opened it."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        # two CPUs, so that a pool opens on a one-CPU host too
+        monkeypatch.setattr(engine, "_cpus", lambda: 2)
+        engine._close_pool()
+        yield
+        engine._close_pool()
+
+    def test_broken_pool_is_replaced(self, two_subpop_table):
+        cfg = cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=2)
+        serial = kp.simulate_null(cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=1))
+        assert _same_samples(kp.simulate_null(cfg), serial)
+        pool = engine._POOL.executor
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # the CLI maps this error, as any other failure of a run, to exit 3
+        with pytest.raises(BrokenProcessPool):
+            kp.simulate_null(cfg)
+        assert engine._POOL is None
+        assert _same_samples(kp.simulate_null(cfg), serial)
+        assert engine._POOL.executor is not pool
+
+    def test_workers_end_with_the_interpreter_and_a_forked_child_opens_its_own(self):
+        script = textwrap.dedent("""
+            import multiprocessing, os, sys
+            import kinpower as kp
+            from kinpower import engine
+
+            engine._cpus = lambda: 2
+            table = kp.synth_frequency_table(n_subpops=2, n_loci=3, n_alleles=4,
+                                             divergence=0.3, seed=1)
+
+            def run(workers):
+                return kp.simulate_null(kp.SimConfig(
+                    table=table, theta0=kp.UNRELATED, theta1=kp.FULL_SIB,
+                    B=2 * kp.BLOCK + 5, seed=7, workers=workers))
+
+            def same(a, b):
+                return (a.subpop_tags.tobytes() == b.subpop_tags.tobytes()
+                        and all(a.statistics[s].tobytes() == b.statistics[s].tobytes()
+                                for s in b.statistics))
+
+            serial = run(1)
+            assert same(run(2), serial)
+            parents = engine._POOL.executor
+            print(*parents._processes, flush=True)
+
+            def child():
+                ok = same(run(2), serial) and engine._POOL.executor is not parents
+                print(*engine._POOL.executor._processes, flush=True)
+                sys.exit(0 if ok else 1)
+
+            proc = multiprocessing.get_context("fork").Process(target=child)
+            proc.start()
+            proc.join()
+            assert same(run(2), serial) and engine._POOL.executor is parents
+            sys.exit(proc.exitcode)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(kp.__file__).parents[1]))
+        # its own process group, so that a hung run's workers can be killed with it
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            out, err = proc.communicate()
+        pids = [int(word) for word in out.split()]
+        alive = [pid for pid in pids if _alive(pid)]
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        assert proc.returncode == 0, err
+        assert len(pids) == 4 and not alive
 
 
 class TestSimulateNull:
