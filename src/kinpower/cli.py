@@ -129,13 +129,6 @@ def _make_dir(out: Path) -> None:
         raise InvalidParameter(f"--out {str(out)!r}: {exc.strerror}") from None
 
 
-def _simulate(cfg: engine.SimConfig, out: Path):
-    """Create the output directory, then run null and alternative in one
-    engine call."""
-    _make_dir(out)
-    return engine.simulate(cfg)
-
-
 def _stream(path: Path, write, items) -> None:
     """``write(items, sink)`` into the UTF-8 file at ``path``, row by row."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -163,7 +156,8 @@ def cmd_lr(args) -> int:
 def cmd_power(args) -> int:
     cfg, alphas, _ = _run_config(args)
     out = Path(args.out)
-    null, alt = _simulate(cfg, out)
+    _make_dir(out)
+    null, alt = engine.simulate(cfg)
     reports = [power_report(null, alt, stat, alpha)
                for stat in cfg.statistics for alpha in alphas]
     _stream(out / "power_report.csv", write_power_reports_csv, reports)
@@ -181,7 +175,8 @@ def cmd_power(args) -> int:
 def cmd_power_curve(args) -> int:
     cfg, _, grid = _run_config(args, alphas_required=False)
     out = Path(args.out)
-    null, alt = _simulate(cfg, out)
+    _make_dir(out)
+    null, alt = engine.simulate(cfg)
     curves = [
         power_curve(null.statistics[s], alt.statistics[s], grid, statistic=s)
         for s in cfg.statistics
@@ -197,7 +192,8 @@ def cmd_subpop_bias(args) -> int:
     if cfg.table.n_subpops < 2:
         raise InvalidParameter("subpop-bias requires >=2 subpopulations")
     out = Path(args.out)
-    null, alt = _simulate(cfg, out)
+    _make_dir(out)
+    null, alt = engine.simulate(cfg)
     names = alt.subpop_names
     for name, n in zip(names, np.bincount(alt.subpop_tags, minlength=len(names))):
         if n == 0:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .ibd import ThetaIBD, categorical, pair_components, related_from_uniforms
-from .tables import FrequencyTable, _check_counts, _pool, _pool_weights, _write_rows
+from .tables import FrequencyTable, _check_counts, _pool, _write_rows
 
 BLOCK = 8192
 # buckets of each guide table; a power of two, so that u * GUIDE and its floor
@@ -50,6 +50,11 @@ class SimConfig:
 
     def __post_init__(self):
         _check_counts(B=(self.B, 1), seed=(self.seed, 0), workers=(self.workers, 1))
+        for name, kind in (("table", FrequencyTable), ("theta0", ThetaIBD), ("theta1", ThetaIBD)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidParameter(f"{name} must be a {kind.__name__}")
+        if isinstance(self.statistics, str):  # else "MIN" reads as the names M, I, N
+            raise InvalidParameter("statistics must be a sequence of names, not one string")
         if not self.statistics:
             raise InvalidParameter("at least one statistic must be requested")
         if len(set(self.statistics)) != len(self.statistics):
@@ -57,7 +62,7 @@ class SimConfig:
         unknown = set(self.statistics) - set(STATISTICS)
         if unknown:
             raise InvalidParameter(f"unknown statistics {sorted(unknown)}")
-        _pool_weights(self.table, self.cb_weights)  # a bad scheme fails before any run
+        _pool(self.table, self.cb_weights)  # a bad scheme fails before any run
 
 
 @dataclass
@@ -107,8 +112,7 @@ def _compile(table: FrequencyTable, cb_weights: str) -> np.ndarray:
         raise InvalidParameter(
             f"table has {table.offsets[-1]} alleles over its loci; at most {_MAX_COLUMNS} "
             "fit the kernel's int64 cell keys")
-    return np.vstack([table.matrix, _pool(table, table.proportions),
-                      _pool(table, _pool_weights(table, cb_weights))])
+    return np.vstack([table.matrix, _pool(table, "census"), _pool(table, cb_weights)])
 
 
 def _sampler(table: FrequencyTable) -> _Sampler:

@@ -51,7 +51,7 @@ _PROFILE_COLUMNS = ("locus", "allele1", "allele2")
 # holds a comma-separated list of them (floor is one number).
 _META_KEYS = {"subpops": (str, True), "proportions": (float, True),
               "sample_sizes": (int, True), "panel": (str, True), "floor": (float, False)}
-# the CB pooling schemes of _pool_weights
+# the pooling schemes of _pool
 CB_WEIGHTS = ("auto", "census", "samples", "equal")
 
 # An allele is an opaque string token; STR nomenclature includes
@@ -488,33 +488,30 @@ def dump_frequency_table(table: FrequencyTable,
     return _write_rows(_FREQ_COLUMNS, rows, sink)
 
 
-def _pool(table: FrequencyTable, weights: Sequence[float]) -> np.ndarray:
-    """The ``weights``-weighted mean of the table's rows, added one row at a
-    time in subpop order: ((0 + w_1 f_1) + w_2 f_2) + ..., w_k = weights[k] / total."""
-    total = float(sum(weights))
-    acc = np.zeros(table.matrix.shape[1])
-    for w, row in zip(weights, table.matrix):
-        acc = acc + (w / total) * row
-    return acc
-
-
-def _pool_weights(table: FrequencyTable, scheme: str) -> Sequence[float]:
-    """The per-subpop weights of a pooling scheme, for ``_pool``: ``census``
-    gives the mixing proportions, ``samples`` the per-subpop sample sizes
-    (MissingSampleSizes when the table has none), ``equal`` one weight per
-    subpop, and ``auto`` samples when the table carries them, else equal.
-    A scheme not in CB_WEIGHTS is an InvalidParameter."""
+def _pool(table: FrequencyTable, scheme: str) -> np.ndarray:
+    """The table's rows pooled under a CB_WEIGHTS scheme: ``census`` weighs
+    each subpop by its mixing proportion (the LAF row), ``samples`` by its
+    sample size (MissingSampleSizes when the table has none), ``equal``
+    evenly, and ``auto`` by samples when the table carries them, else evenly.
+    Rows are added one at a time in subpop order: ((0 + w_1 f_1) + w_2 f_2)
+    + ..., w_k = weights[k] / total. Any other scheme is an InvalidParameter."""
     if scheme not in CB_WEIGHTS:
         raise InvalidParameter(f"unknown weight scheme {scheme!r}")
     if scheme == "auto":
         scheme = "samples" if table.sample_sizes is not None else "equal"
     if scheme == "census":
-        return table.proportions
-    if scheme == "samples":
-        if table.sample_sizes is None:
-            raise MissingSampleSizes("table carries no per-subpop sample sizes")
-        return [float(n) for n in table.sample_sizes]
-    return [1.0] * table.n_subpops
+        weights = table.proportions
+    elif scheme == "equal":
+        weights = [1.0] * table.n_subpops
+    elif table.sample_sizes is None:
+        raise MissingSampleSizes("table carries no per-subpop sample sizes")
+    else:
+        weights = [float(n) for n in table.sample_sizes]
+    total = float(sum(weights))
+    acc = np.zeros(table.matrix.shape[1])
+    for w, row in zip(weights, table.matrix):
+        acc = acc + (w / total) * row
+    return acc
 
 
 def load_profile_csv(source: Union[str, TextIO]) -> Profile:

@@ -64,6 +64,8 @@ class TestCompiledRows:
                 assert np.array_equal(f[k], [table.freqs[name][locus][a] for a in labels])
             assert np.array_equal(f[K], [local[locus][a] for a in labels])
             assert np.array_equal(f[K + 1], [pooled[locus][a] for a in labels])
+            # only census (or a lone subpop) makes the CB row the LAF row
+            assert np.array_equal(f[K], f[K + 1]) == (scheme == "census" or K == 1)
 
     @pytest.mark.parametrize("scheme", ["census", "samples", "equal"])
     @pytest.mark.parametrize("n_alleles", [3, 10, 25])
@@ -126,6 +128,20 @@ class TestSimConfig:
                       workers=np.int32(2))
         assert (cfg.B, cfg.seed, cfg.workers) == (1000, 7, 2)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("statistics", "MIN", "statistics must be a sequence of names, not one string"),
+        ("theta0", (1, 0, 0), "theta0 must be a ThetaIBD"),
+        ("theta1", [0.25, 0.5, 0.25], "theta1 must be a ThetaIBD"),
+        ("table", None, "table must be a FrequencyTable"),
+    ])
+    def test_rejects_malformed_field(self, two_subpop_table, field, value, message):
+        # unchecked, "MIN" was read as the names M, I, N; a tuple theta failed in the
+        # first block, after the pool had started; table=None raised AttributeError
+        kw = dict(table=two_subpop_table, theta0=kp.UNRELATED, theta1=kp.FULL_SIB, B=1000, seed=7)
+        kw[field] = value
+        with pytest.raises(kp.errors.InvalidParameter, match=message):
+            kp.SimConfig(**kw)
+
     def test_rejects_unknown_cb_weights(self, two_subpop_table):
         with pytest.raises(kp.errors.InvalidParameter, match="bogus"):
             cfg_for(two_subpop_table, cb_weights="bogus")
@@ -135,6 +151,25 @@ class TestSimConfig:
             cfg_for(two_subpop_table, B=0)
         assert isinstance(info.value, kp.errors.KinpowerError)
         assert isinstance(info.value, ValueError)
+
+
+class TestCensusCbIsLaf:
+    """The LAF row is the census pool, so CB under census is LAF to the bit in
+    both phases of simulate and in lr_all. Under auto, on a table whose sample
+    sizes weigh its subpops otherwise than its proportions, the columns differ."""
+
+    @pytest.mark.parametrize("cb_weights, same", [("census", True), ("auto", False)])
+    def test_cb_is_laf_under_census_only(self, cb_weights, same):
+        table = kp.load_frequency_table(TestCompiledRows.LOADED_CSV,
+                                        meta=kp.load_table_meta(TestCompiledRows.LOADED_META))
+        cfg = cfg_for(table, B=64, cb_weights=cb_weights)
+        for phase in kp.simulate(cfg):
+            assert (phase.statistics["LAF"].tobytes()
+                    == phase.statistics["CB"].tobytes()) is same
+        p = kp.Profile(tuple(kp.LocusGenotype(locus, (labels[0], labels[-1]))
+                             for locus, labels in zip(table.panel, table.labels)))
+        stats = kp.lr_all((p, p), cfg.theta0, cfg.theta1, table, cb_weights=cb_weights).stats
+        assert (stats["LAF"] == stats["CB"]) is same
 
 
 class TestDeterminism:

@@ -12,7 +12,8 @@ import pytest
 import kinpower as kp
 from kinpower import errors
 from kinpower.power import read_diff_cis_csv, read_power_curves_csv, read_power_reports_csv
-from kinpower.tables import FREQ_SUM_TOL, PROPORTION_TOL, _check_counts, _pool, _pool_weights
+from kinpower.tables import FREQ_SUM_TOL, PROPORTION_TOL, _check_counts, _pool
+from oracles import reference_pool
 
 
 BASIC_CSV = (
@@ -410,15 +411,15 @@ class TestSubpopulation:
         assert kp.Subpopulation("a", 1.0, np.int64(7)).sample_size == 7
 
 
-def pooled(table, weights):
-    """locus -> allele -> frequency of the table's ``_pool`` row under ``weights``."""
-    row = iter(_pool(table, weights).tolist())
+def pooled(table, scheme):
+    """locus -> allele -> frequency of the table's ``_pool`` row under ``scheme``."""
+    row = iter(_pool(table, scheme).tolist())
     return {locus: {a: next(row) for a in labels}
             for locus, labels in zip(table.panel, table.labels)}
 
 
 class TestLocalAverage:
-    """The local-average row: the table pooled with its mixing proportions."""
+    """The local-average row: the table pooled under ``census``, its mixing proportions."""
 
     def test_two_subpop_mean(self):
         csv = (
@@ -428,12 +429,12 @@ class TestLocalAverage:
         )
         meta = kp.TableMeta(subpops=["a", "b"], proportions=[0.5, 0.5])
         table = kp.load_frequency_table(csv, meta=meta)
-        local = pooled(table, table.proportions)["L1"]
+        local = pooled(table, "census")["L1"]
         assert local["A"] == pytest.approx(0.3)
         assert local["B"] == pytest.approx(0.7)
 
     def test_single_subpop_identity(self, one_locus_table):
-        local = pooled(one_locus_table, one_locus_table.proportions)
+        local = pooled(one_locus_table, "census")
         assert local == dict(one_locus_table.freqs["pop"])
 
     def test_three_subpop_dot_product(self):
@@ -442,7 +443,7 @@ class TestLocalAverage:
             rows += [f"{name},L1,A,{fa}", f"{name},L1,B,{1 - fa}"]
         meta = kp.TableMeta(subpops=list("abc"), proportions=[0.2, 0.3, 0.5])
         table = kp.load_frequency_table("\n".join(rows) + "\n", meta=meta)
-        local = pooled(table, table.proportions)["L1"]
+        local = pooled(table, "census")["L1"]
         assert local["A"] == pytest.approx(0.28)
 
     def test_degenerate_proportions(self, two_subpop_table):
@@ -453,13 +454,13 @@ class TestLocalAverage:
         table = kp.FrequencyTable(
             panel=two_subpop_table.panel, subpops=subpops,
             freqs=two_subpop_table.freqs, floor=two_subpop_table.floor)
-        local = pooled(table, table.proportions)
+        local = pooled(table, "census")
         for locus in table.panel:
             for allele, f in table.freqs["a"][locus].items():
                 assert local[locus][allele] == pytest.approx(f, abs=1e-11)
 
     def test_sums_stay_normalized(self, synth_table):
-        local = pooled(synth_table, synth_table.proportions)
+        local = pooled(synth_table, "census")
         for locus in synth_table.panel:
             assert sum(local[locus].values()) == pytest.approx(1.0, abs=FREQ_SUM_TOL)
 
@@ -467,8 +468,11 @@ class TestLocalAverage:
 class TestPooledFrequencies:
     """The CB row: the table pooled with the weights of a ``--cb-weights`` scheme."""
 
-    def test_census_weights_are_the_proportions(self, two_subpop_table):
-        assert _pool_weights(two_subpop_table, "census") == two_subpop_table.proportions
+    def test_census_weights_are_the_proportions(self, synth_table):
+        table = synth_table
+        expected = reference_pool(table.freqs, [s.name for s in table.subpops], table.panel,
+                                  table.proportions)
+        assert pooled(table, "census") == expected
 
     def test_equal_weights(self):
         csv = (
@@ -478,7 +482,7 @@ class TestPooledFrequencies:
         )
         meta = kp.TableMeta(subpops=["a", "b"], proportions=[0.9, 0.1])
         table = kp.load_frequency_table(csv, meta=meta)
-        assert pooled(table, _pool_weights(table, "equal"))["L1"]["A"] == pytest.approx(0.2)
+        assert pooled(table, "equal")["L1"]["A"] == pytest.approx(0.2)
 
     def test_sample_size_weights(self):
         csv = (
@@ -490,20 +494,24 @@ class TestPooledFrequencies:
                             sample_sizes=[100, 300])
         table = kp.load_frequency_table(csv, meta=meta)
         expected = (100 * 0.1 + 300 * 0.3) / 400
-        assert pooled(table, _pool_weights(table, "samples"))["L1"]["A"] \
+        assert pooled(table, "samples")["L1"]["A"] \
             == pytest.approx(expected)
 
     def test_missing_sample_sizes(self, two_subpop_table):
         with pytest.raises(errors.MissingSampleSizes):
-            _pool_weights(two_subpop_table, "samples")
+            _pool(two_subpop_table, "samples")
 
-    def test_auto_falls_back_to_equal(self, two_subpop_table):
-        assert _pool_weights(two_subpop_table, "auto") \
-            == _pool_weights(two_subpop_table, "equal")
+    def test_auto_falls_back_to_equal(self, synth_table):
+        # synth_table has no sample sizes and unequal proportions, so a
+        # fallback to census would give another row
+        assert synth_table.sample_sizes is None
+        auto = _pool(synth_table, "auto")
+        assert np.array_equal(auto, _pool(synth_table, "equal"))
+        assert not np.array_equal(auto, _pool(synth_table, "census"))
 
     def test_unknown_scheme(self, two_subpop_table):
         with pytest.raises(errors.InvalidParameter, match="unknown weight scheme"):
-            _pool_weights(two_subpop_table, "Census")
+            _pool(two_subpop_table, "Census")
 
 
 class TestProfiles:
