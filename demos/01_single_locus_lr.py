@@ -12,8 +12,6 @@ g1 = kp.LocusGenotype("D3S1358", ("13", "14"))
 g2 = kp.LocusGenotype("D3S1358", ("13", "14"))
 freqs = {"13": 0.15, "14": 0.20, "15": 0.65}
 
-print("combination class:", kp.classify(g1, g2).value)
-
 p_pc = kp.pair_probability(g1, g2, kp.PARENT_CHILD, freqs)
 p_un = kp.pair_probability(g1, g2, kp.UNRELATED, freqs)
 print(f"P(pair | parent-child) = {p_pc:.4f}")

@@ -10,9 +10,7 @@ from .ibd import (
     HALF_SIB_STANDARD,
     PARENT_CHILD,
     UNRELATED,
-    GenotypeCombination,
     ThetaIBD,
-    classify,
     pair_probability,
 )
 from .lrstats import STATISTICS, LrBreakdown, lr_all

@@ -35,6 +35,16 @@ GUIDE = 4096
 STATISTICS = ("LAF", "AVG", "MAX", "MIN", "RMAX", "RMIN", "CB")
 
 
+def _check_inputs(table, theta0, theta1) -> None:
+    """The type rule of a run's and of one pair's inputs (SimConfig,
+    lrstats.lr_all): InvalidParameter naming the first that is not a
+    FrequencyTable or a ThetaIBD."""
+    for name, value, kind in (("table", table, FrequencyTable), ("theta0", theta0, ThetaIBD),
+                              ("theta1", theta1, ThetaIBD)):
+        if not isinstance(value, kind):
+            raise InvalidParameter(f"{name} must be a {kind.__name__}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     table: FrequencyTable
@@ -50,9 +60,10 @@ class SimConfig:
 
     def __post_init__(self):
         _check_counts(B=(self.B, 1), seed=(self.seed, 0), workers=(self.workers, 1))
-        for name, kind in (("table", FrequencyTable), ("theta0", ThetaIBD), ("theta1", ThetaIBD)):
-            if not isinstance(getattr(self, name), kind):
-                raise InvalidParameter(f"{name} must be a {kind.__name__}")
+        _check_inputs(self.table, self.theta0, self.theta1)
+        for name in ("null_same_subpop", "keep_genotypes"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):  # else "no" reads as True
+                raise InvalidParameter(f"{name} must be a bool, got {getattr(self, name)!r}")
         if isinstance(self.statistics, str):  # else "MIN" reads as the names M, I, N
             raise InvalidParameter("statistics must be a sequence of names, not one string")
         if not self.statistics:

@@ -29,7 +29,6 @@ The module also holds the two rules the engine's sampler is built from:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Mapping, Tuple
@@ -70,31 +69,6 @@ FULL_SIB = ThetaIBD(0.25, 0.5, 0.25)
 # coefficients are (1/2, 1/2, 0). Reports must say which one was used.
 HALF_SIB_PAPER = ThetaIBD(0.0, 0.5, 0.5)
 HALF_SIB_STANDARD = ThetaIBD(0.5, 0.5, 0.0)
-
-
-class GenotypeCombination(enum.Enum):
-    """The 7 classes of unordered genotype pairs at a multi-allelic locus."""
-
-    AA_AA = "AA,AA"
-    AA_AB = "AA,AB"
-    AA_BB = "AA,BB"
-    AB_AB = "AB,AB"
-    AA_BC = "AA,BC"
-    AB_AC = "AB,AC"
-    AB_CD = "AB,CD"
-
-
-def classify(g1: LocusGenotype, g2: LocusGenotype) -> GenotypeCombination:
-    """Classify an unordered pair of genotypes; symmetric in (g1, g2)."""
-    s1, s2 = set(g1.alleles), set(g2.alleles)
-    shared = len(s1 & s2)
-    if g1.is_homozygote and g2.is_homozygote:
-        return GenotypeCombination.AA_AA if shared else GenotypeCombination.AA_BB
-    if g1.is_homozygote or g2.is_homozygote:
-        return GenotypeCombination.AA_AB if shared else GenotypeCombination.AA_BC
-    if shared == 2:
-        return GenotypeCombination.AB_AB
-    return GenotypeCombination.AB_AC if shared == 1 else GenotypeCombination.AB_CD
 
 
 def pair_components(g1a, g1b, g2a, g2b, f):

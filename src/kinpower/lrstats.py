@@ -25,7 +25,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .engine import STATISTICS, _compile, _derive_block, _diff, _loglik_arrays
+from .engine import STATISTICS, _check_inputs, _compile, _derive_block, _diff, _loglik_arrays
 from .errors import PanelMismatch
 from .ibd import ThetaIBD, _positions
 from .tables import FrequencyTable, Profile
@@ -68,6 +68,7 @@ def lr_all(
     cb_weights: str = "auto",
 ) -> LrBreakdown:
     """Compute all seven statistics for one profile pair."""
+    _check_inputs(table, theta0, theta1)
     for profile in pair:
         if set(profile.loci) != set(table.panel):
             raise PanelMismatch(

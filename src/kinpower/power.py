@@ -92,8 +92,11 @@ def _rank(n: int, alpha: float) -> int:
 
 
 def _sample(samples: np.ndarray, which: str) -> np.ndarray:
-    """``samples`` as float64; an empty one is an InvalidParameter."""
+    """``samples`` as float64; one that is empty or not one-dimensional is an
+    InvalidParameter."""
     x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise InvalidParameter(f"{which} sample must be one-dimensional, got shape {x.shape}")
     if x.size == 0:
         raise InvalidParameter(f"{which} sample is empty")
     return x
@@ -159,7 +162,11 @@ def power_curve(
 
 
 def subpop_power(alt: SampleMatrix, statistic: str, threshold_log: float, k: int):
-    """Power restricted to alternative pairs tagged with subpopulation k."""
+    """Power restricted to alternative pairs tagged with subpopulation k, an
+    integer in [0, K)."""
+    K = len(alt.subpop_names)
+    if not (_is_integer(k) and 0 <= k < K):
+        raise InvalidParameter(f"subpop index {k!r} not an integer in [0, {K})")
     mask = alt.subpop_tags == k
     n = int(mask.sum())
     if n == 0:

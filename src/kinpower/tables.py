@@ -73,10 +73,6 @@ class LocusGenotype:
         if a > b:
             object.__setattr__(self, "alleles", (b, a))
 
-    @property
-    def is_homozygote(self) -> bool:
-        return self.alleles[0] == self.alleles[1]
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -93,15 +89,12 @@ class Profile:
     def loci(self) -> tuple[str, ...]:
         return tuple(g.locus for g in self.genotypes)
 
-    def genotype(self, locus: str) -> LocusGenotype:
-        for g in self.genotypes:
-            if g.locus == locus:
-                return g
-        raise PanelMismatch(f"profile has no genotype for locus {locus!r}")
-
 
 def _is_integer(value) -> bool:
-    """True for an int or a numpy integer: whatever operator.index accepts."""
+    """True for an int or a numpy integer: whatever operator.index accepts,
+    except a bool, which is a flag and not a count."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
     try:
         operator.index(value)
     except TypeError:

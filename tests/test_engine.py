@@ -133,14 +133,24 @@ class TestSimConfig:
         ("theta0", (1, 0, 0), "theta0 must be a ThetaIBD"),
         ("theta1", [0.25, 0.5, 0.25], "theta1 must be a ThetaIBD"),
         ("table", None, "table must be a FrequencyTable"),
+        ("B", True, "B must be an integer"),
+        ("workers", True, "workers must be an integer"),
+        ("null_same_subpop", "no", "null_same_subpop must be a bool"),
+        ("keep_genotypes", 0.0, "keep_genotypes must be a bool"),
     ])
     def test_rejects_malformed_field(self, two_subpop_table, field, value, message):
         # unchecked, "MIN" was read as the names M, I, N; a tuple theta failed in the
-        # first block, after the pool had started; table=None raised AttributeError
+        # first block, after the pool had started; table=None raised AttributeError;
+        # B=True ran one replicate and null_same_subpop="no" drew every null pair
+        # from one subpop
         kw = dict(table=two_subpop_table, theta0=kp.UNRELATED, theta1=kp.FULL_SIB, B=1000, seed=7)
         kw[field] = value
         with pytest.raises(kp.errors.InvalidParameter, match=message):
             kp.SimConfig(**kw)
+
+    def test_accepts_numpy_bool_flags(self, two_subpop_table):
+        cfg = cfg_for(two_subpop_table, null_same_subpop=np.True_, keep_genotypes=np.False_)
+        assert (cfg.null_same_subpop, cfg.keep_genotypes) == (True, False)
 
     def test_rejects_unknown_cb_weights(self, two_subpop_table):
         with pytest.raises(kp.errors.InvalidParameter, match="bogus"):

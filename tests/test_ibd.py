@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kinpower as kp
-from kinpower.ibd import GenotypeCombination, pair_components
+from kinpower.ibd import pair_components
 
 from conftest import drawn_pairs, rng
 from oracles import (all_genotypes, all_unordered_pairs, drawn_frequencies, hwe_prob,
@@ -49,27 +49,6 @@ class TestThetaIBD:
     def test_rejects_non_finite(self, z):
         with pytest.raises(kp.errors.InvalidParameter, match="non-finite"):
             kp.ThetaIBD(*z)
-
-
-class TestClassify:
-    @pytest.mark.parametrize("g1,g2,expected", [
-        (G("13", "13"), G("13", "13"), GenotypeCombination.AA_AA),
-        (G("13", "13"), G("13", "14"), GenotypeCombination.AA_AB),
-        (G("13", "13"), G("14", "14"), GenotypeCombination.AA_BB),
-        (G("13", "14"), G("13", "14"), GenotypeCombination.AB_AB),
-        (G("13", "13"), G("14", "15"), GenotypeCombination.AA_BC),
-        (G("11", "12"), G("12", "14"), GenotypeCombination.AB_AC),
-        (G("11", "12"), G("13", "14"), GenotypeCombination.AB_CD),
-    ])
-    def test_seven_classes(self, g1, g2, expected):
-        assert kp.classify(g1, g2) is expected
-        assert kp.classify(g2, g1) is expected
-
-    def test_total_and_unique(self):
-        gs = all_genotypes(["1", "2", "3", "4"])
-        for g1 in gs:
-            for g2 in gs:
-                assert kp.classify(g1, g2) in GenotypeCombination
 
 
 class TestPairProbability:

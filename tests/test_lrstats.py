@@ -42,10 +42,9 @@ class TestLoglik:
         p1 = profile_from([("L1", ("A", "B")), ("L2", ("C", "C"))])
         p2 = profile_from([("L1", ("A", "A")), ("L2", ("C", "D"))])
         b = kp.lr_all((p1, p2), kp.UNRELATED, kp.FULL_SIB, table)
+        g1, g2 = ({g.locus: g for g in p.genotypes} for p in (p1, p2))
         for theta, total in ((kp.UNRELATED, b.loglik0[0]), (kp.FULL_SIB, b.loglik1[0])):
-            parts = sum(
-                math.log(kp.pair_probability(p1.genotype(l), p2.genotype(l), theta, f[l]))
-                for l in f)
+            parts = sum(math.log(kp.pair_probability(g1[l], g2[l], theta, f[l])) for l in f)
             assert total == pytest.approx(parts, abs=1e-12)
 
     def test_minus_inf_propagates(self):
@@ -213,6 +212,19 @@ class TestLrAll:
         p1 = profile_from([("L1", ("10", "11"))])
         with pytest.raises(errors.PanelMismatch):
             kp.lr_all((p1, p1), kp.UNRELATED, kp.FULL_SIB, two_subpop_table)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("theta0", (1, 0, 0), "theta0 must be a ThetaIBD"),
+        ("table", None, "table must be a FrequencyTable"),
+    ])
+    def test_rejects_malformed_input_as_simconfig_does(self, worked_pair, one_locus_table,
+                                                       field, value, message):
+        # unchecked, a tuple theta raised AttributeError on .as_tuple and
+        # table=None on .panel
+        kw = dict(theta0=kp.UNRELATED, theta1=kp.FULL_SIB, table=one_locus_table)
+        kw[field] = value
+        with pytest.raises(errors.InvalidParameter, match=message):
+            kp.lr_all(worked_pair, **kw)
 
     def test_breakdown_recomputable(self, two_subpop_table):
         p1 = profile_from([("L1", ("10", "11")), ("L2", ("7", "8"))])

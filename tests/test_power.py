@@ -76,6 +76,12 @@ class TestNullThreshold:
         with pytest.raises(kp.errors.InvalidParameter, match="null sample is empty"):
             kp.null_threshold(np.array([]), 0.1)
 
+    def test_two_dimensional_sample_rejected(self):
+        # unchecked, numpy raised ValueError: kth(=4) out of bounds (3)
+        with pytest.raises(kp.errors.InvalidParameter,
+                           match=r"null sample must be one-dimensional, got shape \(3, 3\)"):
+            kp.null_threshold(np.ones((3, 3)), 0.5)
+
 
 class TestClopperPearson:
     @pytest.mark.parametrize("k,n", [(0, 100), (1, 100), (50, 100),
@@ -97,7 +103,7 @@ class TestClopperPearson:
         assert hi == pytest.approx(1 - 0.025 ** (1 / n), rel=1e-12)
 
     @pytest.mark.parametrize("k,n", [(3, 2), (-1, 10), (0, 0), (2.5, 10), (3, 10.0),
-                                     (np.float64(3), 10), ("3", 10)])
+                                     (np.float64(3), 10), ("3", 10), (True, 10)])
     def test_bad_counts_rejected(self, k, n):
         with pytest.raises(kp.errors.InvalidParameter, match="bad counts"):
             kp.clopper_pearson(k, n)
@@ -262,6 +268,16 @@ class TestSubpopPower:
         with pytest.raises(EmptySubpopSample):
             kp.subpop_power(matrix, "LAF", 0.0, 1)
 
+    @pytest.mark.parametrize("k", [3, 7, -1])
+    def test_index_outside_subpops_rejected(self, k):
+        # unchecked, an index past the K=3 subpops raised EmptySubpopSample
+        matrix = kp.SampleMatrix(
+            statistics={"LAF": np.ones(9)},
+            subpop_tags=np.repeat(np.arange(3), 3),
+            subpop_names=("x", "y", "z"))
+        with pytest.raises(kp.errors.InvalidParameter, match=r"not an integer in \[0, 3\)"):
+            kp.subpop_power(matrix, "LAF", 0.0, k)
+
 
 class TestPowerDiffCI:
     def test_symmetric_about_zero_when_equal(self):
@@ -291,7 +307,8 @@ class TestPowerDiffCI:
         with pytest.raises(kp.errors.InvalidParameter, match="sample sizes"):
             kp.power_diff_ci(0.5, n_i, 0.5, n_j)
 
-    @pytest.mark.parametrize("n_i,n_j", [(40.5, 40), (40, 40.0), (np.float64(40), 40)])
+    @pytest.mark.parametrize("n_i,n_j", [(40.5, 40), (40, 40.0), (np.float64(40), 40),
+                                         (True, 40)])
     def test_non_integer_sample_size_rejected(self, n_i, n_j):
         with pytest.raises(kp.errors.InvalidParameter, match="sample sizes"):
             kp.power_diff_ci(0.5, n_i, 0.4, n_j)

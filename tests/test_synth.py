@@ -68,6 +68,7 @@ class TestSynthFrequencyTable:
         {"n_alleles": np.float64(8)},
         {"seed": 1.5},
         {"n_loci": "4"},
+        {"n_loci": True},
         {"n_subpops": 2, "sample_sizes": [2.5, 3]},
     ])
     def test_rejects_bad_parameters(self, kwargs):
