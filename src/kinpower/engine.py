@@ -73,7 +73,7 @@ class SimConfig:
         unknown = set(self.statistics) - set(STATISTICS)
         if unknown:
             raise InvalidParameter(f"unknown statistics {sorted(unknown)}")
-        _pool(self.table, self.cb_weights)  # a bad scheme fails before any run
+        _compile(self.table, self.cb_weights)  # a bad scheme fails before any run
 
 
 @dataclass
@@ -111,19 +111,52 @@ class _Sampler(NamedTuple):
     guide: np.ndarray             # (K * loci * GUIDE,) draw per bucket, -1 if split
 
 
-# largest column count S whose base-S four-digit cell keys fit int64
+# Largest column count S whose cell codes surely fit int64: a locus of A
+# alleles has G = A(A+1)/2 genotypes and G^2 ordered genotype pairs, and over
+# the loci sum G^2 <= (S(S+1)/2)^2 < S^4.
 _MAX_COLUMNS = math.isqrt(math.isqrt(np.iinfo(np.int64).max))
+# Largest per-process memo of cell rows (see _loglik_arrays), in bytes.
+_MEMO_BYTES = 64 << 20
 
 
 def _compile(table: FrequencyTable, cb_weights: str) -> np.ndarray:
-    """The kernel's (K+2, sum of A) frequency sets: the table's K subpop rows,
-    the local-average row (K) and the ``cb_weights`` pooled row (K+1), with
-    the loci side by side as in ``FrequencyTable.matrix``."""
-    if table.offsets[-1] > _MAX_COLUMNS:
-        raise InvalidParameter(
-            f"table has {table.offsets[-1]} alleles over its loci; at most {_MAX_COLUMNS} "
-            "fit the kernel's int64 cell keys")
-    return np.vstack([table.matrix, _pool(table, "census"), _pool(table, cb_weights)])
+    """The kernel's read-only (K+2, sum of A) frequency sets: the table's K
+    subpop rows, the local-average row (K) and the ``cb_weights`` pooled row
+    (K+1), with the loci side by side as in ``FrequencyTable.matrix``. Built
+    once per table and scheme, and kept in the table's ``memo``."""
+    full = table.memo.get(("compile", cb_weights))
+    if full is None:
+        if table.offsets[-1] > _MAX_COLUMNS:
+            raise InvalidParameter(
+                f"table has {table.offsets[-1]} alleles over its loci; at most {_MAX_COLUMNS} "
+                "fit the kernel's int64 cell codes")
+        full = np.vstack([table.matrix, _pool(table, "census"), _pool(table, cb_weights)])
+        full.setflags(write=False)
+        table.memo[("compile", cb_weights)] = full
+    return full
+
+
+class _Layout(NamedTuple):
+    """Where the cell codes of a (K+2, S) ``full`` with loci starting at
+    ``offsets`` lie: locus ell's genotype g1 = (a1, b1), a1 <= b1, and g2 give
+    code ``goff[ell] + c1 * G[ell] + c2``, with c = b(b+1)/2 + a the index of
+    a genotype among the G = A(A+1)/2 of its locus."""
+
+    offsets: np.ndarray   # (loci,) int64 first column of each locus
+    goff: np.ndarray      # (loci,) int64 first code of each locus
+    G: np.ndarray         # (loci,) int64 genotypes at each locus
+    codes: int            # sum of G^2, the number of codes
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(columns: int, offsets: tuple[int, ...]) -> _Layout:
+    offs = np.array(offsets, dtype=np.int64)
+    A = np.diff(offs, append=columns)
+    G = A * (A + 1) // 2
+    goff = np.concatenate(([0], np.cumsum(G * G)))
+    for shared in (offs, G, goff):  # every caller gets these very arrays
+        shared.setflags(write=False)
+    return _Layout(offs, goff[:-1], G, int(goff[-1]))
 
 
 def _sampler(table: FrequencyTable) -> _Sampler:
@@ -163,38 +196,92 @@ def _alleles(sampler: _Sampler, k: np.ndarray, u: np.ndarray) -> np.ndarray:
     return a
 
 
-def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
+def _genotype(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """int64 index b(b+1)/2 + a of each genotype (a <= b) among its locus's."""
+    c = b.astype(np.int64)
+    c *= c + 1
+    c //= 2
+    c += a
+    return c
+
+
+# The process's one memo entry, (key, rows, filled): see _loglik_arrays.
+_memo: Optional[tuple] = None
+
+
+def _memo_rows(full, offsets, theta0, theta1, codes: int):
+    """The (codes, 2, K+2) rows and the filled mask of this process's memo
+    for ``full``, ``offsets`` and the two thetas. An entry for anything else
+    is replaced by a new, empty one. Threads need no lock: a call keeps the
+    entry it got even when another replaces it, and two calls on one entry
+    write the same bytes to a row."""
+    global _memo
+    key = (full.shape, full.tobytes(), offsets, theta0, theta1)
+    entry = _memo
+    if entry is None or entry[0] != key:
+        entry = _memo = (key, np.empty((codes, 2, len(full))), np.zeros(codes, dtype=bool))
+    return entry[1], entry[2]
+
+
+def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1, memo=False):
     """Per-replicate log-likelihoods, shape (n, K+2), under both thetas.
 
     ``full`` is ``_compile``'s (K+2, S) array and locus i's alleles start at
     its column ``offsets[i]``. The (n, loci) allele-index arrays give
-    n * loci cells, each an ordered genotype pair at one locus. A cell's key
-    is its four global allele columns in ``full`` read as the digits of one
-    base-S number, and one ``np.unique`` finds the distinct keys. One
-    pair_components call evaluates each distinct key once, on the columns
-    ``np.unravel_index`` decodes from it, over all K+2 frequency sets, the
-    rows of ``full``, and both thetas weigh those components at once,
-    stacked on a leading axis. Each key's (2, K+2) values then form one
-    contiguous row, and each replicate adds the rows of its cells locus by
+    n * loci cells, each an ordered genotype pair at one locus, keyed by its
+    code (``_Layout``). A cell's row holds its (2, K+2) log-probabilities:
+    one pair_components call evaluates cells over all K+2 frequency sets,
+    the rows of ``full``, on the columns read at each code's first
+    occurrence, and both thetas weigh those components at once, stacked on
+    a leading axis. Each replicate then adds the rows of its cells locus by
     locus in panel order, so every cell and every sum is what a per-locus
     evaluation would give, to the last bit.
+
+    Without ``memo``, or when the memo would pass ``_MEMO_BYTES``, the rows
+    are those of the call's distinct codes, found by one ``np.unique``. With
+    it, they are this process's memo: one row per code, each evaluated the
+    first time a call meets it, and kept for every later call with the same
+    ``full``, offsets and thetas. A call then evaluates only the distinct
+    codes that are not yet filled in, and makes no pair_components call when
+    none is. A row is written before it is marked filled, so a concurrent
+    call never reads a row that is marked but unwritten.
     """
     n, m = g1a.shape
-    digits = (full.shape[1],) * 4
-    # cell i * loci + ell is replicate i at locus ell
-    keys = np.ravel_multi_index([(g + offsets).ravel() for g in (g1a, g1b, g2a, g2b)], digits)
-    distinct, inv = np.unique(keys, return_inverse=True)
-    p0, p1, p2, mult = pair_components(*np.unravel_index(distinct, digits), full)
+    offsets = tuple(offsets)
+    layout = _layout(full.shape[1], offsets)
+    codes = _genotype(g1a, g1b)
+    codes *= layout.G
+    codes += layout.goff
+    codes += _genotype(g2a, g2b)
+    codes = codes.ravel()   # cell i * loci + ell is replicate i at locus ell
     z = np.array([theta0.as_tuple(), theta1.as_tuple()])[:, :, None, None]
-    with np.errstate(divide="ignore"):
-        v = np.log(mult * (z[:, 0] * p0 + z[:, 1] * p1 + z[:, 2] * p2))  # (2, K+2, keys)
 
-    # one contiguous (2, K+2) row per key, gathered per locus in panel order
-    rows = np.ascontiguousarray(np.moveaxis(v, 2, 0))
-    inv = inv.reshape(n, m)
+    def evaluate(first):
+        """(cells, 2, K+2) rows of the cells at flat positions ``first``."""
+        base = layout.offsets.take(first % m)
+        p0, p1, p2, mult = pair_components(*(g.ravel().take(first) + base
+                                             for g in (g1a, g1b, g2a, g2b)), full)
+        with np.errstate(divide="ignore"):
+            v = np.log(mult * (z[:, 0] * p0 + z[:, 1] * p1 + z[:, 2] * p2))  # (2, K+2, cells)
+        return np.moveaxis(v, 2, 0)
+
+    if memo and layout.codes * 2 * len(full) * 8 <= _MEMO_BYTES:
+        rows, filled = _memo_rows(full, offsets, theta0, theta1, layout.codes)
+        todo = np.flatnonzero(~filled.take(codes))
+        new, first = np.unique(codes.take(todo), return_index=True)
+        if new.size:
+            rows[new] = evaluate(todo.take(first))
+            filled[new] = True
+        index = codes
+    else:
+        _, first, index = np.unique(codes, return_index=True, return_inverse=True)
+        rows = np.ascontiguousarray(evaluate(first))
+    index = index.reshape(n, m)
+
+    # one contiguous (2, K+2) row per code, gathered per locus in panel order
     ll = np.zeros((n, 2, len(full)))
     for ell in range(m):
-        ll += rows.take(inv[:, ell], axis=0)
+        ll += rows.take(index[:, ell], axis=0)
     # (n, K+2) views with contiguous columns: the statistics reduce over the
     # K+2 axis, about 5 times slower when that is the short contiguous one
     ll = np.ascontiguousarray(ll.transpose(1, 2, 0))
@@ -292,9 +379,11 @@ def _draws(sampler: _Sampler, cfg: SimConfig, alt: bool):
 
 
 def _run_block(full: np.ndarray, sampler: _Sampler, cfg: SimConfig, alt: bool, block: int):
-    """Subpop tags and requested statistics of one block's pairs."""
+    """Subpop tags and requested statistics of one block's pairs. A run of
+    more than one block a phase evaluates its cells through the memo."""
     k1, *g = _draw_block(sampler, cfg, alt, block)
-    ll0, ll1 = _loglik_arrays(full, cfg.table.offsets[:-1], *g, cfg.theta0, cfg.theta1)
+    ll0, ll1 = _loglik_arrays(full, cfg.table.offsets[:-1], *g, cfg.theta0, cfg.theta1,
+                              memo=cfg.B > BLOCK)
     values = _derive_block(ll0, ll1, np.log(cfg.table.proportions))
     return k1, {s: values[s] for s in cfg.statistics}
 

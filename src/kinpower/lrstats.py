@@ -13,9 +13,11 @@ Seven statistics are computed, all in log scale:
 (B=1): the pair is encoded as allele indices in the table's label order,
 read from the table's ``label_index``, and goes through the same
 log-likelihood, infinity rule and statistic code as every simulated pair,
-so casework and simulation agree bit for bit. Its loci go to the kernel
-in one ``pair_components`` call, and it builds none of the sampling CDFs
-the simulation path needs.
+so casework and simulation agree bit for bit. Its loci go to the kernel's
+per-call path, one ``pair_components`` call over the pair's distinct
+cells, never to the memo of multi-block runs. It reuses the table's
+compiled frequency sets and builds none of the sampling CDFs the
+simulation path needs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .engine import STATISTICS, _check_inputs, _compile, _derive_block, _diff, _loglik_arrays
-from .errors import PanelMismatch
+from .errors import InvalidParameter, PanelMismatch
 from .ibd import ThetaIBD, _positions
 from .tables import FrequencyTable, Profile
 
@@ -69,6 +71,9 @@ def lr_all(
 ) -> LrBreakdown:
     """Compute all seven statistics for one profile pair."""
     _check_inputs(table, theta0, theta1)
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(isinstance(p, Profile) for p in pair)):
+        raise InvalidParameter("pair must be two Profiles")
     for profile in pair:
         if set(profile.loci) != set(table.panel):
             raise PanelMismatch(

@@ -167,8 +167,10 @@ class FrequencyTable:
     locus; ``label_index``, per panel locus the map from a label to its
     position in ``labels``; ``matrix``, a read-only float64 (K, sum of A)
     array with a row per subpop and the loci side by side in panel order,
-    columns in ``labels`` order; and ``offsets``, so that locus i is
-    ``matrix[:, offsets[i]:offsets[i + 1]]``. Construction raises
+    columns in ``labels`` order; ``offsets``, so that locus i is
+    ``matrix[:, offsets[i]:offsets[i + 1]]``; and ``memo``, a dict, empty
+    at first, in which the engine keeps what it derives from the table
+    once, such as its compiled frequency sets. Construction raises
     MissingLocusForSubpop when ``freqs`` lacks a subpop or panel locus,
     PanelMismatch when subpops list different alleles at a locus,
     ProportionSumOutOfTolerance when the proportions miss 1 by more than
@@ -178,7 +180,8 @@ class FrequencyTable:
     is repeated, or a subpop's frequencies at a locus miss 1 by more than
     FREQ_SUM_TOL.
 
-    Immutable after construction; safe for shared read access from any
+    Immutable after construction, but for ``memo``, which only gains
+    entries derived from the rest; safe for shared read access from any
     number of concurrent workers.
     """
 
@@ -190,6 +193,7 @@ class FrequencyTable:
     label_index: tuple[Mapping[Allele, int], ...] = field(init=False, compare=False, repr=False)
     matrix: np.ndarray = field(init=False, compare=False, repr=False)
     offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    memo: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.panel:
@@ -226,6 +230,7 @@ class FrequencyTable:
             {a: i for i, a in enumerate(support)} for support in labels))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "memo", {})
 
     @property
     def n_subpops(self) -> int:

@@ -596,16 +596,17 @@ class TestRunConfig:
 
 
 class TestOneRunPerCommand:
-    """A simulating command compiles the table once, builds one sampler and,
-    with more than one worker, opens one pool for both phases."""
+    """A simulating command compiles the table once, pooling its LAF and CB
+    rows once each, builds one sampler and, with more than one worker, opens
+    one pool for both phases."""
 
     @pytest.mark.parametrize("command", ["power", "power-curve", "subpop-bias"])
     def test_one_compile_sampler_and_pool(self, synth_files, tmp_path, monkeypatch, pool_events,
                                           command):
         from kinpower import engine
-        calls = {"_compile": 0, "_sampler": 0}
+        calls = {"_pool": 0, "_sampler": 0}
         monkeypatch.setattr(engine, "_cpus", lambda: 64)
-        for name in ("_compile", "_sampler"):
+        for name in ("_pool", "_sampler"):
             def counted(*args, _real=getattr(engine, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
@@ -615,7 +616,7 @@ class TestOneRunPerCommand:
         assert main([command, "--freqs", str(freqs), "--meta", str(meta), "--alpha", "0.05",
                      "--B", str(2 * kp.BLOCK + 1), "--workers", "2", "--stats", "LAF",
                      "--out", str(tmp_path / "out")]) == 0
-        assert calls == {"_compile": 1, "_sampler": 1}
+        assert calls == {"_pool": 2, "_sampler": 1}
         assert pool_events == [("open", 2)]
 
 

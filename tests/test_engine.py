@@ -785,13 +785,14 @@ class TestGuideTable:
 
 
 class TestKernelCallShape:
-    """One pair_components call per block and per lr_all, evaluating each
-    distinct (locus, genotype 1, genotype 2) once. The call goes through the
-    name kinpower.engine.pair_components, which profilers wrap."""
+    """At one worker, a run of more than one block a phase evaluates each of
+    its distinct (locus, genotype 1, genotype 2) cells once, through the
+    process's memo, so a second identical run evaluates none; a one-block
+    run and lr_all make one call over their own distinct cells. The calls go
+    through the name kinpower.engine.pair_components, which profilers wrap."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        from kinpower import engine
         seen = []
 
         def recorder(g1a, g1b, g2a, g2b, f):
@@ -799,23 +800,130 @@ class TestKernelCallShape:
             return pair_components(g1a, g1b, g2a, g2b, f)
 
         monkeypatch.setattr(engine, "pair_components", recorder)
+        monkeypatch.setattr(engine, "_memo", None)
         return seen
 
-    @pytest.mark.parametrize("simulate", [kp.simulate_null, kp.simulate_alt])
-    def test_one_call_per_block(self, synth_table, calls, simulate):
-        B = 2 * BLOCK + 123
-        m = simulate(cfg_for(synth_table, B=B, theta1=kp.PARENT_CHILD,
-                             statistics=("LAF",), keep_genotypes=True))
+    @staticmethod
+    def distinct_cells(table, m):
         g = m.genotypes
-        locus = np.broadcast_to(np.arange(synth_table.n_loci), g["g1a"].shape)
+        locus = np.broadcast_to(np.arange(table.n_loci), g["g1a"].shape)
         cells = np.stack([locus] + [g[k] for k in ("g1a", "g1b", "g2a", "g2b")], axis=-1)
-        distinct = [len(np.unique(cells[lo:lo + BLOCK].reshape(-1, 5), axis=0))
-                    for lo in range(0, B, BLOCK)]
-        assert calls == distinct
-        assert all(d < BLOCK * synth_table.n_loci for d in distinct[:2])
+        return len(np.unique(cells.reshape(-1, 5), axis=0))
+
+    @pytest.mark.parametrize("simulate", [kp.simulate_null, kp.simulate_alt])
+    def test_each_cell_once_per_run(self, synth_table, calls, simulate):
+        cfg = cfg_for(synth_table, B=2 * BLOCK + 123, theta1=kp.PARENT_CHILD,
+                      statistics=("LAF",), keep_genotypes=True)
+        m = simulate(cfg)
+        assert 1 < len(calls) <= 3
+        assert sum(calls) == self.distinct_cells(synth_table, m)
+        assert sum(calls) < BLOCK * synth_table.n_loci
+        del calls[:]
+        assert _same_samples(simulate(cfg), m)
+        assert calls == []
+
+    def test_one_call_per_one_block_run(self, synth_table, calls):
+        cfg = cfg_for(synth_table, B=BLOCK, theta1=kp.PARENT_CHILD, statistics=("LAF",),
+                      keep_genotypes=True)
+        for _ in range(2):
+            m = kp.simulate_null(cfg)
+            assert calls == [self.distinct_cells(synth_table, m)]
+            del calls[:]
+        assert engine._memo is None
 
     def test_one_call_per_lr_all(self, synth_table, calls):
         p1 = kp.Profile(tuple(kp.LocusGenotype(locus, synth_table.alleles(locus)[:2])
                               for locus in synth_table.panel))
         kp.lr_all((p1, p1), kp.UNRELATED, kp.PARENT_CHILD, synth_table)
         assert calls == [synth_table.n_loci]
+
+
+class TestKernelMemo:
+    """The per-process memo of cell rows never serves one kernel's rows to
+    another, and a panel over its cap takes the per-call path."""
+
+    B = 2 * BLOCK + 123
+
+    @pytest.fixture
+    def tables(self):
+        return [kp.synth_frequency_table(n_subpops=3, n_loci=4, n_alleles=6, divergence=0.3,
+                                         seed=seed, sample_sizes=[50, 80, 120])
+                for seed in (1, 2)]
+
+    def configs(self, tables, workers):
+        """Runs that differ from the first in one part of the memo's key
+        each: the table (same shape), theta1 and the CB row's scheme."""
+        base = dict(table=tables[0], theta1=kp.FULL_SIB, cb_weights="samples")
+        changes = [{}, {"table": tables[1]}, {"theta1": kp.PARENT_CHILD},
+                   {"cb_weights": "equal"}]
+        return [cfg_for(B=self.B, workers=workers, **{**base, **change})
+                for change in changes]
+
+    @staticmethod
+    def fresh(cfg, monkeypatch):
+        monkeypatch.setattr(engine, "_memo", None)
+        return kp.simulate(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_alternating_runs_read_no_stale_rows(self, tables, monkeypatch, workers):
+        monkeypatch.setattr(engine, "_cpus", lambda: 2)
+        want = [self.fresh(cfg, monkeypatch) for cfg in self.configs(tables, 1)]
+        configs = self.configs(tables, workers)
+        try:
+            for i in (0, 1, 0, 2, 0, 3, 1, 2, 3, 0):
+                got = kp.simulate(configs[i])
+                assert all(_same_samples(g, w) for g, w in zip(got, want[i])), i
+        finally:
+            engine._close_pool()
+
+    def test_large_support_table_runs_over_the_cap(self, monkeypatch):
+        table = large_support_table()
+        monkeypatch.setattr(engine, "_memo", None)
+        cfg = cfg_for(table, B=self.B, statistics=kp.STATISTICS, keep_genotypes=True)
+        logp = np.log(table.proportions)
+        for m in kp.simulate(cfg):
+            g = m.genotypes
+            args = (_compile(table, "auto"), table.offsets[:-1],
+                    *(g[k] for k in ("g1a", "g1b", "g2a", "g2b")), cfg.theta0, cfg.theta1)
+            want = reference_loglik_arrays(*args)
+            got = _loglik_arrays(*args, memo=True)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+            stats = _derive_block(*want, logp)
+            for s in kp.STATISTICS:
+                assert m.statistics[s].tobytes() == stats[s].tobytes(), s
+        assert engine._memo is None
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_either_side_of_the_cap(self, synth_table, monkeypatch, over):
+        full = _compile(synth_table, "auto")
+        layout = engine._layout(full.shape[1], synth_table.offsets[:-1])
+        monkeypatch.setattr(engine, "_MEMO_BYTES", layout.codes * 2 * len(full) * 8 - over)
+        monkeypatch.setattr(engine, "_memo", None)
+        g = drawn_pairs(cfg_for(synth_table, B=BLOCK + 123), alt=False)
+        args = (full, synth_table.offsets[:-1], *(g[k] for k in ("g1a", "g1b", "g2a", "g2b")),
+                kp.UNRELATED, kp.FULL_SIB)
+        got, want = _loglik_arrays(*args, memo=True), reference_loglik_arrays(*args)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+        assert (engine._memo is None) == over
+
+    def test_threads_on_two_tables_get_their_serial_bytes(self, tables, monkeypatch):
+        serial = [self.fresh(cfg_for(t, B=self.B), monkeypatch)[0] for t in tables]
+        same = []
+
+        def runs(i):
+            for _ in range(3):
+                same.append(_same_samples(kp.simulate_null(cfg_for(tables[i], B=self.B)),
+                                          serial[i]))
+
+        threads = [threading.Thread(target=runs, args=(i % 2,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert same == [True] * 12

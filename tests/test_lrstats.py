@@ -226,6 +226,18 @@ class TestLrAll:
         with pytest.raises(errors.InvalidParameter, match=message):
             kp.lr_all(worked_pair, **kw)
 
+    @pytest.mark.parametrize("count", [3, 1, 0])
+    def test_rejects_a_pair_that_is_not_two_profiles(self, worked_pair, one_locus_table, count):
+        # unchecked, three profiles dropped the third and one raised IndexError
+        pair = (worked_pair * 2)[:count]
+        with pytest.raises(errors.InvalidParameter, match="pair must be two Profiles"):
+            kp.lr_all(pair, kp.UNRELATED, kp.FULL_SIB, one_locus_table)
+
+    def test_rejects_a_pair_of_strings(self, one_locus_table):
+        # unchecked, this raised AttributeError on the first string's .loci
+        with pytest.raises(errors.InvalidParameter, match="pair must be two Profiles"):
+            kp.lr_all(("a.csv", "b.csv"), kp.UNRELATED, kp.FULL_SIB, one_locus_table)
+
     def test_breakdown_recomputable(self, two_subpop_table):
         p1 = profile_from([("L1", ("10", "11")), ("L2", ("7", "8"))])
         b = kp.lr_all((p1, p1), kp.UNRELATED, kp.FULL_SIB, two_subpop_table)
