@@ -205,22 +205,14 @@ def _genotype(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-# The process's one memo entry, (key, rows, filled): see _loglik_arrays.
-_memo: Optional[tuple] = None
-
-
-def _memo_rows(full, offsets, theta0, theta1, codes: int):
-    """The (codes, 2, K+2) rows and the filled mask of this process's memo
-    for ``full``, ``offsets`` and the two thetas. An entry for anything else
-    is replaced by a new, empty one. Threads need no lock: a call keeps the
-    entry it got even when another replaces it, and two calls on one entry
-    write the same bytes to a row."""
-    global _memo
-    key = (full.shape, full.tobytes(), offsets, theta0, theta1)
-    entry = _memo
-    if entry is None or entry[0] != key:
-        entry = _memo = (key, np.empty((codes, 2, len(full))), np.zeros(codes, dtype=bool))
-    return entry[1], entry[2]
+@functools.lru_cache(maxsize=1)
+def _memo_rows(key: tuple, codes: int, sets: int):
+    """The (codes, 2, sets) rows and the filled mask of this process's one
+    memo entry, keyed by compiled rows, offsets and thetas (_loglik_arrays).
+    A call with another key replaces the entry by a new, empty one. Threads
+    need no lock: a call keeps the entry it got even when another replaces
+    it, and two calls on one entry write the same bytes to a row."""
+    return np.empty((codes, 2, sets)), np.zeros(codes, dtype=bool)
 
 
 def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1, memo=False):
@@ -266,7 +258,8 @@ def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1, memo=False
         return np.moveaxis(v, 2, 0)
 
     if memo and layout.codes * 2 * len(full) * 8 <= _MEMO_BYTES:
-        rows, filled = _memo_rows(full, offsets, theta0, theta1, layout.codes)
+        key = (full.shape, full.tobytes(), offsets, theta0, theta1)
+        rows, filled = _memo_rows(key, layout.codes, len(full))
         todo = np.flatnonzero(~filled.take(codes))
         new, first = np.unique(codes.take(todo), return_index=True)
         if new.size:

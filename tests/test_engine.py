@@ -800,7 +800,7 @@ class TestKernelCallShape:
             return pair_components(g1a, g1b, g2a, g2b, f)
 
         monkeypatch.setattr(engine, "pair_components", recorder)
-        monkeypatch.setattr(engine, "_memo", None)
+        engine._memo_rows.cache_clear()
         return seen
 
     @staticmethod
@@ -829,7 +829,7 @@ class TestKernelCallShape:
             m = kp.simulate_null(cfg)
             assert calls == [self.distinct_cells(synth_table, m)]
             del calls[:]
-        assert engine._memo is None
+        assert engine._memo_rows.cache_info().currsize == 0
 
     def test_one_call_per_lr_all(self, synth_table, calls):
         p1 = kp.Profile(tuple(kp.LocusGenotype(locus, synth_table.alleles(locus)[:2])
@@ -840,7 +840,8 @@ class TestKernelCallShape:
 
 class TestKernelMemo:
     """The per-process memo of cell rows never serves one kernel's rows to
-    another, and a panel over its cap takes the per-call path."""
+    another, a panel over its cap takes the per-call path, and the calls
+    that take that path leave a warm entry in place."""
 
     B = 2 * BLOCK + 123
 
@@ -860,14 +861,14 @@ class TestKernelMemo:
                 for change in changes]
 
     @staticmethod
-    def fresh(cfg, monkeypatch):
-        monkeypatch.setattr(engine, "_memo", None)
+    def fresh(cfg):
+        engine._memo_rows.cache_clear()
         return kp.simulate(cfg)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_alternating_runs_read_no_stale_rows(self, tables, monkeypatch, workers):
         monkeypatch.setattr(engine, "_cpus", lambda: 2)
-        want = [self.fresh(cfg, monkeypatch) for cfg in self.configs(tables, 1)]
+        want = [self.fresh(cfg) for cfg in self.configs(tables, 1)]
         configs = self.configs(tables, workers)
         try:
             for i in (0, 1, 0, 2, 0, 3, 1, 2, 3, 0):
@@ -876,9 +877,9 @@ class TestKernelMemo:
         finally:
             engine._close_pool()
 
-    def test_large_support_table_runs_over_the_cap(self, monkeypatch):
+    def test_large_support_table_runs_over_the_cap(self):
         table = large_support_table()
-        monkeypatch.setattr(engine, "_memo", None)
+        engine._memo_rows.cache_clear()
         cfg = cfg_for(table, B=self.B, statistics=kp.STATISTICS, keep_genotypes=True)
         logp = np.log(table.proportions)
         for m in kp.simulate(cfg):
@@ -891,23 +892,50 @@ class TestKernelMemo:
             stats = _derive_block(*want, logp)
             for s in kp.STATISTICS:
                 assert m.statistics[s].tobytes() == stats[s].tobytes(), s
-        assert engine._memo is None
+        assert engine._memo_rows.cache_info().currsize == 0
 
     @pytest.mark.parametrize("over", [False, True])
     def test_either_side_of_the_cap(self, synth_table, monkeypatch, over):
         full = _compile(synth_table, "auto")
         layout = engine._layout(full.shape[1], synth_table.offsets[:-1])
         monkeypatch.setattr(engine, "_MEMO_BYTES", layout.codes * 2 * len(full) * 8 - over)
-        monkeypatch.setattr(engine, "_memo", None)
+        engine._memo_rows.cache_clear()
         g = drawn_pairs(cfg_for(synth_table, B=BLOCK + 123), alt=False)
         args = (full, synth_table.offsets[:-1], *(g[k] for k in ("g1a", "g1b", "g2a", "g2b")),
                 kp.UNRELATED, kp.FULL_SIB)
         got, want = _loglik_arrays(*args, memo=True), reference_loglik_arrays(*args)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
-        assert (engine._memo is None) == over
+        assert engine._memo_rows.cache_info().currsize == (not over)
 
-    def test_threads_on_two_tables_get_their_serial_bytes(self, tables, monkeypatch):
-        serial = [self.fresh(cfg_for(t, B=self.B), monkeypatch)[0] for t in tables]
+    def test_a_warm_entry_survives_the_paths_that_must_not_touch_it(self, tables,
+                                                                     monkeypatch):
+        # a one-block run and lr_all on another table, and an over-cap run,
+        # take the per-call path and neither read nor replace the entry
+        calls = []
+
+        def recorder(*args):
+            calls.append(len(args[0]))
+            return pair_components(*args)
+
+        monkeypatch.setattr(engine, "pair_components", recorder)
+        a, b = tables
+        cfg = cfg_for(a, B=self.B)
+        want = self.fresh(cfg)
+        kp.simulate(cfg_for(b, B=BLOCK))
+        p1 = kp.Profile(tuple(kp.LocusGenotype(locus, b.alleles(locus)[:2]) for locus in b.panel))
+        kp.lr_all((p1, p1), kp.UNRELATED, kp.FULL_SIB, b)
+        full = _compile(a, "auto")
+        size = engine._layout(full.shape[1], a.offsets[:-1]).codes * 2 * len(full) * 8
+        with monkeypatch.context() as capped:
+            capped.setattr(engine, "_MEMO_BYTES", size - 1)
+            over = kp.simulate(cfg)
+        assert all(_same_samples(g, w) for g, w in zip(over, want))
+        del calls[:]
+        assert all(_same_samples(g, w) for g, w in zip(kp.simulate(cfg), want))
+        assert calls == []
+
+    def test_threads_on_two_tables_get_their_serial_bytes(self, tables):
+        serial = [self.fresh(cfg_for(t, B=self.B))[0] for t in tables]
         same = []
 
         def runs(i):

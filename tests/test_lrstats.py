@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import kinpower as kp
-from kinpower import errors
+from kinpower import engine, errors
+from kinpower.engine import BLOCK
 from kinpower.lrstats import STATISTICS
 
 from conftest import rng
@@ -13,6 +14,18 @@ from oracles import reference_pair_probs
 
 def profile_from(genos):
     return kp.Profile(tuple(kp.LocusGenotype(l, a) for l, a in genos))
+
+
+def pair_of(table, g, i):
+    """The profile pair of row i of the allele-index arrays g."""
+    labels = [table.alleles(locus) for locus in table.panel]
+
+    def profile(a, b):
+        return kp.Profile(tuple(
+            kp.LocusGenotype(locus, (labels[ell][a[i, ell]], labels[ell][b[i, ell]]))
+            for ell, locus in enumerate(table.panel)))
+
+    return profile(g["g1a"], g["g1b"]), profile(g["g2a"], g["g2b"])
 
 
 @pytest.fixture
@@ -194,19 +207,32 @@ class TestLrAll:
         # +-inf included (parent-child makes most null pairs impossible)
         m = simulate(kp.SimConfig(table=synth_table, theta0=kp.UNRELATED,
                                   theta1=theta1, B=200, seed=3, keep_genotypes=True))
-        g = m.genotypes
-        labels = [synth_table.alleles(locus) for locus in synth_table.panel]
-
-        def profile(a, b, i):
-            return kp.Profile(tuple(
-                kp.LocusGenotype(locus, (labels[ell][a[i, ell]], labels[ell][b[i, ell]]))
-                for ell, locus in enumerate(synth_table.panel)))
-
         for i in range(m.B):
-            pair = (profile(g["g1a"], g["g1b"], i), profile(g["g2a"], g["g2b"], i))
-            b = kp.lr_all(pair, kp.UNRELATED, theta1, synth_table)
+            b = kp.lr_all(pair_of(synth_table, m.genotypes, i), kp.UNRELATED, theta1,
+                          synth_table)
             for s in STATISTICS:
                 assert b.stats[s] == m.statistics[s][i], (i, s)
+
+    @pytest.mark.parametrize("theta1", [kp.FULL_SIB, kp.PARENT_CHILD],
+                             ids=["full-sib", "parent-child"])
+    def test_matches_the_memo_path_exactly(self, synth_table, theta1):
+        # a run of more than one block reads its rows from the process's
+        # memo, and its second block meets rows that the first block wrote;
+        # lr_all evaluates each pair's cells on its own
+        engine._memo_rows.cache_clear()
+        runs = kp.simulate(kp.SimConfig(table=synth_table, theta0=kp.UNRELATED, theta1=theta1,
+                                        B=BLOCK + 64, seed=3, keep_genotypes=True))
+        assert engine._memo_rows.cache_info().currsize == 1
+        infinite = 0
+        for phase, m in zip(("null", "alt"), runs):
+            for i in range(BLOCK, m.B):
+                b = kp.lr_all(pair_of(synth_table, m.genotypes, i), kp.UNRELATED, theta1,
+                              synth_table)
+                got = np.array([b.stats[s] for s in STATISTICS])
+                want = np.array([m.statistics[s][i] for s in STATISTICS])
+                assert got.tobytes() == want.tobytes(), (phase, i)
+                infinite += np.isinf(want).any()
+        assert infinite > 0 or theta1 is kp.FULL_SIB
 
     def test_panel_mismatch(self, two_subpop_table):
         p1 = profile_from([("L1", ("10", "11"))])
