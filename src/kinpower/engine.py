@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .ibd import ThetaIBD, categorical, pair_components, related_from_uniforms
-from .tables import FrequencyTable, _check_counts, _pool, _write_rows
+from .tables import (FrequencyTable, _check_counts, _float_cells, _pool, _quoted_cell,
+                     _write_blocks)
 
 BLOCK = 8192
 # buckets of each guide table; a power of two, so that u * GUIDE and its floor
@@ -487,12 +488,30 @@ def simulate_alt(cfg: SimConfig) -> SampleMatrix:
 
 def dump_samples(matrix: SampleMatrix, sink: Optional[TextIO] = None) -> Optional[str]:
     """Write a SampleMatrix as CSV (log-scale statistic columns); returns the
-    text when ``sink`` is None, else writes it to that stream. Rows are built
-    ``BLOCK`` replicates at a time, so a sink costs one block's rows of memory."""
+    text when ``sink`` is None, else writes it to that stream.
+
+    The matrix is checked before the first write: a statistic column that
+    does not hold B values, a tag outside ``subpop_names`` or a name a tag
+    uses that is not a valid text cell is an InvalidParameter, with nothing
+    written. Each used name is formatted once per call; each ``BLOCK`` of
+    replicates is formatted column by column and sent in one write, so a
+    sink costs one block's text of memory."""
     names = list(matrix.statistics)
-    rows = itertools.chain.from_iterable(
-        zip(map(str, range(lo, lo + BLOCK)),
-            [matrix.subpop_names[t] for t in matrix.subpop_tags[lo:lo + BLOCK].tolist()],
-            *(matrix.statistics[s][lo:lo + BLOCK].tolist() for s in names))
-        for lo in range(0, matrix.B, BLOCK))
-    return _write_rows(["replicate", "subpop_tag"] + names, rows, sink)
+    for s in names:
+        if np.shape(matrix.statistics[s]) != (matrix.B,):
+            raise InvalidParameter(f"statistic {s!r} has shape {np.shape(matrix.statistics[s])}, "
+                                   f"not the ({matrix.B},) of the subpop tags")
+    tags = np.asarray(matrix.subpop_tags)
+    K = len(matrix.subpop_names)
+    cells = [None] * K
+    if matrix.B:
+        if not (tags.min() >= 0 and tags.max() < K):
+            raise InvalidParameter(f"subpop tags run from {tags.min()} to {tags.max()}, "
+                                   f"outside the {K} subpop names")
+        for k in np.flatnonzero(np.bincount(tags, minlength=K)).tolist():
+            cells[k] = _quoted_cell(matrix.subpop_names[k], "subpop name")
+    blocks = ((map(str, range(lo, lo + BLOCK)),
+               map(cells.__getitem__, tags[lo:lo + BLOCK].tolist()),
+               *(_float_cells(matrix.statistics[s][lo:lo + BLOCK]) for s in names))
+              for lo in range(0, matrix.B, BLOCK))
+    return _write_blocks(["replicate", "subpop_tag"] + names, blocks, sink)

@@ -295,6 +295,32 @@ def _write_rows(header: Sequence[str], rows, sink: Optional[TextIO]) -> Optional
     return None if sink is not None else buf.getvalue()
 
 
+# _write_rows' rule cell by cell, for _write_blocks: a writer of columns of
+# thousands of cells formats each text once and each column in one pass.
+
+def _quoted_cell(text: str, what: str) -> str:
+    """``text`` checked by _text_cell and quoted as csv.writer quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([_text_cell(text, what)])
+    return buf.getvalue()[:-1]
+
+
+def _float_cells(values) -> Iterator[str]:
+    """Each number in ``values`` as repr(float)."""
+    return map(repr, np.asarray(values, dtype=np.float64).tolist())
+
+
+def _write_blocks(header: Sequence[str], blocks, sink: Optional[TextIO]) -> Optional[str]:
+    """CSV of ``header`` and then of each block, a sequence of columns of
+    written cells, each block sent in one write; returns the text when
+    ``sink`` is None, else writes it there."""
+    buf = sink if sink is not None else io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    for columns in blocks:
+        buf.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    return None if sink is not None else buf.getvalue()
+
+
 def _read_rows(source: Union[str, TextIO], columns: Sequence[str],
                text: int) -> Iterator[tuple[int, list]]:
     """(line number, cells) per data row of a CSV headed ``columns``: cells

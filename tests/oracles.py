@@ -11,8 +11,12 @@ the production formula is checked against code that shares none of it.
 ``reference_block_genotypes`` likewise keeps the engine's earlier per-locus
 sampler, which shares ``categorical`` and the block's uniform stream with
 the engine, so it checks the guide tables rather than the draw rule.
+``reference_dump`` keeps the sample dump's earlier row-by-row rule, one
+``csv.writer`` row per replicate and ``repr(float(v))`` per statistic cell.
 """
 
+import csv
+import io
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -192,3 +196,16 @@ def reference_block_genotypes(cfg, alt: bool, block: int, n: int):
         g2b[:, ell] = np.where(j == 0, np.maximum(first, other),
                                np.where(j == 1, np.maximum(shared, other), g1b[:, ell]))
     return k1, g1a, g1b, g2a, g2b
+
+
+def reference_dump(matrix) -> str:
+    """A SampleMatrix as engine.dump_samples writes it, one csv.writer row
+    per replicate: its index, its subpop name and repr(float(v)) of each
+    statistic."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["replicate", "subpop_tag", *matrix.statistics])
+    for i, tag in enumerate(matrix.subpop_tags.tolist()):
+        writer.writerow([str(i), matrix.subpop_names[tag],
+                         *(repr(float(v[i])) for v in matrix.statistics.values())])
+    return buf.getvalue()

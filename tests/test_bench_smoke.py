@@ -20,13 +20,15 @@ SEED = 3
 pytestmark = pytest.mark.filterwarnings("ignore::kinpower.errors.AlphaTooSmallForB")
 
 
-@pytest.mark.parametrize("name", sorted(W.WORKLOADS))
-def test_gates_pass(name, tmp_path):
+@pytest.mark.parametrize("name, B", [pytest.param(n, 2048, id=n) for n in sorted(W.WORKLOADS)] + [
+    # three dump blocks, the last partial, through the dump read-back gate
+    pytest.param("report_dump", 2 * W.E.BLOCK + 5, id="report_dump-across-blocks")])
+def test_gates_pass(name, B, tmp_path):
     wl = W.WORKLOADS[name](1, {})
     if name == "casework_lr":
         wl.PAIRS = 6
     else:
-        wl.B = 2048
+        wl.B = B
     state = wl.setup(SEED, tmp_path)
     args = wl.pass_args(state)
     assert args

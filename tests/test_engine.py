@@ -21,7 +21,8 @@ from kinpower.engine import (BLOCK, GUIDE, _MAX_COLUMNS, _alleles, _compile, _de
 from kinpower.ibd import categorical, pair_components
 
 from conftest import drawn_pairs, rng
-from oracles import reference_block_genotypes, reference_loglik_arrays, reference_pool
+from oracles import (reference_block_genotypes, reference_dump, reference_loglik_arrays,
+                     reference_pool)
 
 
 class TestCompiledRows:
@@ -566,6 +567,46 @@ class TestSampleMatrixDump:
         with pytest.raises(TypeError):
             kp.dump_samples(null, "x.csv")
         assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def direct_matrix(B):
+        """A SampleMatrix built without the engine: float edge values first,
+        names that csv must quote and a third name that no tag uses."""
+        r = np.random.default_rng(B)
+        edges = [math.inf, -math.inf, -0.0, 1e-05, 1e16, 5e-324, 1 / 3]
+        values = np.concatenate([edges, r.standard_normal(B) * 10.0 ** r.integers(-300, 300, B)])
+        return kp.SampleMatrix(statistics={"LAF": values[:B], "CB": values[:B][::-1].copy()},
+                               subpop_tags=r.integers(0, 2, B),
+                               subpop_names=("a,b", 'q"x', "unused"))
+
+    @pytest.mark.parametrize("B", [2 * BLOCK + 5, 0], ids=["partial-last-block", "header-only"])
+    def test_bytes_match_the_row_by_row_reference(self, B):
+        import io
+        matrix = self.direct_matrix(B)
+        want = reference_dump(matrix)
+        buf = io.StringIO()
+        assert kp.dump_samples(matrix, buf) is None
+        assert buf.getvalue() == want
+        assert kp.dump_samples(matrix) == want
+        if B:
+            assert '\n0,"a,b",inf,' in want or '\n0,"q""x",inf,' in want
+            assert "unused" not in want
+
+    @pytest.mark.parametrize("columns, tags, names", [
+        ([0.5, 1.5], [0, 1, 0], ("a", "b")),
+        ([0.5, 1.5, 2.5, 3.5], [0, 1, 0], ("a", "b")),
+        ([0.5, 1.5, 2.5], [0, 5, 0], ("a", "b")),
+        ([0.5, 1.5, 2.5], [0, -1, 0], ("a", "b")),
+        ([0.5, 1.5, 2.5], [0, 1, 0], ("a", " b")),
+    ], ids=["short-column", "long-column", "tag-past-names", "negative-tag", "bad-name"])
+    def test_bad_matrix_refused_before_the_first_write(self, columns, tags, names):
+        import io
+        matrix = kp.SampleMatrix(statistics={"LAF": np.array(columns)},
+                                 subpop_tags=np.array(tags), subpop_names=names)
+        buf = io.StringIO()
+        with pytest.raises(kp.errors.InvalidParameter):
+            kp.dump_samples(matrix, buf)
+        assert buf.getvalue() == ""
 
 
 class TestPinnedOutputs:
