@@ -184,16 +184,16 @@ def _sampler(table: FrequencyTable) -> _Sampler:
     return _Sampler(prop_cdf=np.cumsum(table.proportions), cdf=cdf, guide=guide)
 
 
-def _alleles(sampler: _Sampler, k: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Allele indices of the (n, loci) uniforms u, row i drawn in subpop
-    k[i]: ``categorical`` of each uniform on its CDF row. The guide answers
-    every draw but those in split buckets, which go to ``categorical``."""
-    m = u.shape[1]
+def _alleles(sampler: _Sampler, base: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Allele indices of the (n, loci) uniforms u, row i drawn in the subpop
+    whose guide rows start at ``base[i]``: ``categorical`` of each uniform on
+    its CDF row, read from the guide but where one flat scan finds a split."""
     idx = (u * GUIDE).astype(np.intp)
-    idx += (k[:, None] * m + np.arange(m)) * GUIDE
+    idx += base
     a = sampler.guide.take(idx)
-    i, ell = np.nonzero(a < 0)
-    a[i, ell] = categorical(sampler.cdf[k[i], ell], u[i, ell])
+    i, ell = np.divmod(np.flatnonzero(a < 0), u.shape[1])
+    cdf = sampler.cdf.reshape(-1, sampler.cdf.shape[2])  # row k * loci + ell
+    a[i, ell] = categorical(cdf[base[i, ell] // GUIDE], u[i, ell])
     return a
 
 
@@ -270,12 +270,12 @@ def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1, memo=False
     else:
         _, first, index = np.unique(codes, return_index=True, return_inverse=True)
         rows = np.ascontiguousarray(evaluate(first))
-    index = index.reshape(n, m)
+    index = np.ascontiguousarray(index.reshape(n, m).T)   # locus-major
 
     # one contiguous (2, K+2) row per code, gathered per locus in panel order
     ll = np.zeros((n, 2, len(full)))
     for ell in range(m):
-        ll += rows.take(index[:, ell], axis=0)
+        ll += rows.take(index[ell], axis=0)
     # (n, K+2) views with contiguous columns: the statistics reduce over the
     # K+2 axis, about 5 times slower when that is the short contiguous one
     ll = np.ascontiguousarray(ll.transpose(1, 2, 0))
@@ -354,14 +354,17 @@ def _draw_block(sampler: _Sampler, cfg: SimConfig, alt: bool, block: int):
     k2 = k1 if alt or cfg.null_same_subpop else categorical(sampler.prop_cdf, u[:, 1])
     # uj[j][:, ell] is uniform j of locus ell, for every pair
     uj = np.moveaxis(u[:, head:].reshape(n, m, width), 2, 0)
+    # (n, loci) first guide entry of each pair's subpop at each locus
+    base = (k1[:, None] * m + np.arange(m)) * GUIDE
 
-    g1a, g1b = _ordered(_alleles(sampler, k1, uj[0]), _alleles(sampler, k1, uj[1]))
+    g1a, g1b = _ordered(_alleles(sampler, base, uj[0]), _alleles(sampler, base, uj[1]))
     if alt:
         g2a, g2b = related_from_uniforms(g1a, g1b, cfg.theta1, uj[2], uj[3],
-                                         _alleles(sampler, k1, uj[3]),
-                                         _alleles(sampler, k1, uj[4]))
-    else:
-        g2a, g2b = _ordered(_alleles(sampler, k2, uj[2]), _alleles(sampler, k2, uj[3]))
+                                         _alleles(sampler, base, uj[3]),
+                                         _alleles(sampler, base, uj[4]))
+    else:  # k2's base replaces k1's: both kept alive made each warm null block page-fault
+        base = base if k2 is k1 else (k2[:, None] * m + np.arange(m)) * GUIDE
+        g2a, g2b = _ordered(_alleles(sampler, base, uj[2]), _alleles(sampler, base, uj[3]))
     return k1, g1a, g1b, g2a, g2b
 
 
@@ -486,6 +489,21 @@ def simulate_alt(cfg: SimConfig) -> SampleMatrix:
     return _simulate(cfg, (True,))[0]
 
 
+def _checked_tags(matrix: SampleMatrix, statistics) -> np.ndarray:
+    """``matrix``'s subpop tags, checked to lie in [0, K), and each of its
+    ``statistics`` to hold B values: else an InvalidParameter naming them."""
+    for s in statistics:
+        if np.shape(matrix.statistics[s]) != (matrix.B,):
+            raise InvalidParameter(f"statistic {s!r} has shape {np.shape(matrix.statistics[s])}, "
+                                   f"not the ({matrix.B},) of the subpop tags")
+    tags = np.asarray(matrix.subpop_tags)
+    K = len(matrix.subpop_names)
+    if matrix.B and not (np.can_cast(tags.dtype, np.intp) and tags.min() >= 0 and tags.max() < K):
+        raise InvalidParameter(f"subpop tags must be integers in [0, {K}), the {K} subpop "
+                               f"names; they are {tags.dtype} from {tags.min()} to {tags.max()}")
+    return tags
+
+
 def dump_samples(matrix: SampleMatrix, sink: Optional[TextIO] = None) -> Optional[str]:
     """Write a SampleMatrix as CSV (log-scale statistic columns); returns the
     text when ``sink`` is None, else writes it to that stream.
@@ -497,19 +515,11 @@ def dump_samples(matrix: SampleMatrix, sink: Optional[TextIO] = None) -> Optiona
     replicates is formatted column by column and sent in one write, so a
     sink costs one block's text of memory."""
     names = list(matrix.statistics)
-    for s in names:
-        if np.shape(matrix.statistics[s]) != (matrix.B,):
-            raise InvalidParameter(f"statistic {s!r} has shape {np.shape(matrix.statistics[s])}, "
-                                   f"not the ({matrix.B},) of the subpop tags")
-    tags = np.asarray(matrix.subpop_tags)
+    tags = _checked_tags(matrix, names)
     K = len(matrix.subpop_names)
     cells = [None] * K
-    if matrix.B:
-        if not (tags.min() >= 0 and tags.max() < K):
-            raise InvalidParameter(f"subpop tags run from {tags.min()} to {tags.max()}, "
-                                   f"outside the {K} subpop names")
-        for k in np.flatnonzero(np.bincount(tags, minlength=K)).tolist():
-            cells[k] = _quoted_cell(matrix.subpop_names[k], "subpop name")
+    for k in np.flatnonzero(np.bincount(tags, minlength=K)).tolist() if matrix.B else ():
+        cells[k] = _quoted_cell(matrix.subpop_names[k], "subpop name")
     blocks = ((map(str, range(lo, lo + BLOCK)),
                map(cells.__getitem__, tags[lo:lo + BLOCK].tolist()),
                *(_float_cells(matrix.statistics[s][lo:lo + BLOCK]) for s in names))

@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence, TextIO, Union
 import numpy as np
 from scipy import stats as sps
 
-from .engine import SampleMatrix
+from .engine import SampleMatrix, _checked_tags
 from .errors import (AlphaTooSmallForB, EmptySubpopSample, InvalidParameter,
                      SmallSampleWarning)
 from .tables import _is_integer, _read_rows, _write_rows
@@ -110,17 +110,23 @@ def null_threshold(null_samples: np.ndarray, alpha: float) -> float:
     return float(np.partition(x, i)[i])
 
 
+def _clopper_pearson(successes, trials):
+    """(lo, hi) arrays of clopper_pearson's interval for each pair of checked
+    counts, from one beta.ppf call; lo is 0.0 at 0 and hi 1.0 at ``trials``."""
+    s = np.asarray(successes, dtype=np.float64)
+    f = np.asarray(trials, dtype=np.float64) - s
+    a = 1.0 - CI_LEVEL
+    lo, hi = sps.beta.ppf([[a / 2], [1 - a / 2]], [s, s + 1], [f + 1, f])
+    return np.where(s == 0, 0.0, lo), np.where(f == 0, 1.0, hi)
+
+
 def clopper_pearson(successes: int, trials: int):
     """Exact binomial 95% confidence interval from beta quantiles."""
     if not (_is_integer(successes) and _is_integer(trials)
             and 0 <= successes <= trials and trials > 0):
         raise InvalidParameter(f"bad counts ({successes}, {trials})")
-    a = 1.0 - CI_LEVEL
-    lo = 0.0 if successes == 0 else float(
-        sps.beta.ppf(a / 2, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(
-        sps.beta.ppf(1 - a / 2, successes + 1, trials - successes))
-    return lo, hi
+    lo, hi = _clopper_pearson([successes], [trials])
+    return float(lo[0]), float(hi[0])
 
 
 def power(alt_samples: np.ndarray, threshold_log: float):
@@ -161,18 +167,26 @@ def power_curve(
     return power_curves(null_samples, {statistic: alt_samples}, alpha_grid)[0]
 
 
+def _subpop_counts(alt: SampleMatrix, statistic: str, threshold_log: float):
+    """(hits, n) over alt's K subpops, one bincount of the tags each: the
+    replicates whose ``statistic`` lies above ``threshold_log``, and all. A
+    bad column or tag is an InvalidParameter (``_sample``, ``_checked_tags``)."""
+    over = _sample(alt.statistics[statistic], "alternative") > threshold_log
+    tags = _checked_tags(alt, (statistic,))
+    K = len(alt.subpop_names)
+    return np.bincount(tags[over], minlength=K), np.bincount(tags, minlength=K)
+
+
 def subpop_power(alt: SampleMatrix, statistic: str, threshold_log: float, k: int):
     """Power restricted to alternative pairs tagged with subpopulation k, an
     integer in [0, K)."""
     K = len(alt.subpop_names)
     if not (_is_integer(k) and 0 <= k < K):
         raise InvalidParameter(f"subpop index {k!r} not an integer in [0, {K})")
-    mask = alt.subpop_tags == k
-    n = int(mask.sum())
+    hits, n = (int(counts[k]) for counts in _subpop_counts(alt, statistic, threshold_log))
     if n == 0:
         raise EmptySubpopSample(f"no alternative replicates tagged subpop {k}")
-    est, ci = power(alt.statistics[statistic][mask], threshold_log)
-    return est, n, ci
+    return hits / n, n, clopper_pearson(hits, n)
 
 
 def power_diff_ci(power_i: float, n_i: int, power_j: float, n_j: int,
@@ -204,24 +218,20 @@ def power_report(
     statistic: str,
     alpha: float,
 ) -> PowerReport:
-    """Threshold, power, exact CI and per-subpop (power, n, CI) for one cell."""
+    """Threshold, power, exact CI and per-subpop (power, n, CI) for one cell,
+    leaving out subpops with no alternative replicate: one ``_subpop_counts``
+    pass counts every subpop, one ``_clopper_pearson`` gives every CI."""
     c = null_threshold(null.statistics[statistic], alpha)
-    est, ci = power(alt.statistics[statistic], c)
-    by_subpop = {}
-    for k, name in enumerate(alt.subpop_names):
-        try:
-            by_subpop[name] = subpop_power(alt, statistic, c, k)
-        except EmptySubpopSample:
-            continue
-    return PowerReport(
-        statistic=statistic,
-        alpha=alpha,
-        threshold_log=c,
-        power=est,
-        ci_low=ci[0],
-        ci_high=ci[1],
-        per_subpop=by_subpop,
-    )
+    hits, n = _subpop_counts(alt, statistic, c)
+    used = np.flatnonzero(n)
+    successes = np.concatenate(([hits.sum()], hits[used]))
+    trials = np.concatenate(([alt.B], n[used]))
+    lo, hi = _clopper_pearson(successes, trials)
+    (est, _, ci), *by_subpop = zip((successes / trials).tolist(), trials.tolist(),
+                                   zip(lo.tolist(), hi.tolist()))
+    names = (alt.subpop_names[k] for k in used.tolist())
+    return PowerReport(statistic=statistic, alpha=alpha, threshold_log=c, power=est,
+                       ci_low=ci[0], ci_high=ci[1], per_subpop=dict(zip(names, by_subpop)))
 
 
 # ---------------------------------------------------------------------------

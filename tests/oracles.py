@@ -13,13 +13,17 @@ sampler, which shares ``categorical`` and the block's uniform stream with
 the engine, so it checks the guide tables rather than the draw rule.
 ``reference_dump`` keeps the sample dump's earlier row-by-row rule, one
 ``csv.writer`` row per replicate and ``repr(float(v))`` per statistic cell.
+``reference_power_report`` keeps the power report's earlier rule, one
+boolean mask per subpop and two scalar ``beta.ppf`` calls per interval.
 """
 
 import csv
 import io
+import math
 from itertools import combinations_with_replacement
 
 import numpy as np
+from scipy import stats as sps
 
 from kinpower import LocusGenotype
 from kinpower.engine import _block_rng
@@ -209,3 +213,27 @@ def reference_dump(matrix) -> str:
         writer.writerow([str(i), matrix.subpop_names[tag],
                          *(repr(float(v[i])) for v in matrix.statistics.values())])
     return buf.getvalue()
+
+
+def reference_power_report(null, alt, statistic: str, alpha: float):
+    """(threshold_log, power, (ci_low, ci_high), per_subpop) of
+    power.power_report, by its earlier rule: the threshold is the
+    ceil(B(1 - alpha))-th smallest null value, each subpop with alternative
+    replicates is counted through its own mask, and each CI bound is one
+    scalar ``beta.ppf`` call, or 0.0 at no hits and 1.0 at all hits."""
+    x = np.sort(np.asarray(null.statistics[statistic], dtype=np.float64))
+    c = float(x[math.ceil(x.size * (1.0 - alpha)) - 1])
+    a = 1.0 - 0.95
+
+    def cell(values):
+        hits, n = int(np.count_nonzero(values > c)), values.size
+        lo = 0.0 if hits == 0 else float(sps.beta.ppf(a / 2, hits, n - hits + 1))
+        hi = 1.0 if hits == n else float(sps.beta.ppf(1 - a / 2, hits + 1, n - hits))
+        return hits / n, n, (lo, hi)
+
+    y = np.asarray(alt.statistics[statistic], dtype=np.float64)
+    power, _, ci = cell(y)
+    tags = np.asarray(alt.subpop_tags)
+    per_subpop = {name: cell(y[tags == k]) for k, name in enumerate(alt.subpop_names)
+                  if np.any(tags == k)}
+    return c, power, ci, per_subpop

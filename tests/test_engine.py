@@ -16,8 +16,8 @@ import pytest
 
 import kinpower as kp
 from kinpower import engine
-from kinpower.engine import (BLOCK, GUIDE, _MAX_COLUMNS, _alleles, _compile, _derive_block,
-                             _draws, _loglik_arrays, _sampler)
+from kinpower.engine import (BLOCK, GUIDE, _MAX_COLUMNS, _alleles, _block_rng, _compile,
+                             _derive_block, _draws, _loglik_arrays, _sampler)
 from kinpower.ibd import categorical, pair_components
 
 from conftest import drawn_pairs, rng
@@ -765,6 +765,16 @@ class TestSamplerOracle:
                                          divergence=5.0, seed=3, floor=1e-7)
         assert (table.matrix < 2e-7).sum() > 60
         assert_sampler_matches_loop(table, seed=60)
+        # its first null block draws from split buckets at several loci and
+        # subpops, so the loop checks where _alleles maps each flat split hit
+        sampler, m = _sampler(table), table.n_loci
+        u = _block_rng(60, 0, 0).random((BLOCK, 2 + 4 * m))
+        k = categorical(sampler.prop_cdf, u[:, :2].ravel()).reshape(-1, 2)  # k1, k2 per pair
+        cols = np.arange(4 * m)   # uniform j of locus ell is column 4 * ell + j after the head
+        subpop = k[:, cols % 4 // 2]
+        locus = np.broadcast_to(cols // 4, subpop.shape)
+        split = sampler.guide[(subpop * m + locus) * GUIDE + (u[:, 2:] * GUIDE).astype(np.intp)] < 0
+        assert len(set(locus[split].tolist())) >= 2 and len(set(subpop[split].tolist())) >= 2
 
     @pytest.mark.parametrize("simulate,alt", [(kp.simulate_null, False),
                                               (kp.simulate_alt, True)])
@@ -808,7 +818,7 @@ class TestGuideTable:
         sampler = _sampler(table)
         guide = sampler.guide[(u * GUIDE).astype(np.intp)]
         assert np.all((guide == want) | (guide == -1))
-        got = _alleles(sampler, np.zeros(u.size, dtype=np.intp), u[:, None])
+        got = _alleles(sampler, np.zeros((u.size, 1), dtype=np.intp), u[:, None])
         assert np.array_equal(got[:, 0], want)
         # split exactly where an entry lies strictly inside a bucket; the
         # last entry never splits one, since draws at or above it are capped

@@ -12,6 +12,7 @@ import kinpower as kp
 from kinpower.errors import AlphaTooSmallForB, EmptySubpopSample, SmallSampleWarning
 
 from conftest import rng
+from oracles import reference_power_report
 
 
 def cp_oracle(successes, trials, level=0.95):
@@ -366,3 +367,98 @@ class TestPowerReport:
         assert rows[0]["power"] == report.power
         assert rows[0]["threshold"] == report.threshold_log
         assert "LAF" in power_reports_json([report])
+
+
+def subpop_power_of_each(alt, statistic, threshold_log):
+    return [kp.subpop_power(alt, statistic, threshold_log, k)
+            for k in range(len(alt.subpop_names))]
+
+
+class TestMalformedMatrixRefused:
+    """power_report and subpop_power count every subpop through one check of
+    the alternative matrix, as dump_samples does."""
+
+    @staticmethod
+    def matrices(tags, values):
+        names = ("x", "y")
+        null = kp.SampleMatrix(statistics={"LAF": np.arange(100.0)},
+                               subpop_tags=np.arange(100) % 2, subpop_names=names)
+        alt = kp.SampleMatrix(statistics={"LAF": values}, subpop_tags=tags, subpop_names=names)
+        return null, alt
+
+    @pytest.mark.parametrize("report", [
+        lambda null, alt: kp.power_report(null, alt, "LAF", 0.5),
+        lambda null, alt: subpop_power_of_each(alt, "LAF", 50.0)], ids=["report", "subpop"])
+    @pytest.mark.parametrize("bad_tag, dtype, tag_range", [
+        (5, int, "int64 from 0 to 5"), (-1, int, "int64 from -1 to 1"),
+        (1, float, "float64 from 0.0 to 1.0")], ids=["5", "-1", "float"])
+    def test_tag_outside_subpops(self, report, bad_tag, dtype, tag_range):
+        # unchecked, a tag of 5 or -1 was left out of every subpop but counted
+        # in the overall power, so the subpop counts summed to 99 of 100
+        tags = (np.arange(100) % 2).astype(dtype)
+        tags[17] = bad_tag
+        null, alt = self.matrices(tags, np.arange(100.0))
+        with pytest.raises(kp.errors.InvalidParameter,
+                           match=rf"integers in \[0, 2\), .*; they are {tag_range}$"):
+            report(null, alt)
+
+    @pytest.mark.parametrize("report", [
+        lambda null, alt: kp.power_report(null, alt, "LAF", 0.5),
+        lambda null, alt: subpop_power_of_each(alt, "LAF", 50.0)], ids=["report", "subpop"])
+    def test_column_shorter_than_tags(self, report):
+        # unchecked, the subpop mask of 100 tags raised a bare IndexError
+        null, alt = self.matrices(np.arange(100) % 2, np.arange(90.0))
+        with pytest.raises(kp.errors.InvalidParameter, match=r"shape \(90,\), not the \(100,\)"):
+            report(null, alt)
+
+
+class TestPowerReportOracle:
+    """power_report's threshold, power, CI and every per_subpop entry equal
+    reference_power_report's per-subpop masks and scalar beta.ppf calls to
+    the bit, for all seven statistics."""
+
+    @staticmethod
+    def assert_matches(null, alt, alpha):
+        for stat in kp.STATISTICS:
+            r = kp.power_report(null, alt, stat, alpha)
+            got = (r.threshold_log, r.power, (r.ci_low, r.ci_high), r.per_subpop)
+            assert repr(got) == repr(reference_power_report(null, alt, stat, alpha)), stat
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3])
+    def test_simulated_k4(self, synth_table, alpha):
+        cfg = kp.SimConfig(table=synth_table, theta0=kp.UNRELATED, theta1=kp.FULL_SIB,
+                           B=3000, seed=8)
+        self.assert_matches(*kp.simulate(cfg), alpha)
+
+    def test_simulated_k1(self, one_locus_table):
+        cfg = kp.SimConfig(table=one_locus_table, theta0=kp.UNRELATED, theta1=kp.FULL_SIB,
+                           B=500, seed=9)
+        null, alt = kp.simulate(cfg)
+        assert alt.subpop_names == ("pop",)
+        self.assert_matches(null, alt, 0.2)
+
+    def test_no_hits_all_hits_and_a_subpop_without_alt_replicates(self):
+        # per statistic, every alternative pair, none, or all of one subpop
+        # and none of the other lies above the threshold; no pair is in z
+        B = 40
+        tags = np.arange(B) % 2
+        line = np.linspace(-1.0, 1.0, B)
+        alt_values = dict(zip(kp.STATISTICS, (
+            line + 5, line - 5, line, np.where(tags == 0, 5.0, -5.0), np.full(B, np.inf),
+            np.full(B, -np.inf), line + 0.5)))
+        names = ("x", "y", "z")
+        null = kp.SampleMatrix(statistics={s: line for s in kp.STATISTICS},
+                               subpop_tags=np.arange(B) % 3, subpop_names=names)
+        alt = kp.SampleMatrix(statistics=alt_values, subpop_tags=tags, subpop_names=names)
+        self.assert_matches(null, alt, 0.25)
+        reports = {s: kp.power_report(null, alt, s, 0.25) for s in kp.STATISTICS}
+        assert (reports["LAF"].power, reports["LAF"].ci_high) == (1.0, 1.0)
+        assert (reports["AVG"].power, reports["AVG"].ci_low) == (0.0, 0.0)
+        assert [v[0] for v in reports["MIN"].per_subpop.values()] == [1.0, 0.0]
+        assert all(list(r.per_subpop) == ["x", "y"] for r in reports.values())
+
+    @pytest.mark.parametrize("k,n", [(np.array([3]), 10), (3, np.array([10])), (11, 10),
+                                     (-1, 10), (0, 0)])
+    def test_clopper_pearson_refuses_bad_counts(self, k, n):
+        with pytest.raises(kp.errors.InvalidParameter, match="bad counts"):
+            kp.clopper_pearson(k, n)
