@@ -132,7 +132,9 @@ def _make_dir(out: Path) -> None:
 def _stream(path: Path, write, items) -> None:
     """``write(items, sink)`` into the UTF-8 file at ``path``, streamed: a
     table a row at a time, a sample dump one ``BLOCK`` of replicates at a
-    time, with the bytes a row-by-row writer gives."""
+    time, with the bytes a row-by-row writer gives. A ``--workers`` > 1
+    run's pool formats a dump's blocks, so the file costs about two blocks'
+    text per worker in flight, else one block's."""
     with open(path, "w", encoding="utf-8") as fh:
         write(items, fh)
 

@@ -11,6 +11,7 @@ bit-identical for any number of workers.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -231,7 +232,8 @@ def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1, memo=False
     evaluation would give, to the last bit.
 
     Without ``memo``, or when the memo would pass ``_MEMO_BYTES``, the rows
-    are those of the call's distinct codes, found by one ``np.unique``. With
+    are those of the call's distinct codes, found by one ``np.unique`` (a
+    one-replicate call's codes are already distinct and in order). With
     it, they are this process's memo: one row per code, each evaluated the
     first time a call meets it, and kept for every later call with the same
     ``full``, offsets and thetas. A call then evaluates only the distinct
@@ -268,7 +270,12 @@ def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1, memo=False
             filled[new] = True
         index = codes
     else:
-        _, first, index = np.unique(codes, return_index=True, return_inverse=True)
+        if n == 1:
+            # one row's codes are distinct and ascending, locus ell's lying in
+            # [goff[ell], goff[ell + 1]), so np.unique would find them in place
+            first = index = np.arange(m)
+        else:
+            _, first, index = np.unique(codes, return_index=True, return_inverse=True)
         rows = np.ascontiguousarray(evaluate(first))
     index = np.ascontiguousarray(index.reshape(n, m).T)   # locus-major
 
@@ -504,6 +511,28 @@ def _checked_tags(matrix: SampleMatrix, statistics) -> np.ndarray:
     return tags
 
 
+def _block_text(lo: int, cells: list, tags: np.ndarray, *columns) -> str:
+    """The CSV rows of replicates ``lo``, ``lo + 1``, ...: each one's index,
+    ``cells[tag]`` and repr(float) of its value in each of ``columns``,
+    formatted column by column. The one rule of every ``dump_samples``
+    block, run in this process or in a warm pool worker."""
+    rows = zip(map(str, range(lo, lo + len(tags))), map(cells.__getitem__, tags.tolist()),
+               *map(_float_cells, columns))
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
+def _in_order(executor: ProcessPoolExecutor, fn, jobs, depth: int):
+    """``fn(*job)`` for each of ``jobs``, in order, run by ``executor`` with
+    at most ``depth`` jobs submitted and not yet yielded."""
+    pending = collections.deque()
+    for job in jobs:
+        if len(pending) == depth:
+            yield pending.popleft().result()
+        pending.append(executor.submit(fn, *job))
+    while pending:
+        yield pending.popleft().result()
+
+
 def dump_samples(matrix: SampleMatrix, sink: Optional[TextIO] = None) -> Optional[str]:
     """Write a SampleMatrix as CSV (log-scale statistic columns); returns the
     text when ``sink`` is None, else writes it to that stream.
@@ -512,16 +541,24 @@ def dump_samples(matrix: SampleMatrix, sink: Optional[TextIO] = None) -> Optiona
     does not hold B values, a tag outside ``subpop_names`` or a name a tag
     uses that is not a valid text cell is an InvalidParameter, with nothing
     written. Each used name is formatted once per call; each ``BLOCK`` of
-    replicates is formatted column by column and sent in one write, so a
-    sink costs one block's text of memory."""
+    replicates is formatted column by column by ``_block_text`` and sent in
+    one write, in order. When this process's warm pool is open (a
+    ``workers`` > 1 run opened it), its workers format the blocks, at most
+    two per worker in flight, so a sink costs about that many blocks' text
+    of memory; else this process formats them, and a sink costs one
+    block's. The dump neither opens, resizes nor closes a pool, and its
+    bytes are the same either way."""
     names = list(matrix.statistics)
     tags = _checked_tags(matrix, names)
     K = len(matrix.subpop_names)
     cells = [None] * K
     for k in np.flatnonzero(np.bincount(tags, minlength=K)).tolist() if matrix.B else ():
         cells[k] = _quoted_cell(matrix.subpop_names[k], "subpop name")
-    blocks = ((map(str, range(lo, lo + BLOCK)),
-               map(cells.__getitem__, tags[lo:lo + BLOCK].tolist()),
-               *(_float_cells(matrix.statistics[s][lo:lo + BLOCK]) for s in names))
-              for lo in range(0, matrix.B, BLOCK))
-    return _write_blocks(["replicate", "subpop_tag"] + names, blocks, sink)
+    header = ["replicate", "subpop_tag"] + names
+    jobs = ((lo, cells, tags[lo:lo + BLOCK], *(matrix.statistics[s][lo:lo + BLOCK] for s in names))
+            for lo in range(0, matrix.B, BLOCK))
+    with _POOL_LOCK:   # so that no run shuts the pool down under the dump
+        if _POOL is not None and _POOL.pid == os.getpid():
+            return _write_blocks(header, _in_order(_POOL.executor, _block_text, jobs,
+                                                   2 * _POOL.size), sink)
+    return _write_blocks(header, itertools.starmap(_block_text, jobs), sink)

@@ -295,8 +295,9 @@ def _write_rows(header: Sequence[str], rows, sink: Optional[TextIO]) -> Optional
     return None if sink is not None else buf.getvalue()
 
 
-# _write_rows' rule cell by cell, for _write_blocks: a writer of columns of
-# thousands of cells formats each text once and each column in one pass.
+# _write_rows' rule cell by cell, for a writer of columns of thousands of
+# cells (engine._block_text): it formats each text once and each column in
+# one pass.
 
 def _quoted_cell(text: str, what: str) -> str:
     """``text`` checked by _text_cell and quoted as csv.writer quotes it."""
@@ -310,14 +311,14 @@ def _float_cells(values) -> Iterator[str]:
     return map(repr, np.asarray(values, dtype=np.float64).tolist())
 
 
-def _write_blocks(header: Sequence[str], blocks, sink: Optional[TextIO]) -> Optional[str]:
-    """CSV of ``header`` and then of each block, a sequence of columns of
-    written cells, each block sent in one write; returns the text when
-    ``sink`` is None, else writes it there."""
+def _write_blocks(header: Sequence[str], texts, sink: Optional[TextIO]) -> Optional[str]:
+    """CSV of ``header`` and then each of ``texts``, a block of written rows
+    sent in one write; returns the text when ``sink`` is None, else writes
+    it there."""
     buf = sink if sink is not None else io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
-    for columns in blocks:
-        buf.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    for text in texts:
+        buf.write(text)
     return None if sink is not None else buf.getvalue()
 
 

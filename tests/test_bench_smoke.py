@@ -49,6 +49,18 @@ def test_sim_fullsib_gates_pass_pooled_across_blocks(tmp_path):
         assert wl.check(state, op, arg, tmp_path) == []
 
 
+def test_report_dump_gates_pass_pooled_across_blocks(tmp_path):
+    # three dump blocks, the last partial, at two workers: on a host with two
+    # CPUs or more, the dump read-back gate parses text that the warm pool's
+    # workers formatted
+    wl = W.WORKLOADS["report_dump"](2, {})
+    wl.B = 2 * W.E.BLOCK + 5
+    state = wl.setup(SEED, tmp_path)
+    for arg in wl.pass_args(state):
+        op = wl.op(state, arg, tmp_path)
+        assert wl.check(state, op, arg, tmp_path) == []
+
+
 # Seed-0 benchmark panel and the sim_fullsib run's tags and statistics, as
 # the benchmark's sample_digest hashes them, recorded before the engine's
 # guide-table sampler: any change that moves a bit of a paper-scale block

@@ -150,6 +150,26 @@ class TestPowerCommand:
         rows = read_power_reports_csv((out / "power_report.csv").read_text(encoding="utf-8"))
         assert [r["alpha"] for r in rows] == [alpha]
 
+    def test_dump_samples_same_bytes_pooled_and_serial(self, synth_files, tmp_path, monkeypatch):
+        # --workers 2 formats the dump's blocks in the pool its run opened
+        # (two CPUs, so that one opens on a one-CPU host too); --workers 1
+        # opens none and formats them in this process
+        from kinpower import engine
+        monkeypatch.setattr(engine, "_cpus", lambda: 2)
+        engine._close_pool()
+        freqs, meta = synth_files
+        dumps = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["power", "--freqs", str(freqs), "--meta", str(meta), "--alpha", "0.05",
+                         "--B", str(2 * kp.BLOCK + 5), "--seed", "4", "--dump-samples",
+                         "--workers", workers, "--out", str(out)]) == 0
+            assert (engine._POOL is None) == (workers == "1")
+            dumps.append([(out / name).read_bytes()
+                          for name in ("null_samples.csv", "alt_samples.csv")])
+        assert dumps[0] == dumps[1]
+        assert dumps[0][0].count(b"\n") == 2 * kp.BLOCK + 6
+
     def test_alpha_too_small_warns_but_succeeds(self, synth_files, tmp_path):
         freqs, meta = synth_files
         out = tmp_path / "warn"

@@ -542,24 +542,45 @@ class TestSampleMatrixDump:
         assert kp.dump_samples(null, buf) is None
         assert buf.getvalue() == kp.dump_samples(null)
 
-    def test_sink_memory_flat_in_B(self, two_subpop_table):
-        """Writing to a sink holds one block of rows, whatever B is."""
+    @pytest.fixture
+    def warm_pool(self):
+        """This process's warm pool, at two workers that have run a task."""
+        if engine._cpus() < 2:
+            pytest.skip("one usable CPU: no pool opens, so a dump would only "
+                        "run the serial path")
+        with engine._pooled_map(2) as pmap:
+            assert list(pmap(abs, [-1, -2])) == [1, 2]
+        return engine._POOL
+
+    @staticmethod
+    def sink_peak(table, B):
+        """The most memory a dump of a B-replicate null run into a sink that
+        keeps nothing takes, by tracemalloc."""
         import tracemalloc
 
         class Discard:
             def write(self, text):
                 return len(text)
 
-        def peak(B):
-            matrix = kp.simulate_null(cfg_for(two_subpop_table, B=B))
-            tracemalloc.start()
-            try:
-                kp.dump_samples(matrix, Discard())
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        matrix = kp.simulate_null(cfg_for(table, B=B))
+        tracemalloc.start()
+        try:
+            kp.dump_samples(matrix, Discard())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        assert peak(8 * BLOCK) <= 1.5 * peak(2 * BLOCK)
+    def test_sink_memory_flat_in_B(self, two_subpop_table):
+        """Writing to a sink holds one block of rows, whatever B is."""
+        engine._close_pool()
+        assert (self.sink_peak(two_subpop_table, 8 * BLOCK)
+                <= 1.5 * self.sink_peak(two_subpop_table, 2 * BLOCK))
+
+    def test_sink_memory_flat_in_B_pooled(self, two_subpop_table, warm_pool):
+        """With the pool's workers formatting, a few blocks in flight, whatever B is."""
+        assert (self.sink_peak(two_subpop_table, 8 * BLOCK)
+                <= 1.5 * self.sink_peak(two_subpop_table, 2 * BLOCK))
+        assert engine._POOL is warm_pool
 
     def test_path_sink_rejected(self, two_subpop_table, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -591,6 +612,66 @@ class TestSampleMatrixDump:
         if B:
             assert '\n0,"a,b",inf,' in want or '\n0,"q""x",inf,' in want
             assert "unused" not in want
+
+    @pytest.mark.parametrize("B", [2 * BLOCK + 5, 0], ids=["partial-last-block", "header-only"])
+    def test_pooled_bytes_match_the_row_by_row_reference(self, B, warm_pool, monkeypatch):
+        # the pool's workers format every block: this process formats no float
+        import io
+        formatted = []
+        monkeypatch.setattr(engine, "_float_cells",
+                            lambda values: formatted.append(len(values)) or iter(()))
+        matrix = self.direct_matrix(B)
+        want = reference_dump(matrix)
+        buf = io.StringIO()
+        assert kp.dump_samples(matrix, buf) is None
+        assert buf.getvalue() == want
+        assert kp.dump_samples(matrix) == want
+        assert formatted == []
+        assert engine._POOL is warm_pool
+
+    def test_at_most_two_blocks_per_worker_in_flight(self, monkeypatch):
+        # a stand-in pool of three workers that formats each block as it is
+        # submitted: when the sink gets a block, at most six are submitted
+        # and not yet written
+        import io
+        from concurrent.futures import Future
+        submitted, seen = [], []
+
+        class Executor:
+            def submit(self, fn, *args):
+                submitted.append(args[0])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                seen.append(len(submitted))
+                return super().write(text)
+
+        monkeypatch.setattr(engine, "_POOL", engine._Pool(3, os.getpid(), Executor(), None))
+        matrix = self.direct_matrix(10 * BLOCK + 5)
+        sink = Sink()
+        assert kp.dump_samples(matrix, sink) is None
+        assert sink.getvalue() == reference_dump(matrix)
+        assert submitted == list(range(0, matrix.B, BLOCK))
+        assert seen[0] == 0   # the header, before any block is submitted
+        assert max(n - k for k, n in enumerate(seen[1:])) == 6
+
+    def test_dump_opens_no_pool(self):
+        engine._close_pool()
+        matrix = self.direct_matrix(2 * BLOCK + 5)
+        assert kp.dump_samples(matrix) == reference_dump(matrix)
+        assert engine._POOL is None
+
+    def test_pool_of_another_process_ignored(self, monkeypatch):
+        # a forked child's inherited pool belongs to its parent: the child
+        # formats every block itself and leaves that pool alone
+        inherited = engine._Pool(2, -1, None, None)
+        monkeypatch.setattr(engine, "_POOL", inherited)
+        matrix = self.direct_matrix(2 * BLOCK + 5)
+        assert kp.dump_samples(matrix) == reference_dump(matrix)
+        assert engine._POOL is inherited
 
     @pytest.mark.parametrize("columns, tags, names", [
         ([0.5, 1.5], [0, 1, 0], ("a", "b")),
