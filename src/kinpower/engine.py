@@ -393,10 +393,9 @@ def _run_block(full: np.ndarray, sampler: _Sampler, cfg: SimConfig, alt: bool, b
 
 
 class _Pool(NamedTuple):
-    """The warm process pool, as opened by ``_pooled_map``."""
+    """The warm process pool, as opened by ``_pooled``."""
 
     size: int
-    pid: int                            # the process that opened it
     executor: ProcessPoolExecutor
     exit_hook: multiprocessing.util.Finalize
 
@@ -414,48 +413,70 @@ def _cpus() -> int:
 
 
 def _close_pool() -> None:
-    """Shut the warm pool down and wait for its workers to exit. A pool that a
-    forked child inherited is only forgotten: its manager thread and workers
-    belong to the parent."""
+    """Shut the warm pool down and wait for its workers to exit."""
     global _POOL
     pool, _POOL = _POOL, None
-    if pool is not None and pool.pid == os.getpid():
+    if pool is not None:
         pool.exit_hook.cancel()
         pool.executor.shutdown(wait=True, cancel_futures=True)
 
 
-@contextmanager
-def _pooled_map(workers: int):
-    """``map`` for one run: the builtin for one worker, else that of this
-    process's warm pool of ``workers`` processes.
+def _forget_pool() -> None:
+    """In a forked child: drop the parent's pool, and the lock a parent thread may hold."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
 
-    The warm pool is reused when it has that size; otherwise it is shut down
-    before a new one opens, so at most one is alive. A run that raises (a
-    ``BrokenProcessPool`` included) shuts it down. concurrent.futures stops a
-    pool's workers at interpreter exit, but a multiprocessing child waits for
-    its own children before that happens: the exit hook shuts the pool down
-    before that wait, and before the hooks (priority 10) that stop the feeder
-    threads of multiprocessing queues.
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+@contextmanager
+def _pooled(workers: Optional[int] = None):
+    """``run(fn, jobs)``: ``fn(*job)`` for each of ``jobs``, in order. The one
+    rule of every use of this process's warm pool.
+
+    One worker runs serially (``itertools.starmap``) and takes no lock. Any
+    other run holds ``_POOL_LOCK`` throughout, so threads take turns.
+    ``workers`` > 1 reuses the pool of that size, else shuts the open one
+    down and opens its own, so at most one is alive. None (a dump) uses the
+    open pool and opens none; with none open, it releases the lock and runs
+    serially. A pooled run keeps at most two jobs per worker submitted and
+    not yet given; one that raises (``BrokenProcessPool``, a failing sink)
+    shuts the pool down. A forked child starts with no pool and a free lock
+    (``_forget_pool``). The exit hook shuts the pool down before a
+    multiprocessing child waits for its children at exit, and before the
+    hooks (priority 10) that stop multiprocessing queues' feeder threads.
     """
     global _POOL
-    if workers == 1:
-        yield map
-        return
-    with _POOL_LOCK:
-        if _POOL is None or (_POOL.size, _POOL.pid) != (workers, os.getpid()):
-            _close_pool()
-            _POOL = _Pool(workers, os.getpid(), ProcessPoolExecutor(max_workers=workers),
-                          multiprocessing.util.Finalize(None, _close_pool, exitpriority=100))
-        try:
-            yield _POOL.executor.map
-        except BaseException:
-            _close_pool()
-            raise
+    if workers != 1:
+        with _POOL_LOCK:
+            if workers is not None and (_POOL is None or _POOL.size != workers):
+                _close_pool()
+                _POOL = _Pool(workers, ProcessPoolExecutor(max_workers=workers),
+                              multiprocessing.util.Finalize(None, _close_pool, exitpriority=100))
+            pool = _POOL
+            if pool is not None:
+                def run(fn, jobs):
+                    pending = collections.deque()
+                    for job in jobs:
+                        if len(pending) == 2 * pool.size:
+                            yield pending.popleft().result()
+                        pending.append(pool.executor.submit(fn, *job))
+                    while pending:
+                        yield pending.popleft().result()
+                try:
+                    yield run
+                except BaseException:
+                    _close_pool()
+                    raise
+                return
+    yield itertools.starmap
 
 
 def _simulate(cfg: SimConfig, alts: tuple[bool, ...]) -> tuple[SampleMatrix, ...]:
     """One SampleMatrix per phase in ``alts`` (True for alt), all their blocks
-    run from one compile and one sampler, through ``_pooled_map`` with at most
+    run from one compile and one sampler, through ``_pooled`` with at most
     one worker per block of a phase and per CPU this process may run on."""
     full = _compile(cfg.table, cfg.cb_weights)
     sampler = _sampler(cfg.table)
@@ -466,9 +487,9 @@ def _simulate(cfg: SimConfig, alts: tuple[bool, ...]) -> tuple[SampleMatrix, ...
            for alt in alts}
 
     tasks = list(itertools.product(alts, range(nblocks)))
-    run = functools.partial(_run_block, full, sampler, cfg)
-    with _pooled_map(min(cfg.workers, nblocks, _cpus())) as pmap:
-        for (alt, block), (btags, bvalues) in zip(tasks, pmap(run, *zip(*tasks))):
+    run_block = functools.partial(_run_block, full, sampler, cfg)
+    with _pooled(min(cfg.workers, nblocks, _cpus())) as run:
+        for (alt, block), (btags, bvalues) in zip(tasks, run(run_block, tasks)):
             matrix, rows = out[alt], slice(block * BLOCK, block * BLOCK + len(btags))
             matrix.subpop_tags[rows] = btags
             for s in cfg.statistics:
@@ -521,18 +542,6 @@ def _block_text(lo: int, cells: list, tags: np.ndarray, *columns) -> str:
     return "\n".join(map(",".join, rows)) + "\n"
 
 
-def _in_order(executor: ProcessPoolExecutor, fn, jobs, depth: int):
-    """``fn(*job)`` for each of ``jobs``, in order, run by ``executor`` with
-    at most ``depth`` jobs submitted and not yet yielded."""
-    pending = collections.deque()
-    for job in jobs:
-        if len(pending) == depth:
-            yield pending.popleft().result()
-        pending.append(executor.submit(fn, *job))
-    while pending:
-        yield pending.popleft().result()
-
-
 def dump_samples(matrix: SampleMatrix, sink: Optional[TextIO] = None) -> Optional[str]:
     """Write a SampleMatrix as CSV (log-scale statistic columns); returns the
     text when ``sink`` is None, else writes it to that stream.
@@ -542,12 +551,9 @@ def dump_samples(matrix: SampleMatrix, sink: Optional[TextIO] = None) -> Optiona
     uses that is not a valid text cell is an InvalidParameter, with nothing
     written. Each used name is formatted once per call; each ``BLOCK`` of
     replicates is formatted column by column by ``_block_text`` and sent in
-    one write, in order. When this process's warm pool is open (a
-    ``workers`` > 1 run opened it), its workers format the blocks, at most
-    two per worker in flight, so a sink costs about that many blocks' text
-    of memory; else this process formats them, and a sink costs one
-    block's. The dump neither opens, resizes nor closes a pool, and its
-    bytes are the same either way."""
+    one write, in order, through ``_pooled()``: by the open warm pool's
+    workers, at most two blocks' text per worker in flight, else by this
+    process, one block's. The bytes are the same either way."""
     names = list(matrix.statistics)
     tags = _checked_tags(matrix, names)
     K = len(matrix.subpop_names)
@@ -557,8 +563,5 @@ def dump_samples(matrix: SampleMatrix, sink: Optional[TextIO] = None) -> Optiona
     header = ["replicate", "subpop_tag"] + names
     jobs = ((lo, cells, tags[lo:lo + BLOCK], *(matrix.statistics[s][lo:lo + BLOCK] for s in names))
             for lo in range(0, matrix.B, BLOCK))
-    with _POOL_LOCK:   # so that no run shuts the pool down under the dump
-        if _POOL is not None and _POOL.pid == os.getpid():
-            return _write_blocks(header, _in_order(_POOL.executor, _block_text, jobs,
-                                                   2 * _POOL.size), sink)
-    return _write_blocks(header, itertools.starmap(_block_text, jobs), sink)
+    with _pooled() as run:
+        return _write_blocks(header, run(_block_text, jobs), sink)

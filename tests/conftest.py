@@ -1,3 +1,7 @@
+import collections
+import threading
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -46,26 +50,44 @@ def synth_table():
 @pytest.fixture
 def pool_events(monkeypatch):
     """Every pool the engine opens or shuts down, in order, as ("open", size)
-    and ("shut", size), or ("shut in use", size) for a pool shut down while a
-    run still reads from it. A recorder stands in for the pool, so no process
-    is started; the engine's pool slot is emptied before and after the test."""
+    and ("shut", size), or ("shut in use", size) for a pool shut down while
+    another thread's run has not yet read all of its jobs. A recorder stands
+    in for the pool and runs each job as it is submitted, so no process is
+    started; the engine's pool slot is emptied before and after the test."""
     events = []
+
+    class Done(Future):
+        """A job counted unread by the thread that submitted it until its
+        result is taken."""
+
+        def __init__(self, unread):
+            super().__init__()
+            self.unread, self.thread = unread, threading.get_ident()
+            unread[self.thread] += 1
+
+        def result(self, timeout=None):
+            self.unread[self.thread] -= 1
+            return super().result(timeout)
 
     class Recorder:
         def __init__(self, max_workers):
-            self.size, self.busy = max_workers, 0
+            self.size, self.unread = max_workers, collections.Counter()
             events.append(("open", max_workers))
 
-        def map(self, fn, *iterables):
-            self.busy += 1
+        def submit(self, fn, *args):
+            future = Done(self.unread)
             try:
-                yield from map(fn, *iterables)
-            finally:
-                self.busy -= 1
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
         def shutdown(self, wait=True, **kwargs):
+            # a run that fails shuts its own pool down with jobs still unread
             assert wait
-            events.append(("shut in use" if self.busy else "shut", self.size))
+            me = threading.get_ident()
+            busy = any(n for thread, n in self.unread.items() if thread != me)
+            events.append(("shut in use" if busy else "shut", self.size))
 
     engine._close_pool()
     monkeypatch.setattr(engine, "ProcessPoolExecutor", Recorder)

@@ -254,14 +254,13 @@ class TestDeterminism:
         assert pool_events == [("open", 2), ("shut", 2), ("open", 3), ("shut", 3),
                                ("open", 2)]
 
-    def test_pool_of_another_process_is_left_alone(self, two_subpop_table, cpus, pool_events,
-                                                   monkeypatch):
-        # a forked child sees its parent's pool in the slot: it opens its own
-        # and does not shut down the parent's
+    def test_pool_of_another_process_is_left_alone(self, two_subpop_table, cpus, pool_events):
+        # the fork hook empties a forked child's pool slot: the child opens
+        # its own pool and never shuts down its parent's
         cpus(None, 64)
         cfg = cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=2)
         kp.simulate_null(cfg)
-        monkeypatch.setattr(os, "getpid", lambda: -1)
+        engine._forget_pool()
         kp.simulate_null(cfg)
         assert pool_events == [("open", 2), ("open", 2)]
 
@@ -276,19 +275,25 @@ class TestDeterminism:
         assert pool_events == [("open", 2), ("shut", 2)]
 
     def test_threads_never_shut_a_pool_in_use(self, two_subpop_table, cpus, pool_events):
-        # runs of two sizes from four threads at once, switching threads as
-        # often as the interpreter allows
+        # runs of two sizes from four threads and dumps from a fifth at once,
+        # switching threads as often as the interpreter allows
         cpus(None, 64)
         B = 2 * BLOCK + 123
         serial = kp.simulate_null(cfg_for(two_subpop_table, B=B, workers=1))
-        same = []
+        serial_dump = kp.dump_samples(serial)
+        same, dumped = [], []
 
         def runs(workers):
             for _ in range(5):
                 got = kp.simulate_null(cfg_for(two_subpop_table, B=B, workers=workers))
                 same.append(_same_samples(got, serial))
 
+        def dumps():
+            for _ in range(5):
+                dumped.append(kp.dump_samples(serial) == serial_dump)
+
         threads = [threading.Thread(target=runs, args=(2 + i % 2,)) for i in range(4)]
+        threads.append(threading.Thread(target=dumps))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -300,6 +305,7 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert same == [True] * 20
+        assert dumped == [True] * 5
         assert {event for event, _ in pool_events} == {"open", "shut"}
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -348,6 +354,27 @@ def _alive(pid):
     return True
 
 
+def _run_script(script, timeout=120):
+    """Run ``script`` in a new interpreter in its own session, and kill its
+    whole process group on ``timeout``. Returns its exit code, its stderr,
+    the pids it printed and those of them still alive after it ended, which
+    are then killed, so that no process it started outlives the test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kp.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", textwrap.dedent(script)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+    pids = [int(word) for word in out.split()]
+    alive = [pid for pid in pids if _alive(pid)]
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    return proc.returncode, err, pids, alive
+
+
 class TestWarmPool:
     """The real pool: replaced when broken, never shared with a forked child,
     and gone with the interpreter that opened it."""
@@ -360,15 +387,24 @@ class TestWarmPool:
         yield
         engine._close_pool()
 
-    def test_broken_pool_is_replaced(self, two_subpop_table):
-        cfg = cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=2)
-        serial = kp.simulate_null(cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=1))
-        assert _same_samples(kp.simulate_null(cfg), serial)
+    @staticmethod
+    def broken_warm_pool(table):
+        """The serial null run of 2 * BLOCK + 123 replicates, after a 2-worker
+        run of the same left a warm pool, and the executor of that pool once
+        one of its workers is killed."""
+        serial = kp.simulate_null(cfg_for(table, B=2 * BLOCK + 123, workers=1))
+        assert _same_samples(kp.simulate_null(cfg_for(table, B=2 * BLOCK + 123, workers=2)),
+                             serial)
         pool = engine._POOL.executor
         os.kill(next(iter(pool._processes)), signal.SIGKILL)
         deadline = time.monotonic() + 60
         while not pool._broken and time.monotonic() < deadline:
             time.sleep(0.01)
+        return serial, pool
+
+    def test_broken_pool_is_replaced(self, two_subpop_table):
+        cfg = cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=2)
+        serial, pool = self.broken_warm_pool(two_subpop_table)
         # the CLI maps this error, as any other failure of a run, to exit 3
         with pytest.raises(BrokenProcessPool):
             kp.simulate_null(cfg)
@@ -376,8 +412,66 @@ class TestWarmPool:
         assert _same_samples(kp.simulate_null(cfg), serial)
         assert engine._POOL.executor is not pool
 
+    def test_dump_on_a_broken_pool_shuts_it(self, two_subpop_table):
+        # one dead worker costs the one call that meets it, a dump included
+        serial, pool = self.broken_warm_pool(two_subpop_table)
+        with pytest.raises(BrokenProcessPool):
+            kp.dump_samples(serial)
+        assert engine._POOL is None
+        cfg = cfg_for(two_subpop_table, B=2 * BLOCK + 123, workers=2)
+        assert _same_samples(kp.simulate_null(cfg), serial)
+        assert engine._POOL.executor is not pool
+
+    def test_child_forked_mid_run_has_a_free_lock(self):
+        # a child forked while another thread runs a pooled simulate inherits
+        # the pool lock as that thread held it; it must dump and run its own
+        # pool all the same, with the serial run's bits
+        code, err, pids, alive = _run_script("""
+            import os, sys, threading, time
+            import kinpower as kp
+            from kinpower import engine
+
+            engine._cpus = lambda: 2
+            table = kp.synth_frequency_table(n_subpops=2, n_loci=3, n_alleles=4,
+                                             divergence=0.3, seed=1)
+
+            def run(workers, B=2 * kp.BLOCK + 5):
+                return kp.simulate_null(kp.SimConfig(
+                    table=table, theta0=kp.UNRELATED, theta1=kp.FULL_SIB,
+                    B=B, seed=7, workers=workers))
+
+            def same(a, b):
+                return (a.subpop_tags.tobytes() == b.subpop_tags.tobytes()
+                        and all(a.statistics[s].tobytes() == b.statistics[s].tobytes()
+                                for s in b.statistics))
+
+            serial, small = run(1), run(1, B=10)
+            # warm the pool first: a fork while the busy thread still imports would
+            # hang the child on that import's lock, not on the pool's
+            assert same(run(2), serial)
+            text = kp.dump_samples(small)
+            busy = threading.Thread(target=run, args=(2, 40 * kp.BLOCK))
+            busy.start()
+            while busy.is_alive() and not engine._POOL_LOCK.locked():
+                time.sleep(0.001)
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    code = 0 if kp.dump_samples(small) == text and same(run(2), serial) else 1
+                    print(*engine._POOL.executor._processes, flush=True)
+                finally:
+                    engine._close_pool()
+                    os._exit(code)
+            _, status = os.waitpid(pid, 0)
+            busy.join()
+            sys.exit(os.waitstatus_to_exitcode(status))
+        """)
+        assert code == 0, err
+        assert len(pids) == 2 and not alive
+
     def test_workers_end_with_the_interpreter_and_a_forked_child_opens_its_own(self):
-        script = textwrap.dedent("""
+        script = """
             import multiprocessing, os, sys
             import kinpower as kp
             from kinpower import engine
@@ -411,22 +505,9 @@ class TestWarmPool:
             proc.join()
             assert same(run(2), serial) and engine._POOL.executor is parents
             sys.exit(proc.exitcode)
-        """)
-        env = dict(os.environ, PYTHONPATH=str(Path(kp.__file__).parents[1]))
-        # its own process group, so that a hung run's workers can be killed with it
-        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True, env=env,
-                                start_new_session=True)
-        try:
-            out, err = proc.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            out, err = proc.communicate()
-        pids = [int(word) for word in out.split()]
-        alive = [pid for pid in pids if _alive(pid)]
-        for pid in alive:
-            os.kill(pid, signal.SIGKILL)
-        assert proc.returncode == 0, err
+        """
+        code, err, pids, alive = _run_script(script)
+        assert code == 0, err
         assert len(pids) == 4 and not alive
 
 
@@ -545,11 +626,8 @@ class TestSampleMatrixDump:
     @pytest.fixture
     def warm_pool(self):
         """This process's warm pool, at two workers that have run a task."""
-        if engine._cpus() < 2:
-            pytest.skip("one usable CPU: no pool opens, so a dump would only "
-                        "run the serial path")
-        with engine._pooled_map(2) as pmap:
-            assert list(pmap(abs, [-1, -2])) == [1, 2]
+        with engine._pooled(2) as run:
+            assert list(run(abs, [(-1,), (-2,)])) == [1, 2]
         return engine._POOL
 
     @staticmethod
@@ -629,18 +707,25 @@ class TestSampleMatrixDump:
         assert formatted == []
         assert engine._POOL is warm_pool
 
-    def test_at_most_two_blocks_per_worker_in_flight(self, monkeypatch):
-        # a stand-in pool of three workers that formats each block as it is
-        # submitted: when the sink gets a block, at most six are submitted
-        # and not yet written
+    def test_at_most_two_blocks_per_worker_in_flight(self, two_subpop_table, monkeypatch):
+        # a stand-in pool of three workers that runs each block as it is
+        # submitted: a dump's sink, when it gets a block, and a simulate
+        # run, whenever it submits one, have at most six submitted and not
+        # yet written or read
         import io
         from concurrent.futures import Future
-        submitted, seen = [], []
+        submitted, seen, unread = [], [], []
+
+        class Done(Future):
+            def result(self, timeout=None):
+                unread.append(unread[-1] - 1)
+                return super().result(timeout)
 
         class Executor:
             def submit(self, fn, *args):
                 submitted.append(args[0])
-                future = Future()
+                unread.append((unread[-1] if unread else 0) + 1)
+                future = Done()
                 future.set_result(fn(*args))
                 return future
 
@@ -649,7 +734,8 @@ class TestSampleMatrixDump:
                 seen.append(len(submitted))
                 return super().write(text)
 
-        monkeypatch.setattr(engine, "_POOL", engine._Pool(3, os.getpid(), Executor(), None))
+        stand_in = engine._Pool(3, Executor(), None)
+        monkeypatch.setattr(engine, "_POOL", stand_in)
         matrix = self.direct_matrix(10 * BLOCK + 5)
         sink = Sink()
         assert kp.dump_samples(matrix, sink) is None
@@ -658,6 +744,16 @@ class TestSampleMatrixDump:
         assert seen[0] == 0   # the header, before any block is submitted
         assert max(n - k for k, n in enumerate(seen[1:])) == 6
 
+        monkeypatch.setattr(engine, "_cpus", lambda: 3)
+        submitted.clear()
+        unread.clear()
+        B = 8 * BLOCK + 5
+        got = kp.simulate_null(cfg_for(two_subpop_table, B=B, workers=3))
+        assert len(submitted) == 9
+        assert max(unread) == 6 and unread[-1] == 0
+        assert _same_samples(got, kp.simulate_null(cfg_for(two_subpop_table, B=B, workers=1)))
+        assert engine._POOL is stand_in
+
     def test_dump_opens_no_pool(self):
         engine._close_pool()
         matrix = self.direct_matrix(2 * BLOCK + 5)
@@ -665,13 +761,14 @@ class TestSampleMatrixDump:
         assert engine._POOL is None
 
     def test_pool_of_another_process_ignored(self, monkeypatch):
-        # a forked child's inherited pool belongs to its parent: the child
-        # formats every block itself and leaves that pool alone
-        inherited = engine._Pool(2, -1, None, None)
-        monkeypatch.setattr(engine, "_POOL", inherited)
+        # a forked child's inherited pool belongs to its parent: the fork
+        # hook drops it, so the child formats every block itself and never
+        # uses or shuts that pool (its stand-in executor would raise)
+        monkeypatch.setattr(engine, "_POOL", engine._Pool(2, None, None))
+        engine._forget_pool()
         matrix = self.direct_matrix(2 * BLOCK + 5)
         assert kp.dump_samples(matrix) == reference_dump(matrix)
-        assert engine._POOL is inherited
+        assert engine._POOL is None
 
     @pytest.mark.parametrize("columns, tags, names", [
         ([0.5, 1.5], [0, 1, 0], ("a", "b")),
