@@ -130,12 +130,10 @@ def _make_dir(out: Path) -> None:
 
 
 def _stream(path: Path, write, items) -> None:
-    """``write(items, sink)`` into the UTF-8 file at ``path``, streamed: a
-    table a row at a time, a sample dump one ``BLOCK`` of replicates at a
-    time, with the bytes a row-by-row writer gives. A dump's blocks go
-    through ``engine._pooled``: the pool a ``--workers`` > 1 run left open
-    formats them, about two blocks' text per worker in flight, else this
-    process does, one block's."""
+    """``write(items, sink)`` into the UTF-8 file at ``path``, with the bytes
+    a row-by-row writer gives: a table in one write, a sample dump streamed
+    one ``BLOCK`` of replicates at a time, formatted as ``engine._pooled``
+    says."""
     with open(path, "w", encoding="utf-8") as fh:
         write(items, fh)
 

@@ -19,7 +19,7 @@ import multiprocessing.util
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, TextIO
 
@@ -27,8 +27,14 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .ibd import ThetaIBD, categorical, pair_components, related_from_uniforms
-from .tables import (FrequencyTable, _check_counts, _float_cells, _pool, _quoted_cell,
-                     _write_blocks)
+from .tables import (FrequencyTable, _block_text, _check_counts, _pool, _quoted_cell,
+                     _weights, _write_blocks)
+
+# the first pool's lazy imports under fork: a child forked mid-import hangs on
+# the import's lock. Without sem_open only a pool fails, as before.
+with suppress(ImportError):
+    import multiprocessing.popen_fork
+    import multiprocessing.synchronize
 
 BLOCK = 8192
 # buckets of each guide table; a power of two, so that u * GUIDE and its floor
@@ -182,7 +188,7 @@ def _sampler(table: FrequencyTable) -> _Sampler:
     inside = np.floor(scaled)
     r, c = np.nonzero((scaled != inside) & (inside < GUIDE))
     guide[r * GUIDE + inside[r, c].astype(np.intp)] = -1
-    return _Sampler(prop_cdf=np.cumsum(table.proportions), cdf=cdf, guide=guide)
+    return _Sampler(prop_cdf=np.cumsum(_weights(table, "census")), cdf=cdf, guide=guide)
 
 
 def _alleles(sampler: _Sampler, base: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -388,7 +394,7 @@ def _run_block(full: np.ndarray, sampler: _Sampler, cfg: SimConfig, alt: bool, b
     k1, *g = _draw_block(sampler, cfg, alt, block)
     ll0, ll1 = _loglik_arrays(full, cfg.table.offsets[:-1], *g, cfg.theta0, cfg.theta1,
                               memo=cfg.B > BLOCK)
-    values = _derive_block(ll0, ll1, np.log(cfg.table.proportions))
+    values = _derive_block(ll0, ll1, np.log(_weights(cfg.table, "census")))
     return k1, {s: values[s] for s in cfg.statistics}
 
 
@@ -530,16 +536,6 @@ def _checked_tags(matrix: SampleMatrix, statistics) -> np.ndarray:
         raise InvalidParameter(f"subpop tags must be integers in [0, {K}), the {K} subpop "
                                f"names; they are {tags.dtype} from {tags.min()} to {tags.max()}")
     return tags
-
-
-def _block_text(lo: int, cells: list, tags: np.ndarray, *columns) -> str:
-    """The CSV rows of replicates ``lo``, ``lo + 1``, ...: each one's index,
-    ``cells[tag]`` and repr(float) of its value in each of ``columns``,
-    formatted column by column. The one rule of every ``dump_samples``
-    block, run in this process or in a warm pool worker."""
-    rows = zip(map(str, range(lo, lo + len(tags))), map(cells.__getitem__, tags.tolist()),
-               *map(_float_cells, columns))
-    return "\n".join(map(",".join, rows)) + "\n"
 
 
 def dump_samples(matrix: SampleMatrix, sink: Optional[TextIO] = None) -> Optional[str]:

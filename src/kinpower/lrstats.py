@@ -30,7 +30,7 @@ import numpy as np
 from .engine import STATISTICS, _check_inputs, _compile, _derive_block, _diff, _loglik_arrays
 from .errors import InvalidParameter, PanelMismatch
 from .ibd import ThetaIBD, _positions
-from .tables import FrequencyTable, Profile
+from .tables import FrequencyTable, Profile, _weights
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def lr_all(
     g1a, g1b = _encode(pair[0], table, 1)
     g2a, g2b = _encode(pair[1], table, 2)
     ll0, ll1 = _loglik_arrays(full, table.offsets[:-1], g1a, g1b, g2a, g2b, theta0, theta1)
-    values = _derive_block(ll0, ll1, np.log(table.proportions))
+    values = _derive_block(ll0, ll1, np.log(_weights(table, "census")))
 
     K = table.n_subpops
     return LrBreakdown(

@@ -283,27 +283,25 @@ def _text_cell(text: str, what: str = "cell") -> str:
     return text
 
 
+def _csv_text(rows) -> str:
+    """``rows`` of written cells as csv.writer formats and quotes them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _write_rows(header: Sequence[str], rows, sink: Optional[TextIO]) -> Optional[str]:
     """CSV with text cells as _text_cell gives them and every other cell as
-    repr(float), which is never empty; returns the text when ``sink`` is
-    None, else writes it there."""
-    buf = sink if sink is not None else io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_text_cell(v) if isinstance(v, str) else repr(float(v)) for v in row])
-    return None if sink is not None else buf.getvalue()
+    repr(float), which is never empty; every cell is checked before the
+    first write. Returns the text when ``sink`` is None, else writes it there."""
+    cells = [[_text_cell(v) if isinstance(v, str) else repr(float(v)) for v in row]
+             for row in rows]
+    return _write_blocks(header, [_csv_text(cells)], sink)
 
-
-# _write_rows' rule cell by cell, for a writer of columns of thousands of
-# cells (engine._block_text): it formats each text once and each column in
-# one pass.
 
 def _quoted_cell(text: str, what: str) -> str:
     """``text`` checked by _text_cell and quoted as csv.writer quotes it."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([_text_cell(text, what)])
-    return buf.getvalue()[:-1]
+    return _csv_text([[_text_cell(text, what)]])[:-1]
 
 
 def _float_cells(values) -> Iterator[str]:
@@ -311,10 +309,20 @@ def _float_cells(values) -> Iterator[str]:
     return map(repr, np.asarray(values, dtype=np.float64).tolist())
 
 
+def _block_text(lo: int, cells: list, tags: np.ndarray, *columns) -> str:
+    """The CSV rows of replicates ``lo``, ``lo + 1``, ...: each one's index,
+    ``cells[tag]`` and repr(float) of its value in each of ``columns``,
+    formatted column by column; _write_rows' rule for every block of
+    ``engine.dump_samples``, run in this process or in a warm pool worker."""
+    rows = zip(map(str, range(lo, lo + len(tags))), map(cells.__getitem__, tags.tolist()),
+               *map(_float_cells, columns))
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
 def _write_blocks(header: Sequence[str], texts, sink: Optional[TextIO]) -> Optional[str]:
     """CSV of ``header`` and then each of ``texts``, a block of written rows
     sent in one write; returns the text when ``sink`` is None, else writes
-    it there."""
+    it there. The one writer of every CSV."""
     buf = sink if sink is not None else io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
     for text in texts:
@@ -513,13 +521,12 @@ def dump_frequency_table(table: FrequencyTable,
     return _write_rows(_FREQ_COLUMNS, rows, sink)
 
 
-def _pool(table: FrequencyTable, scheme: str) -> np.ndarray:
-    """The table's rows pooled under a CB_WEIGHTS scheme: ``census`` weighs
-    each subpop by its mixing proportion (the LAF row), ``samples`` by its
-    sample size (MissingSampleSizes when the table has none), ``equal``
-    evenly, and ``auto`` by samples when the table carries them, else evenly.
-    Rows are added one at a time in subpop order: ((0 + w_1 f_1) + w_2 f_2)
-    + ..., w_k = weights[k] / total. Any other scheme is an InvalidParameter."""
+def _weights(table: FrequencyTable, scheme: str) -> np.ndarray:
+    """The factors w / sum(w) that weigh the table's subpops under a CB_WEIGHTS
+    scheme: ``census`` by mixing proportion, ``samples`` by sample size
+    (MissingSampleSizes when the table has none), ``equal`` evenly, ``auto`` by
+    samples when the table has them, else evenly; another scheme is an
+    InvalidParameter. The pooled rows, AVG and the subpop draw all read it."""
     if scheme not in CB_WEIGHTS:
         raise InvalidParameter(f"unknown weight scheme {scheme!r}")
     if scheme == "auto":
@@ -532,10 +539,15 @@ def _pool(table: FrequencyTable, scheme: str) -> np.ndarray:
         raise MissingSampleSizes("table carries no per-subpop sample sizes")
     else:
         weights = [float(n) for n in table.sample_sizes]
-    total = float(sum(weights))
+    return np.array(weights) / float(sum(weights))
+
+
+def _pool(table: FrequencyTable, scheme: str) -> np.ndarray:
+    """The table's rows pooled under a CB_WEIGHTS scheme (``census``: the LAF
+    row), added in subpop order: ((0 + w_1 f_1) + w_2 f_2) + ..., w = _weights."""
     acc = np.zeros(table.matrix.shape[1])
-    for w, row in zip(weights, table.matrix):
-        acc = acc + (w / total) * row
+    for w, row in zip(_weights(table, scheme), table.matrix):
+        acc = acc + w * row
     return acc
 
 

@@ -102,5 +102,27 @@ def drawn_pairs(cfg, alt):
     return dict(zip(("g1a", "g1b", "g2a", "g2b"), _draws(_sampler(cfg.table), cfg, alt)[1:]))
 
 
+def with_proportions(table, proportions):
+    """``table`` built again, directly, with these mixing proportions, which
+    FrequencyTable takes as given when they sum to 1 within PROPORTION_TOL."""
+    subpops = tuple(kp.Subpopulation(s.name, p, s.sample_size)
+                    for s, p in zip(table.subpops, proportions))
+    return kp.FrequencyTable(panel=table.panel, subpops=subpops, freqs=table.freqs,
+                             floor=table.floor)
+
+
+def off_sum_tables():
+    """{name: table} of small synth tables whose proportions miss a sum of 1:
+    K=3 built again with proportions that sum to 1 - 5e-5 and 1 + 5e-5 (within
+    PROPORTION_TOL), and K=6 at synth's equal proportions, which sum to
+    1.0000000000000002 once normalised."""
+    def synth(n_subpops):
+        return kp.synth_frequency_table(n_subpops=n_subpops, n_loci=4, n_alleles=5,
+                                        divergence=0.3, seed=1)
+    return {"sum-0.99995": with_proportions(synth(3), (0.2, 0.5, 0.29995)),
+            "sum-1.00005": with_proportions(synth(3), (0.2, 0.5, 0.30005)),
+            "equal-K6": synth(6)}
+
+
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

@@ -163,7 +163,8 @@ def reference_block_genotypes(cfg, alt: bool, block: int, n: int):
     """(k1, g1a, g1b, g2a, g2b) of one engine block, drawn one locus at a time.
 
     Each pair's CDF row is gathered per locus from the per-subpop cumulative
-    sums, and every uniform goes through ``categorical``. Pair i reads row i
+    sums, its subpops are drawn by the proportions over their sum, and every
+    uniform goes through ``categorical``. Pair i reads row i
     of the block's (n, head + width * loci) uniform matrix: subpop 1, subpop
     2 (null only), then per locus two uniforms for individual 1 and two
     (null) or three (alt: J, slot and first allele, other allele) for
@@ -172,7 +173,7 @@ def reference_block_genotypes(cfg, alt: bool, block: int, n: int):
     table, theta = cfg.table, cfg.theta1
     cdf = [np.cumsum(table.matrix[:, lo:hi], axis=1)
            for lo, hi in zip(table.offsets, table.offsets[1:])]
-    prop_cdf = np.cumsum(table.proportions)
+    prop_cdf = np.cumsum(np.array(table.proportions) / sum(table.proportions))
     m = table.n_loci
     head, width = (1, 5) if alt else (2, 4)
     u = _block_rng(cfg.seed, 1 if alt else 0, block).random((n, head + width * m))

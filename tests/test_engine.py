@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -15,12 +16,13 @@ import numpy as np
 import pytest
 
 import kinpower as kp
-from kinpower import engine
+from kinpower import engine, tables
 from kinpower.engine import (BLOCK, GUIDE, _MAX_COLUMNS, _alleles, _block_rng, _compile,
                              _derive_block, _draws, _loglik_arrays, _sampler)
 from kinpower.ibd import categorical, pair_components
+from kinpower.tables import _weights
 
-from conftest import drawn_pairs, rng
+from conftest import drawn_pairs, off_sum_tables, rng
 from oracles import (reference_block_genotypes, reference_dump, reference_loglik_arrays,
                      reference_pool)
 
@@ -181,6 +183,20 @@ class TestCensusCbIsLaf:
                              for locus, labels in zip(table.panel, table.labels)))
         stats = kp.lr_all((p, p), cfg.theta0, cfg.theta1, table, cb_weights=cb_weights).stats
         assert (stats["LAF"] == stats["CB"]) is same
+
+
+class TestOneWeightRule:
+    """The subpop draw reads the one weight rule, tables._weights: the
+    proportions divided by their sum, whether or not that sum is 1 (the
+    pooled rows: test_tables; lr_all's AVG: test_lrstats)."""
+
+    @pytest.mark.parametrize("name", ["sum-0.99995", "sum-1.00005", "equal-K6"])
+    def test_subpop_draw_reads_the_weights(self, name):
+        # at K=6 the raw proportions' cumulative sum differs from it only in
+        # the last bits, so the check is bitwise
+        table = off_sum_tables()[name]
+        want = np.cumsum(_weights(table, "census"))
+        assert _sampler(table).prop_cdf.tobytes() == want.tobytes()
 
 
 class TestDeterminism:
@@ -470,6 +486,27 @@ class TestWarmPool:
         assert code == 0, err
         assert len(pids) == 2 and not alive
 
+    @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                        reason="engine imports the first pool's modules of fork only")
+    def test_first_pool_imports_nothing(self):
+        # a child forked while another thread imports a module waits on that
+        # import's lock for good, so the first pool may import no module of
+        # its own: engine imports them
+        code, err, pids, alive = _run_script("""
+            import sys
+            from kinpower import engine
+
+            before = set(sys.modules)
+            with engine._pooled(2) as run:
+                assert list(run(abs, [(-1,), (-2,)])) == [1, 2]
+                print(*engine._POOL.executor._processes, flush=True)
+            new = sorted(name for name in set(sys.modules) - before
+                         if name.startswith(("multiprocessing", "concurrent")))
+            sys.exit(f"the first pool imported {new}" if new else 0)
+        """)
+        assert code == 0, err
+        assert len(pids) == 2 and not alive
+
     def test_workers_end_with_the_interpreter_and_a_forked_child_opens_its_own(self):
         script = """
             import multiprocessing, os, sys
@@ -696,7 +733,7 @@ class TestSampleMatrixDump:
         # the pool's workers format every block: this process formats no float
         import io
         formatted = []
-        monkeypatch.setattr(engine, "_float_cells",
+        monkeypatch.setattr(tables, "_float_cells",
                             lambda values: formatted.append(len(values)) or iter(()))
         matrix = self.direct_matrix(B)
         want = reference_dump(matrix)

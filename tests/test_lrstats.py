@@ -8,7 +8,7 @@ from kinpower import engine, errors
 from kinpower.engine import BLOCK
 from kinpower.lrstats import STATISTICS
 
-from conftest import rng
+from conftest import off_sum_tables, rng
 from oracles import reference_pair_probs
 
 
@@ -274,6 +274,21 @@ class TestLrAll:
         avg = math.log(sum(p * math.exp(r)
                            for p, r in zip(b.proportions, llr)))
         assert b.stats["AVG"] == pytest.approx(avg, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["sum-0.99995", "sum-1.00005"])
+    def test_avg_weighs_by_the_proportions_over_their_sum(self, name):
+        # AVG's weights are the LAF row's: the proportions divided by their
+        # sum, also when that sum misses 1; the engine gives the same bits
+        table = off_sum_tables()[name]
+        w = [p / math.fsum(table.proportions) for p in table.proportions]
+        for m in kp.simulate(kp.SimConfig(table=table, theta0=kp.UNRELATED, theta1=kp.FULL_SIB,
+                                          B=20, seed=3, keep_genotypes=True)):
+            for i in range(m.B):
+                b = kp.lr_all(pair_of(table, m.genotypes, i), kp.UNRELATED, kp.FULL_SIB, table)
+                want = math.log(math.fsum(wk * math.exp(r)
+                                          for wk, r in zip(w, b.per_subpop_log_lr)))
+                assert abs(b.stats["AVG"] - want) <= 1e-12, i
+                assert b.stats["AVG"] == m.statistics["AVG"][i], i
 
 
 class TestPerPairCost:

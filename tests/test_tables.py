@@ -13,6 +13,8 @@ import kinpower as kp
 from kinpower import errors
 from kinpower.power import read_diff_cis_csv, read_power_curves_csv, read_power_reports_csv
 from kinpower.tables import FREQ_SUM_TOL, PROPORTION_TOL, _check_counts, _pool
+
+from conftest import off_sum_tables
 from oracles import reference_pool
 
 
@@ -469,10 +471,12 @@ class TestPooledFrequencies:
     """The CB row: the table pooled with the weights of a ``--cb-weights`` scheme."""
 
     def test_census_weights_are_the_proportions(self, synth_table):
-        table = synth_table
-        expected = reference_pool(table.freqs, [s.name for s in table.subpops], table.panel,
-                                  table.proportions)
-        assert pooled(table, "census") == expected
+        # also on tables whose proportions miss a sum of 1, which
+        # reference_pool divides by that sum
+        for table in (synth_table, *off_sum_tables().values()):
+            expected = reference_pool(table.freqs, [s.name for s in table.subpops], table.panel,
+                                      table.proportions)
+            assert pooled(table, "census") == expected
 
     def test_equal_weights(self):
         csv = (
@@ -639,6 +643,17 @@ class TestReadRows:
         from kinpower.power import PowerCurve, write_power_curves_csv
         with pytest.raises(errors.InvalidParameter, match="empty cell"):
             write_power_curves_csv([PowerCurve("", ((1e-6, 0.5),))])
+
+    def test_writer_refuses_before_the_first_write(self):
+        # every cell is checked before the header is written: a bad second
+        # curve used to leave the header and the first curve's rows behind
+        from kinpower.power import PowerCurve, write_power_curves_csv
+        sink = io.StringIO()
+        curves = [PowerCurve("good", ((1e-6, 0.5), (2e-6, 0.6))),
+                  PowerCurve(" bad", ((1e-6, 0.4),))]
+        with pytest.raises(errors.InvalidParameter, match="surrounding whitespace"):
+            write_power_curves_csv(curves, sink)
+        assert sink.getvalue() == ""
 
     @pytest.mark.parametrize("name", [" a", "a ", "a\n", "\ta"])
     def test_writer_refuses_cell_with_surrounding_whitespace(self, name):
