@@ -15,6 +15,7 @@ import collections
 import functools
 import itertools
 import math
+import mmap
 import multiprocessing.util
 import os
 import threading
@@ -216,14 +217,19 @@ def _genotype(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _memo_rows(key: tuple, codes: int, sets: int):
     """The (codes, 2, sets) rows and the filled mask of this process's one
-    memo entry, keyed by compiled rows, offsets and thetas (_loglik_arrays).
-    A call with another key replaces the entry by a new, empty one. Threads
+    memo entry, keyed by compiled rows, offsets and thetas (_loglik_arrays),
+    in one private anonymous map: its pages read as zero (nothing filled),
+    commit only once written, and a forked child's writes stay its own. A
+    call with another key replaces the entry by a new, empty one. Threads
     need no lock: a call keeps the entry it got even when another replaces
     it, and two calls on one entry write the same bytes to a row."""
-    return np.empty((codes, 2, sets)), np.zeros(codes, dtype=bool)
+    size = codes * 2 * sets
+    buf = mmap.mmap(-1, size * 8 + codes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return (np.frombuffer(buf, count=size).reshape(codes, 2, sets),
+            np.frombuffer(buf, dtype=bool, count=codes, offset=size * 8))
 
 
-def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1, memo=False):
+def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
     """Per-replicate log-likelihoods, shape (n, K+2), under both thetas.
 
     ``full`` is ``_compile``'s (K+2, S) array and locus i's alleles start at
@@ -237,15 +243,15 @@ def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1, memo=False
     locus in panel order, so every cell and every sum is what a per-locus
     evaluation would give, to the last bit.
 
-    Without ``memo``, or when the memo would pass ``_MEMO_BYTES``, the rows
-    are those of the call's distinct codes, found by one ``np.unique`` (a
-    one-replicate call's codes are already distinct and in order). With
-    it, they are this process's memo: one row per code, each evaluated the
+    The rows are this process's memo: one row per code, each evaluated the
     first time a call meets it, and kept for every later call with the same
-    ``full``, offsets and thetas. A call then evaluates only the distinct
-    codes that are not yet filled in, and makes no pair_components call when
-    none is. A row is written before it is marked filled, so a concurrent
-    call never reads a row that is marked but unwritten.
+    ``full``, offsets and thetas, whether a run's block or ``lr_all``'s one
+    pair. A call evaluates only the distinct codes that are not yet filled
+    in, and makes no pair_components call when none is. A row is written
+    before it is marked filled, so a concurrent call never reads a row that
+    is marked but unwritten. A memo that would pass ``_MEMO_BYTES`` is not
+    built: the rows are then those of the call's distinct codes, found by
+    one ``np.unique``.
     """
     n, m = g1a.shape
     offsets = tuple(offsets)
@@ -266,22 +272,17 @@ def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1, memo=False
             v = np.log(mult * (z[:, 0] * p0 + z[:, 1] * p1 + z[:, 2] * p2))  # (2, K+2, cells)
         return np.moveaxis(v, 2, 0)
 
-    if memo and layout.codes * 2 * len(full) * 8 <= _MEMO_BYTES:
+    if layout.codes * 2 * len(full) * 8 <= _MEMO_BYTES:
         key = (full.shape, full.tobytes(), offsets, theta0, theta1)
         rows, filled = _memo_rows(key, layout.codes, len(full))
         todo = np.flatnonzero(~filled.take(codes))
-        new, first = np.unique(codes.take(todo), return_index=True)
-        if new.size:
+        if todo.size:
+            new, first = np.unique(codes.take(todo), return_index=True)
             rows[new] = evaluate(todo.take(first))
             filled[new] = True
         index = codes
     else:
-        if n == 1:
-            # one row's codes are distinct and ascending, locus ell's lying in
-            # [goff[ell], goff[ell + 1]), so np.unique would find them in place
-            first = index = np.arange(m)
-        else:
-            _, first, index = np.unique(codes, return_index=True, return_inverse=True)
+        _, first, index = np.unique(codes, return_index=True, return_inverse=True)
         rows = np.ascontiguousarray(evaluate(first))
     index = np.ascontiguousarray(index.reshape(n, m).T)   # locus-major
 
@@ -389,11 +390,10 @@ def _draws(sampler: _Sampler, cfg: SimConfig, alt: bool):
 
 
 def _run_block(full: np.ndarray, sampler: _Sampler, cfg: SimConfig, alt: bool, block: int):
-    """Subpop tags and requested statistics of one block's pairs. A run of
-    more than one block a phase evaluates its cells through the memo."""
+    """Subpop tags and requested statistics of one block's pairs, their
+    cells evaluated through the process's memo (``_loglik_arrays``)."""
     k1, *g = _draw_block(sampler, cfg, alt, block)
-    ll0, ll1 = _loglik_arrays(full, cfg.table.offsets[:-1], *g, cfg.theta0, cfg.theta1,
-                              memo=cfg.B > BLOCK)
+    ll0, ll1 = _loglik_arrays(full, cfg.table.offsets[:-1], *g, cfg.theta0, cfg.theta1)
     values = _derive_block(ll0, ll1, np.log(_weights(cfg.table, "census")))
     return k1, {s: values[s] for s in cfg.statistics}
 

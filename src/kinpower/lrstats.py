@@ -13,10 +13,10 @@ Seven statistics are computed, all in log scale:
 (B=1): the pair is encoded as allele indices in the table's label order,
 read from the table's ``label_index``, and goes through the same
 log-likelihood, infinity rule and statistic code as every simulated pair,
-so casework and simulation agree bit for bit. Its loci go to the kernel's
-per-call path, one ``pair_components`` call over the pair's distinct
-cells, never to the memo of multi-block runs. It reuses the table's
-compiled frequency sets and builds none of the sampling CDFs the
+so casework and simulation agree bit for bit. Its cells go through the
+kernel's memo, as a run's do, so a pair evaluates only cells that no
+earlier pair or run on the same table and thetas has met. It reuses the
+table's compiled frequency sets and builds none of the sampling CDFs the
 simulation path needs.
 """
 

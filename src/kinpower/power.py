@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
-from scipy import stats as sps
 
 from .engine import SampleMatrix, _checked_tags
 from .errors import (AlphaTooSmallForB, EmptySubpopSample, InvalidParameter,
@@ -27,7 +26,7 @@ from .tables import _is_integer, _read_rows, _write_rows
 
 DEFAULT_CURVE_GRID = tuple(np.geomspace(1e-6, 4e-5, 30))
 CI_LEVEL = 0.95
-_Z = sps.norm.ppf(1 - (1 - CI_LEVEL) / 2)  # the Wald intervals' normal quantile
+_Z = 1.959963984540054  # the Wald intervals' normal quantile, ndtri(0.975) at CI_LEVEL
 
 _REPORT_COLUMNS = ("statistic", "alpha", "threshold", "power", "ci_low", "ci_high")
 _CURVE_COLUMNS = ("statistic", "alpha", "power")
@@ -112,11 +111,12 @@ def null_threshold(null_samples: np.ndarray, alpha: float) -> float:
 
 def _clopper_pearson(successes, trials):
     """(lo, hi) arrays of clopper_pearson's interval for each pair of checked
-    counts, from one beta.ppf call; lo is 0.0 at 0 and hi 1.0 at ``trials``."""
+    counts, from one betaincinv call; lo is 0.0 at 0 and hi 1.0 at ``trials``."""
+    from scipy.special import betaincinv  # here, so that `import kinpower` loads no scipy
     s = np.asarray(successes, dtype=np.float64)
     f = np.asarray(trials, dtype=np.float64) - s
     a = 1.0 - CI_LEVEL
-    lo, hi = sps.beta.ppf([[a / 2], [1 - a / 2]], [s, s + 1], [f + 1, f])
+    lo, hi = betaincinv([s, s + 1], [f + 1, f], [[a / 2], [1 - a / 2]])
     return np.where(s == 0, 0.0, lo), np.where(f == 0, 1.0, hi)
 
 

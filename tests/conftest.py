@@ -102,6 +102,18 @@ def drawn_pairs(cfg, alt):
     return dict(zip(("g1a", "g1b", "g2a", "g2b"), _draws(_sampler(cfg.table), cfg, alt)[1:]))
 
 
+def pair_of(table, g, i):
+    """The profile pair of row i of the allele-index arrays g."""
+    labels = [table.alleles(locus) for locus in table.panel]
+
+    def profile(a, b):
+        return kp.Profile(tuple(
+            kp.LocusGenotype(locus, (labels[ell][a[i, ell]], labels[ell][b[i, ell]]))
+            for ell, locus in enumerate(table.panel)))
+
+    return profile(g["g1a"], g["g1b"]), profile(g["g2a"], g["g2b"])
+
+
 def with_proportions(table, proportions):
     """``table`` built again, directly, with these mixing proportions, which
     FrequencyTable takes as given when they sum to 1 within PROPORTION_TOL."""

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 import kinpower as kp
@@ -110,6 +116,38 @@ class TestLrCommand:
                      "--meta", str(meta)]) == 2
         err = capsys.readouterr().err
         assert "MalformedRow" in err and "line 2" in err
+
+
+class TestLeanImport:
+    """Casework loads no scipy: in a new interpreter, neither ``import
+    kinpower`` nor a whole ``lr`` command loads a ``scipy`` module."""
+
+    @staticmethod
+    def scipy_modules(code, *args):
+        script = textwrap.dedent(f"""
+            import sys
+            {code}
+            print(*sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(kp.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_import(self):
+        assert self.scipy_modules("import kinpower") == ""
+
+    def test_lr_command(self, synth_files, tmp_path):
+        p1 = tmp_path / "p1.csv"
+        p2 = tmp_path / "p2.csv"
+        p1.write_text("locus,allele1,allele2\nL01,8,9\nL02,10,10\nL03,8,13\nL04,11,12\n",
+                      encoding="utf-8")
+        p2.write_text("locus,allele1,allele2\nL01,9,9\nL02,10,12\nL03,13,8\nL04,11,8\n",
+                      encoding="utf-8")
+        code = "from kinpower.cli import main; assert main(sys.argv[1:]) == 0"
+        assert self.scipy_modules(code, "lr", p1, p2, "--freqs", synth_files[0], "--meta",
+                                  synth_files[1], "--test", "parent-child") == ""
 
 
 class TestPowerCommand:

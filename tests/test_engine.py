@@ -22,7 +22,7 @@ from kinpower.engine import (BLOCK, GUIDE, _MAX_COLUMNS, _alleles, _block_rng, _
 from kinpower.ibd import categorical, pair_components
 from kinpower.tables import _weights
 
-from conftest import drawn_pairs, off_sum_tables, rng
+from conftest import drawn_pairs, off_sum_tables, pair_of, rng
 from oracles import (reference_block_genotypes, reference_dump, reference_loglik_arrays,
                      reference_pool)
 
@@ -548,6 +548,45 @@ class TestWarmPool:
         assert len(pids) == 4 and not alive
 
 
+class TestStartMethods:
+    """Under spawn and forkserver each pool worker imports the package afresh
+    and builds its own memo; a 2-worker run gives the 1-worker run's bytes.
+    Each runs in a new interpreter, so this process keeps its start method."""
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_two_workers_give_the_serial_bytes(self, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method")
+        table = kp.synth_frequency_table(n_subpops=2, n_loci=3, n_alleles=4, divergence=0.3,
+                                         seed=1)
+        serial = hashlib.sha256()
+        for m in kp.simulate(cfg_for(table, B=2 * BLOCK + 123)):
+            serial.update(m.subpop_tags.tobytes())
+            for s in kp.STATISTICS:
+                serial.update(m.statistics[s].tobytes())
+        code, err, pids, alive = _run_script(f"""
+            import hashlib, multiprocessing, sys
+            multiprocessing.set_start_method({method!r})
+            import kinpower as kp
+            from kinpower import engine
+
+            engine._cpus = lambda: 2
+            table = kp.synth_frequency_table(n_subpops=2, n_loci=3, n_alleles=4,
+                                             divergence=0.3, seed=1)
+            pooled = hashlib.sha256()
+            for m in kp.simulate(kp.SimConfig(table=table, theta0=kp.UNRELATED,
+                                              theta1=kp.FULL_SIB, B=2 * kp.BLOCK + 123,
+                                              seed=7, workers=2)):
+                pooled.update(m.subpop_tags.tobytes())
+                for s in kp.STATISTICS:
+                    pooled.update(m.statistics[s].tobytes())
+            print(*engine._POOL.executor._processes, flush=True)
+            sys.exit(0 if pooled.hexdigest() == {serial.hexdigest()!r} else "other bytes")
+        """)
+        assert code == 0, err
+        assert len(pids) == 2 and not alive
+
+
 class TestSimulateNull:
     def test_k1_equal_thetas_all_zero(self, one_locus_table):
         cfg = cfg_for(one_locus_table, B=500, theta1=kp.UNRELATED)
@@ -1050,31 +1089,35 @@ class TestGuideTable:
         assert 1.0 < above_one[1] < 1.0 + 1.0 / GUIDE
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """The cell count of each pair_components call the engine makes, from an
+    empty memo on."""
+    seen = []
+
+    def recorder(g1a, g1b, g2a, g2b, f):
+        seen.append(len(g1a))
+        return pair_components(g1a, g1b, g2a, g2b, f)
+
+    monkeypatch.setattr(engine, "pair_components", recorder)
+    engine._memo_rows.cache_clear()
+    return seen
+
+
 class TestKernelCallShape:
-    """At one worker, a run of more than one block a phase evaluates each of
-    its distinct (locus, genotype 1, genotype 2) cells once, through the
-    process's memo, so a second identical run evaluates none; a one-block
-    run and lr_all make one call over their own distinct cells. The calls go
-    through the name kinpower.engine.pair_components, which profilers wrap."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
-
-        def recorder(g1a, g1b, g2a, g2b, f):
-            seen.append(len(g1a))
-            return pair_components(g1a, g1b, g2a, g2b, f)
-
-        monkeypatch.setattr(engine, "pair_components", recorder)
-        engine._memo_rows.cache_clear()
-        return seen
+    """At one worker, every kernel call goes through the process's memo: a run
+    evaluates each of its distinct (locus, genotype 1, genotype 2) cells once,
+    so a second identical run evaluates none, and a later run or lr_all on
+    the same table and thetas only the cells no earlier call met. The calls
+    go through the name kinpower.engine.pair_components, which profilers wrap."""
 
     @staticmethod
-    def distinct_cells(table, m):
+    def cells(table, m):
+        """The set of m's distinct (locus, g1a, g1b, g2a, g2b) cells."""
         g = m.genotypes
         locus = np.broadcast_to(np.arange(table.n_loci), g["g1a"].shape)
         cells = np.stack([locus] + [g[k] for k in ("g1a", "g1b", "g2a", "g2b")], axis=-1)
-        return len(np.unique(cells.reshape(-1, 5), axis=0))
+        return set(map(tuple, np.unique(cells.reshape(-1, 5), axis=0).tolist()))
 
     @pytest.mark.parametrize("simulate", [kp.simulate_null, kp.simulate_alt])
     def test_each_cell_once_per_run(self, synth_table, calls, simulate):
@@ -1082,20 +1125,28 @@ class TestKernelCallShape:
                       statistics=("LAF",), keep_genotypes=True)
         m = simulate(cfg)
         assert 1 < len(calls) <= 3
-        assert sum(calls) == self.distinct_cells(synth_table, m)
+        assert sum(calls) == len(self.cells(synth_table, m))
         assert sum(calls) < BLOCK * synth_table.n_loci
         del calls[:]
         assert _same_samples(simulate(cfg), m)
         assert calls == []
 
     def test_one_call_per_one_block_run(self, synth_table, calls):
+        # a cold one-block run makes one call over its distinct cells; then
+        # a repeat makes none, and a run on another seed one call over only
+        # the cells that the first did not meet
         cfg = cfg_for(synth_table, B=BLOCK, theta1=kp.PARENT_CHILD, statistics=("LAF",),
                       keep_genotypes=True)
-        for _ in range(2):
-            m = kp.simulate_null(cfg)
-            assert calls == [self.distinct_cells(synth_table, m)]
-            del calls[:]
-        assert engine._memo_rows.cache_info().currsize == 0
+        m = kp.simulate_null(cfg)
+        seen = self.cells(synth_table, m)
+        assert calls == [len(seen)]
+        del calls[:]
+        assert _same_samples(kp.simulate_null(cfg), m)
+        assert calls == []
+        other = kp.simulate_null(cfg_for(synth_table, B=BLOCK, seed=8, theta1=kp.PARENT_CHILD,
+                                         statistics=("LAF",), keep_genotypes=True))
+        new = self.cells(synth_table, other) - seen
+        assert new and calls == [len(new)]
 
     def test_one_call_per_lr_all(self, synth_table, calls):
         p1 = kp.Profile(tuple(kp.LocusGenotype(locus, synth_table.alleles(locus)[:2])
@@ -1106,8 +1157,9 @@ class TestKernelCallShape:
 
 class TestKernelMemo:
     """The per-process memo of cell rows never serves one kernel's rows to
-    another, a panel over its cap takes the per-call path, and the calls
-    that take that path leave a warm entry in place."""
+    another, serves every call on its own key, stays private to the process
+    that fills it, and a panel over its cap takes the per-call path, which
+    leaves a warm entry in place."""
 
     B = 2 * BLOCK + 123
 
@@ -1153,7 +1205,7 @@ class TestKernelMemo:
             args = (_compile(table, "auto"), table.offsets[:-1],
                     *(g[k] for k in ("g1a", "g1b", "g2a", "g2b")), cfg.theta0, cfg.theta1)
             want = reference_loglik_arrays(*args)
-            got = _loglik_arrays(*args, memo=True)
+            got = _loglik_arrays(*args)
             assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
             stats = _derive_block(*want, logp)
             for s in kp.STATISTICS:
@@ -1169,36 +1221,61 @@ class TestKernelMemo:
         g = drawn_pairs(cfg_for(synth_table, B=BLOCK + 123), alt=False)
         args = (full, synth_table.offsets[:-1], *(g[k] for k in ("g1a", "g1b", "g2a", "g2b")),
                 kp.UNRELATED, kp.FULL_SIB)
-        got, want = _loglik_arrays(*args, memo=True), reference_loglik_arrays(*args)
+        got, want = _loglik_arrays(*args), reference_loglik_arrays(*args)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
         assert engine._memo_rows.cache_info().currsize == (not over)
 
-    def test_a_warm_entry_survives_the_paths_that_must_not_touch_it(self, tables,
+    def test_a_warm_entry_survives_the_paths_that_must_not_touch_it(self, tables, calls,
                                                                      monkeypatch):
-        # a one-block run and lr_all on another table, and an over-cap run,
-        # take the per-call path and neither read nor replace the entry
-        calls = []
-
-        def recorder(*args):
-            calls.append(len(args[0]))
-            return pair_components(*args)
-
-        monkeypatch.setattr(engine, "pair_components", recorder)
-        a, b = tables
-        cfg = cfg_for(a, B=self.B)
+        # a one-block run and lr_all on the warm entry's table and thetas read
+        # its rows and evaluate nothing; an over-cap run takes the per-call
+        # path and neither reads nor replaces the entry
+        table = tables[0]
+        cfg = cfg_for(table, B=self.B, keep_genotypes=True)
         want = self.fresh(cfg)
-        kp.simulate(cfg_for(b, B=BLOCK))
-        p1 = kp.Profile(tuple(kp.LocusGenotype(locus, b.alleles(locus)[:2]) for locus in b.panel))
-        kp.lr_all((p1, p1), kp.UNRELATED, kp.FULL_SIB, b)
-        full = _compile(a, "auto")
-        size = engine._layout(full.shape[1], a.offsets[:-1]).codes * 2 * len(full) * 8
+        del calls[:]
+        short = kp.simulate(cfg_for(table, B=BLOCK))
+        for g, w in zip(short, want):
+            assert all(g.statistics[s].tobytes() == w.statistics[s][:BLOCK].tobytes()
+                       for s in kp.STATISTICS)
+        for m in want:
+            for i in (0, BLOCK, m.B - 1):
+                b = kp.lr_all(pair_of(table, m.genotypes, i), cfg.theta0, cfg.theta1, table)
+                assert [b.stats[s] for s in kp.STATISTICS] == [m.statistics[s][i]
+                                                                for s in kp.STATISTICS]
+        assert calls == []
+        full = _compile(table, "auto")
+        size = engine._layout(full.shape[1], table.offsets[:-1]).codes * 2 * len(full) * 8
+        misses = engine._memo_rows.cache_info().misses
         with monkeypatch.context() as capped:
             capped.setattr(engine, "_MEMO_BYTES", size - 1)
             over = kp.simulate(cfg)
+        assert calls and engine._memo_rows.cache_info().misses == misses
         assert all(_same_samples(g, w) for g, w in zip(over, want))
         del calls[:]
         assert all(_same_samples(g, w) for g, w in zip(kp.simulate(cfg), want))
         assert calls == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_a_forked_child_fills_only_its_own_rows(self, synth_table, calls):
+        # a pool worker forked from a warm process inherits its memo; the rows
+        # the child fills must not show as filled in the parent
+        self.fresh(cfg_for(synth_table, B=BLOCK))
+        other = cfg_for(synth_table, B=BLOCK, seed=8)
+
+        def child():
+            del calls[:]
+            kp.simulate(other)
+            sys.exit(0 if calls else "the child filled no row")
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=120)
+        assert proc.exitcode == 0
+        del calls[:]
+        kp.simulate(other)
+        assert calls
 
     def test_threads_on_two_tables_get_their_serial_bytes(self, tables):
         serial = [self.fresh(cfg_for(t, B=self.B))[0] for t in tables]

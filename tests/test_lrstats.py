@@ -8,24 +8,12 @@ from kinpower import engine, errors
 from kinpower.engine import BLOCK
 from kinpower.lrstats import STATISTICS
 
-from conftest import off_sum_tables, rng
+from conftest import off_sum_tables, pair_of, rng
 from oracles import reference_pair_probs
 
 
 def profile_from(genos):
     return kp.Profile(tuple(kp.LocusGenotype(l, a) for l, a in genos))
-
-
-def pair_of(table, g, i):
-    """The profile pair of row i of the allele-index arrays g."""
-    labels = [table.alleles(locus) for locus in table.panel]
-
-    def profile(a, b):
-        return kp.Profile(tuple(
-            kp.LocusGenotype(locus, (labels[ell][a[i, ell]], labels[ell][b[i, ell]]))
-            for ell, locus in enumerate(table.panel)))
-
-    return profile(g["g1a"], g["g1b"]), profile(g["g2a"], g["g2b"])
 
 
 @pytest.fixture
@@ -218,11 +206,12 @@ class TestLrAll:
     def test_matches_the_memo_path_exactly(self, synth_table, theta1):
         # a run of more than one block reads its rows from the process's
         # memo, and its second block meets rows that the first block wrote;
-        # lr_all evaluates each pair's cells on its own
+        # lr_all then starts from an empty memo, filled one pair at a time
         engine._memo_rows.cache_clear()
         runs = kp.simulate(kp.SimConfig(table=synth_table, theta0=kp.UNRELATED, theta1=theta1,
                                         B=BLOCK + 64, seed=3, keep_genotypes=True))
         assert engine._memo_rows.cache_info().currsize == 1
+        engine._memo_rows.cache_clear()
         infinite = 0
         for phase, m in zip(("null", "alt"), runs):
             for i in range(BLOCK, m.B):

@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import math
 import re
@@ -112,6 +113,24 @@ class TestClopperPearson:
     def test_numpy_integer_counts_accepted(self):
         assert kp.clopper_pearson(np.int64(3), np.int32(10)) == kp.clopper_pearson(3, 10)
 
+    def test_bit_equal_to_scipy_stats(self):
+        # the package's beta and normal quantiles against scipy.stats, to the
+        # last bit: edge counts 0, 1, n - 1 and n, then a random grid
+        power_module = importlib.import_module("kinpower.power")  # kp.power is a function
+        generator = rng(31)
+        n = np.concatenate([[1, 2, 3, 10, 10**6],
+                            np.unique(np.rint(10 ** generator.uniform(0, 6, 2000)))])
+        s = np.concatenate([np.zeros_like(n), np.minimum(n, 1), n - 1, n,
+                            np.floor(generator.uniform(0, n + 1))])
+        trials = np.tile(n, 5)
+        a = 1.0 - power_module.CI_LEVEL
+        lo, hi = power_module._clopper_pearson(s, trials)
+        want_lo = np.where(s == 0, 0.0, sps.beta.ppf(a / 2, s, trials - s + 1))
+        want_hi = np.where(s == trials, 1.0, sps.beta.ppf(1 - a / 2, s + 1, trials - s))
+        assert lo.tobytes() == want_lo.tobytes()
+        assert hi.tobytes() == want_hi.tobytes()
+        assert power_module._Z == sps.norm.ppf(0.975) == sps.norm.ppf(1 - a / 2)
+
     def test_contains_point_estimate(self):
         generator = rng(10)
         for _ in range(50):
@@ -212,7 +231,6 @@ class TestPowerCurve:
 
     def test_curves_share_one_sort_of_the_null(self, monkeypatch):
         # each alpha's threshold is read once, however many curves use it
-        import importlib
         power_module = importlib.import_module("kinpower.power")  # kp.power is a function
         generator = rng(14)
         null = generator.normal(size=5_000)
