@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import importlib
 import itertools
 import math
 import mmap
@@ -31,11 +32,13 @@ from .ibd import ThetaIBD, categorical, pair_components, related_from_uniforms
 from .tables import (FrequencyTable, _block_text, _check_counts, _pool, _quoted_cell,
                      _weights, _write_blocks)
 
-# the first pool's lazy imports under fork: a child forked mid-import hangs on
-# the import's lock. Without sem_open only a pool fails, as before.
-with suppress(ImportError):
-    import multiprocessing.popen_fork
-    import multiprocessing.synchronize
+# the first pool's lazy imports under every start method, without asking for
+# the method, which would pin it: a child forked mid-import hangs on the
+# import's lock. One a platform lacks (no sem_open, no fork) skips only itself.
+for _name in ("popen_fork", "synchronize", "forkserver", "popen_forkserver",
+              "popen_spawn_posix", "resource_tracker", "spawn"):
+    with suppress(ImportError):
+        importlib.import_module(f"multiprocessing.{_name}")
 
 BLOCK = 8192
 # buckets of each guide table; a power of two, so that u * GUIDE and its floor
@@ -126,6 +129,8 @@ class _Sampler(NamedTuple):
 _MAX_COLUMNS = math.isqrt(math.isqrt(np.iinfo(np.int64).max))
 # Largest per-process memo of cell rows (see _loglik_arrays), in bytes.
 _MEMO_BYTES = 64 << 20
+_CHUNK = 256   # replicates per gather and sum of _loglik_arrays; more summed slower
+_LAST_FULL = (None, b"")   # the last memo key's rows and their bytes, swapped whole: no lock
 
 
 def _compile(table: FrequencyTable, cb_weights: str) -> np.ndarray:
@@ -148,12 +153,13 @@ def _compile(table: FrequencyTable, cb_weights: str) -> np.ndarray:
 class _Layout(NamedTuple):
     """Where the cell codes of a (K+2, S) ``full`` with loci starting at
     ``offsets`` lie: locus ell's genotype g1 = (a1, b1), a1 <= b1, and g2 give
-    code ``goff[ell] + c1 * G[ell] + c2``, with c = b(b+1)/2 + a the index of
+    code ``goff[ell] + c1 * G[ell] + c2``, with c = tri[b] + a the index of
     a genotype among the G = A(A+1)/2 of its locus."""
 
     offsets: np.ndarray   # (loci,) int64 first column of each locus
     goff: np.ndarray      # (loci,) int64 first code of each locus
     G: np.ndarray         # (loci,) int64 genotypes at each locus
+    tri: np.ndarray       # (max A,) int64 b(b+1)/2, the genotypes before (0, b)
     codes: int            # sum of G^2, the number of codes
 
 
@@ -163,9 +169,10 @@ def _layout(columns: int, offsets: tuple[int, ...]) -> _Layout:
     A = np.diff(offs, append=columns)
     G = A * (A + 1) // 2
     goff = np.concatenate(([0], np.cumsum(G * G)))
-    for shared in (offs, G, goff):  # every caller gets these very arrays
+    tri = np.arange(A.max()) * np.arange(1, A.max() + 1) // 2
+    for shared in (offs, G, goff, tri):  # every caller gets these very arrays
         shared.setflags(write=False)
-    return _Layout(offs, goff[:-1], G, int(goff[-1]))
+    return _Layout(offs, goff[:-1], G, tri, int(goff[-1]))
 
 
 def _sampler(table: FrequencyTable) -> _Sampler:
@@ -205,15 +212,6 @@ def _alleles(sampler: _Sampler, base: np.ndarray, u: np.ndarray) -> np.ndarray:
     return a
 
 
-def _genotype(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """int64 index b(b+1)/2 + a of each genotype (a <= b) among its locus's."""
-    c = b.astype(np.int64)
-    c *= c + 1
-    c //= 2
-    c += a
-    return c
-
-
 @functools.lru_cache(maxsize=1)
 def _memo_rows(key: tuple, codes: int, sets: int):
     """The (codes, 2, sets) rows and the filled mask of this process's one
@@ -230,18 +228,19 @@ def _memo_rows(key: tuple, codes: int, sets: int):
 
 
 def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
-    """Per-replicate log-likelihoods, shape (n, K+2), under both thetas.
+    """Per-replicate log-likelihoods under theta0 and theta1, shape (2, n, K+2).
 
-    ``full`` is ``_compile``'s (K+2, S) array and locus i's alleles start at
-    its column ``offsets[i]``. The (n, loci) allele-index arrays give
+    ``full`` is ``_compile``'s read-only (K+2, S) array and locus i's alleles
+    start at its column ``offsets[i]``. The (n, loci) allele-index arrays give
     n * loci cells, each an ordered genotype pair at one locus, keyed by its
     code (``_Layout``). A cell's row holds its (2, K+2) log-probabilities:
     one pair_components call evaluates cells over all K+2 frequency sets,
     the rows of ``full``, on the columns read at each code's first
     occurrence, and both thetas weigh those components at once, stacked on
-    a leading axis. Each replicate then adds the rows of its cells locus by
-    locus in panel order, so every cell and every sum is what a per-locus
-    evaluation would give, to the last bit.
+    a leading axis. Each replicate adds its cells' rows from 0.0 in panel
+    order: one locus-major gather and one ``np.add.reduce`` over the loci
+    per ``_CHUNK`` replicates, so every cell and every sum is what a
+    per-locus evaluation would give, to the last bit.
 
     The rows are this process's memo: one row per code, each evaluated the
     first time a call meets it, and kept for every later call with the same
@@ -253,18 +252,21 @@ def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
     built: the rows are then those of the call's distinct codes, found by
     one ``np.unique``.
     """
+    global _LAST_FULL
     n, m = g1a.shape
     offsets = tuple(offsets)
     layout = _layout(full.shape[1], offsets)
-    codes = _genotype(g1a, g1b)
+    codes = layout.tri.take(g1b)
+    codes += g1a
     codes *= layout.G
     codes += layout.goff
-    codes += _genotype(g2a, g2b)
+    codes += layout.tri.take(g2b)
+    codes += g2a
     codes = codes.ravel()   # cell i * loci + ell is replicate i at locus ell
-    z = np.array([theta0.as_tuple(), theta1.as_tuple()])[:, :, None, None]
 
     def evaluate(first):
         """(cells, 2, K+2) rows of the cells at flat positions ``first``."""
+        z = np.array([theta0.as_tuple(), theta1.as_tuple()])[:, :, None, None]
         base = layout.offsets.take(first % m)
         p0, p1, p2, mult = pair_components(*(g.ravel().take(first) + base
                                              for g in (g1a, g1b, g2a, g2b)), full)
@@ -273,10 +275,15 @@ def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
         return np.moveaxis(v, 2, 0)
 
     if layout.codes * 2 * len(full) * 8 <= _MEMO_BYTES:
-        key = (full.shape, full.tobytes(), offsets, theta0, theta1)
-        rows, filled = _memo_rows(key, layout.codes, len(full))
-        todo = np.flatnonzero(~filled.take(codes))
-        if todo.size:
+        last, data = _LAST_FULL
+        if last is not full:
+            data = full.tobytes()
+            _LAST_FULL = (full, data)
+        rows, filled = _memo_rows((full.shape, data, offsets, theta0, theta1),
+                                  layout.codes, len(full))
+        seen = filled.take(codes)
+        if not seen.all():
+            todo = np.flatnonzero(~seen)
             new, first = np.unique(codes.take(todo), return_index=True)
             rows[new] = evaluate(todo.take(first))
             filled[new] = True
@@ -286,59 +293,53 @@ def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
         rows = np.ascontiguousarray(evaluate(first))
     index = np.ascontiguousarray(index.reshape(n, m).T)   # locus-major
 
-    # one contiguous (2, K+2) row per code, gathered per locus in panel order
-    ll = np.zeros((n, 2, len(full)))
-    for ell in range(m):
-        ll += rows.take(index[ell], axis=0)
-    # (n, K+2) views with contiguous columns: the statistics reduce over the
-    # K+2 axis, about 5 times slower when that is the short contiguous one
-    ll = np.ascontiguousarray(ll.transpose(1, 2, 0))
-    return ll[0].T, ll[1].T
+    ll = np.empty((n, 2, len(full)))
+    for lo in range(0, n, _CHUNK):
+        np.add.reduce(rows.take(index[:, lo:lo + _CHUNK], axis=0), axis=0, initial=0.0,
+                      out=ll[lo:lo + _CHUNK])
+    # a (2, n, K+2) view with contiguous columns: the statistics reduce over
+    # the K+2 axis, about 5 times slower when that is the short contiguous one
+    return np.ascontiguousarray(ll.transpose(1, 2, 0)).transpose(0, 2, 1)
 
 
 def _diff(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Log-ratio num - den under the package's one infinity rule.
-
-    A -inf numerator gives -inf (the pair is impossible under the
-    alternative); a finite numerator over a -inf denominator gives +inf;
-    both -inf gives -inf.
-    """
-    with np.errstate(invalid="ignore"):
-        out = num - den
-    out[np.isnan(out)] = -np.inf
-    return out
+    """Log-ratio num - den under the package's one infinity rule, under the
+    caller's ``np.errstate(invalid="ignore")``: a -inf numerator gives -inf
+    (the pair is impossible under the alternative); a finite numerator over
+    a -inf denominator gives +inf; both -inf gives -inf, as fmax turns the
+    NaN of -inf - -inf, and only it, into -inf."""
+    out = np.subtract(num, den)
+    return np.fmax(out, -np.inf, out=out)
 
 
-def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    m = np.max(x, axis=1)
-    out = m.copy()
-    finite = np.isfinite(m)
-    xf = x[finite] - m[finite, None]
-    out[finite] = m[finite] + np.log(np.exp(xf).sum(axis=1))
-    return out
-
-
-def _derive_block(ll0, ll1, logp):
-    """The seven statistics, keyed in STATISTICS order, of (n, K+2)
+def _derive_block(ll, logp):
+    """The seven statistics, keyed in STATISTICS order, of (2, n, K+2)
     log-likelihoods under theta0 and theta1 with K log proportions ``logp``.
 
     LAF and CB are the local-average and pooled columns of the one log-LR
-    array ``_diff(ll1, ll0)``, and AVG, MAX and MIN reduce its K subpop
+    array ``_diff(ll[1], ll[0])``, and AVG, MAX and MIN reduce its K subpop
     columns. RMAX and RMIN apply the same infinity rule to the extreme
-    subpop log-likelihoods under each theta.
+    subpop log-likelihoods under each theta. AVG shifts each row by its max,
+    or by 0 when that is infinite, and sums C-contiguous rows: numpy's
+    summation order, and so the last bit, depends on the layout.
     """
     K = len(logp)
-    llr = _diff(ll1, ll0)
-    sub = llr[:, :K]
-    return {
-        "LAF": llr[:, K],
-        "AVG": _logsumexp_rows(sub + logp),
-        "MAX": sub.max(axis=1),
-        "MIN": sub.min(axis=1),
-        "RMAX": _diff(ll1[:, :K].max(axis=1), ll0[:, :K].max(axis=1)),
-        "RMIN": _diff(ll1[:, :K].min(axis=1), ll0[:, :K].min(axis=1)),
-        "CB": llr[:, K + 1],
-    }
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        llr = _diff(ll[1], ll[0])
+        sub = llr[:, :K]
+        extremes = np.empty((2, 2, ll.shape[1]))   # (max, min) x (theta0, theta1)
+        np.maximum.reduce(ll[:, :, :K], axis=2, out=extremes[0])
+        np.minimum.reduce(ll[:, :, :K], axis=2, out=extremes[1])
+        ratios = _diff(extremes[:, 1], extremes[:, 0])
+        high, low = np.maximum.reduce(sub, axis=1), np.minimum.reduce(sub, axis=1)
+        x = np.add(sub, logp, out=sub)   # sub's extremes are taken
+        m = np.maximum.reduce(x, axis=1)
+        shift = np.where(np.isfinite(m), m, 0.0)
+        shifted = np.subtract(x, shift[:, None], order="C")
+        total = np.add.reduce(np.exp(shifted, out=shifted), axis=1)
+        avg = np.add(shift, np.log(total, out=total), out=total)
+    return {"LAF": llr[:, K], "AVG": avg, "MAX": high, "MIN": low, "RMAX": ratios[0],
+            "RMIN": ratios[1], "CB": llr[:, K + 1]}
 
 
 def _block_rng(seed: int, phase: int, block: int) -> np.random.Generator:
@@ -393,8 +394,8 @@ def _run_block(full: np.ndarray, sampler: _Sampler, cfg: SimConfig, alt: bool, b
     """Subpop tags and requested statistics of one block's pairs, their
     cells evaluated through the process's memo (``_loglik_arrays``)."""
     k1, *g = _draw_block(sampler, cfg, alt, block)
-    ll0, ll1 = _loglik_arrays(full, cfg.table.offsets[:-1], *g, cfg.theta0, cfg.theta1)
-    values = _derive_block(ll0, ll1, np.log(_weights(cfg.table, "census")))
+    ll = _loglik_arrays(full, cfg.table.offsets[:-1], *g, cfg.theta0, cfg.theta1)
+    values = _derive_block(ll, np.log(_weights(cfg.table, "census")))
     return k1, {s: values[s] for s in cfg.statistics}
 
 

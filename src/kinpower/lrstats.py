@@ -10,14 +10,14 @@ Seven statistics are computed, all in log scale:
 * ``CB``   - LR under frequencies pooled into one homogeneous group
 
 ``lr_all`` is the simulation engine's kernel run on a single replicate
-(B=1): the pair is encoded as allele indices in the table's label order,
-read from the table's ``label_index``, and goes through the same
-log-likelihood, infinity rule and statistic code as every simulated pair,
-so casework and simulation agree bit for bit. Its cells go through the
-kernel's memo, as a run's do, so a pair evaluates only cells that no
-earlier pair or run on the same table and thetas has met. It reuses the
-table's compiled frequency sets and builds none of the sampling CDFs the
-simulation path needs.
+(B=1): both profiles are encoded in one pass, as allele indices in the
+table's label order read from its ``label_index``, and go through the same
+log-likelihood, chunked gather and sum, infinity rule and statistic code
+as every simulated pair, so casework and simulation agree bit for bit.
+Its cells go through the kernel's memo, as a run's do, so a pair
+evaluates only cells that no earlier pair or run on the same table and
+thetas has met; it builds none of the sampling CDFs the simulation path
+needs.
 """
 
 from __future__ import annotations
@@ -49,17 +49,24 @@ class LrBreakdown:
 
     @property
     def per_subpop_log_lr(self) -> tuple[float, ...]:
-        return tuple(_diff(np.array(self.loglik1), np.array(self.loglik0)).tolist())
+        with np.errstate(invalid="ignore"):
+            return tuple(_diff(np.array(self.loglik1), np.array(self.loglik0)).tolist())
 
 
-def _encode(profile: Profile, table: FrequencyTable, number: int):
-    """(1, loci) allele-index arrays of one profile, in the table's label
-    order; ``number`` is the profile's place in its pair, 1 or 2."""
-    alleles = {g.locus: g.alleles for g in profile.genotypes}
-    idx = np.array([_positions(index, alleles[locus], locus, number)
-                    for locus, index in zip(table.panel, table.label_index)],
-                   dtype=np.int64).reshape(1, -1, 2)
-    return idx[..., 0], idx[..., 1]
+def _encode(alleles, table: FrequencyTable):
+    """The (1, loci) label-order allele indices g1a, g1b, g2a, g2b of a pair of
+    locus -> alleles maps, as one array filled in one pass; a label outside
+    the table is an UnknownAllele naming its locus and profile, 1 before 2."""
+    loci = tuple(zip(table.panel, table.label_index))
+    try:
+        idx = [index[by_locus[locus][j]]
+               for by_locus in alleles for j in (0, 1) for locus, index in loci]
+    except KeyError:
+        for number, by_locus in enumerate(alleles, 1):
+            for locus, index in loci:
+                _positions(index, by_locus[locus], locus, number)
+        raise
+    return np.array(idx).reshape(4, 1, -1)
 
 
 def lr_all(
@@ -74,26 +81,20 @@ def lr_all(
     if not (isinstance(pair, (tuple, list)) and len(pair) == 2
             and all(isinstance(p, Profile) for p in pair)):
         raise InvalidParameter("pair must be two Profiles")
-    for profile in pair:
-        if set(profile.loci) != set(table.panel):
+    alleles = [{g.locus: g.alleles for g in profile.genotypes} for profile in pair]
+    for by_locus, profile in zip(alleles, pair):
+        if by_locus.keys() != set(table.panel):
             raise PanelMismatch(
                 f"profile loci {sorted(profile.loci)} do not cover panel {sorted(table.panel)}")
 
     full = _compile(table, cb_weights)
-    g1a, g1b = _encode(pair[0], table, 1)
-    g2a, g2b = _encode(pair[1], table, 2)
-    ll0, ll1 = _loglik_arrays(full, table.offsets[:-1], g1a, g1b, g2a, g2b, theta0, theta1)
-    values = _derive_block(ll0, ll1, np.log(_weights(table, "census")))
+    ll = _loglik_arrays(full, table.offsets[:-1], *_encode(alleles, table), theta0, theta1)
+    values = _derive_block(ll, np.log(_weights(table, "census")))
 
     K = table.n_subpops
-    return LrBreakdown(
-        subpops=tuple(s.name for s in table.subpops),
-        proportions=table.proportions,
-        loglik0=tuple(ll0[0, :K].tolist()),
-        loglik1=tuple(ll1[0, :K].tolist()),
-        loglik0_local=float(ll0[0, K]),
-        loglik1_local=float(ll1[0, K]),
-        loglik0_pooled=float(ll0[0, K + 1]),
-        loglik1_pooled=float(ll1[0, K + 1]),
-        stats={s: float(v[0]) for s, v in values.items()},
-    )
+    row0, row1 = ll[:, 0].tolist()
+    return LrBreakdown(subpops=tuple(s.name for s in table.subpops), proportions=table.proportions,
+                       loglik0=tuple(row0[:K]), loglik1=tuple(row1[:K]),
+                       loglik0_local=row0[K], loglik1_local=row1[K],
+                       loglik0_pooled=row0[K + 1], loglik1_pooled=row1[K + 1],
+                       stats={s: v.item() for s, v in values.items()})

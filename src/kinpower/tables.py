@@ -342,15 +342,16 @@ def _read_rows(source: Union[str, TextIO], columns: Sequence[str],
             raise MalformedRow(f"expected header {','.join(columns)!r}, got {header}")
         for row in reader:
             cells = [cell.strip() for cell in row]
-            if not any(cells):
-                continue
             if len(cells) != len(columns) or not all(cells):
+                if not any(cells):
+                    continue
                 raise MalformedRow(f"line {reader.line_num}: expected {len(columns)} "
                                    f"non-empty cells, got {row}")
-            try:
-                cells[text:] = map(float, cells[text:])
-            except ValueError as exc:
-                raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+            if text < len(columns):
+                try:
+                    cells[text:] = map(float, cells[text:])
+                except ValueError as exc:
+                    raise MalformedRow(f"line {reader.line_num}: {exc}") from None
             yield reader.line_num, cells
     except csv.Error as exc:
         raise MalformedRow(f"line {reader.line_num}: {exc}") from None

@@ -5,6 +5,9 @@ combination classes and stay independent of the production kernel.
 ``reference_loglik_arrays`` is the exception: it keeps the engine's earlier
 per-locus loop, which shares ``pair_components`` with the engine, so it
 checks the engine's deduplication and gather rather than the cell formulas.
+``reference_sequential_sums`` adds those per-locus rows once more, one
+replicate at a time in plain Python floats, ``0.0 + row_0 + row_1 + ...``
+in panel order, so that it pins the order of the engine's sums.
 ``reference_pair_components`` keeps the kernel's earlier component formula,
 whose P1 picks each transition term with ``np.where``, so that a change to
 the production formula is checked against code that shares none of it.
@@ -143,7 +146,8 @@ def reference_pair_components(g1a, g1b, g2a, g2b, f):
 
 
 def reference_loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
-    """(ll0, ll1), shape (n, K+2): the kernel evaluated one locus at a time.
+    """(ll0, ll1) stacked, shape (2, n, K+2): the kernel evaluated one locus
+    at a time.
 
     One pair_components call per locus over that locus's (K+2, A) frequency
     rows, every cell evaluated, logs added in panel order.
@@ -156,7 +160,26 @@ def reference_loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
         with np.errstate(divide="ignore"):
             ll0 += np.log(mult * (theta0.z0 * p0 + theta0.z1 * p1 + theta0.z2 * p2))
             ll1 += np.log(mult * (theta1.z0 * p0 + theta1.z1 * p1 + theta1.z2 * p2))
-    return ll0.T, ll1.T
+    return np.stack((ll0.T, ll1.T))
+
+
+def reference_sequential_sums(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
+    """(2, n, K+2) sums of each replicate's cell rows, ``0.0 + row_0 + row_1
+    + ...`` over the loci in panel order, added in plain Python floats. Locus
+    ell's rows are reference_loglik_arrays on that locus's columns alone."""
+    ends = list(offsets[1:]) + [full.shape[1]]
+    parts = [reference_loglik_arrays(full[:, lo:hi], (0,),
+                                     *(g[:, [ell]] for g in (g1a, g1b, g2a, g2b)),
+                                     theta0, theta1).tolist()
+             for ell, (lo, hi) in enumerate(zip(offsets, ends))]
+    sums = []
+    for t in range(2):
+        for i in range(len(g1a)):
+            acc = [0.0] * full.shape[0]
+            for part in parts:
+                acc = [total + value for total, value in zip(acc, part[t][i])]
+            sums.append(acc)
+    return np.array(sums).reshape(2, len(g1a), full.shape[0])
 
 
 def reference_block_genotypes(cfg, alt: bool, block: int, n: int):

@@ -24,7 +24,7 @@ from kinpower.tables import _weights
 
 from conftest import drawn_pairs, off_sum_tables, pair_of, rng
 from oracles import (reference_block_genotypes, reference_dump, reference_loglik_arrays,
-                     reference_pool)
+                     reference_pool, reference_sequential_sums)
 
 
 class TestCompiledRows:
@@ -486,26 +486,27 @@ class TestWarmPool:
         assert code == 0, err
         assert len(pids) == 2 and not alive
 
-    @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
-                        reason="engine imports the first pool's modules of fork only")
     def test_first_pool_imports_nothing(self):
         # a child forked while another thread imports a module waits on that
         # import's lock for good, so the first pool may import no module of
-        # its own: engine imports them
-        code, err, pids, alive = _run_script("""
-            import sys
-            from kinpower import engine
+        # its own under any start method: engine imports them, each start
+        # method's in a new interpreter that sets it before importing kinpower
+        for method in multiprocessing.get_all_start_methods():
+            code, err, pids, alive = _run_script(f"""
+                import multiprocessing, sys
+                multiprocessing.set_start_method({method!r})
+                from kinpower import engine
 
-            before = set(sys.modules)
-            with engine._pooled(2) as run:
-                assert list(run(abs, [(-1,), (-2,)])) == [1, 2]
-                print(*engine._POOL.executor._processes, flush=True)
-            new = sorted(name for name in set(sys.modules) - before
-                         if name.startswith(("multiprocessing", "concurrent")))
-            sys.exit(f"the first pool imported {new}" if new else 0)
-        """)
-        assert code == 0, err
-        assert len(pids) == 2 and not alive
+                before = set(sys.modules)
+                with engine._pooled(2) as run:
+                    assert list(run(abs, [(-1,), (-2,)])) == [1, 2]
+                    print(*engine._POOL.executor._processes, flush=True)
+                new = sorted(name for name in set(sys.modules) - before
+                             if name.startswith(("multiprocessing", "concurrent")))
+                sys.exit(f"the first pool imported {{new}}" if new else 0)
+            """)
+            assert code == 0, (method, err)
+            assert len(pids) == 2 and not alive, method
 
     def test_workers_end_with_the_interpreter_and_a_forked_child_opens_its_own(self):
         script = """
@@ -935,7 +936,7 @@ def assert_kernel_matches_loop(table, seed):
             for x, y in zip(got, want):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), \
                     (phase, drawn_under, theta0, name, n)
-            got, want = (_derive_block(*ll, logp) for ll in (got, want))
+            got, want = (_derive_block(ll, logp) for ll in (got, want))
             for s in kp.STATISTICS:
                 assert got[s].tobytes() == want[s].tobytes(), \
                     (phase, drawn_under, theta0, name, n, s)
@@ -1089,6 +1090,106 @@ class TestGuideTable:
         assert 1.0 < above_one[1] < 1.0 + 1.0 / GUIDE
 
 
+class TestSummationOrder:
+    """Each replicate's (2, K+2) sum is 0.0 + row_0 + row_1 + ... over its
+    cells in panel order, to the last bit: either side of a chunk's edge and
+    over a whole block of the engine's own int8 draws."""
+
+    @pytest.mark.parametrize("n", [1, 2, engine._CHUNK - 1, engine._CHUNK, engine._CHUNK + 1,
+                                   BLOCK])
+    def test_sums_add_the_loci_in_panel_order(self, synth_table, n):
+        cfg = cfg_for(synth_table, B=BLOCK)
+        _, *g = engine._draw_block(_sampler(synth_table), cfg, True, 0)
+        args = (_compile(synth_table, "auto"), synth_table.offsets[:-1], *(x[:n] for x in g),
+                kp.UNRELATED, kp.PARENT_CHILD)
+        got = _loglik_arrays(*args)
+        assert got.shape == (2, n, 6)
+        assert got.tobytes() == reference_sequential_sums(*args).tobytes()
+
+
+INF = math.inf
+
+
+def reference_diff(num, den):
+    return -INF if num == -INF else INF if den == -INF else num - den
+
+
+def reference_statistics(ll0, ll1, w):
+    """The seven statistics of one row in plain Python, AVG by math.fsum."""
+    K = len(w)
+    llr = [reference_diff(a, b) for a, b in zip(ll1, ll0)]
+    sub = llr[:K]
+    if INF in sub or all(r == -INF for r in sub):
+        avg = max(sub)
+    else:
+        avg = math.log(math.fsum(wk * math.exp(r) for wk, r in zip(w, sub)))
+    return {"LAF": llr[K], "AVG": avg, "MAX": max(sub), "MIN": min(sub),
+            "RMAX": reference_diff(max(ll1[:K]), max(ll0[:K])),
+            "RMIN": reference_diff(min(ll1[:K]), min(ll0[:K])), "CB": llr[K + 1]}
+
+
+class TestInfinityRule:
+    """_diff and _derive_block on hand-built rows of three subpops, the local
+    and the pooled column, against a plain-Python reference: every -inf and
+    +inf case of the one infinity rule, one row at a time and as a block."""
+
+    W = (0.2, 0.5, 0.3)
+    ROWS = [  # (ll0, ll1)
+        ([-10.0, -12.5, -11.0, -10.75, -11.25], [-9.0, -13.0, -10.5, -10.0, -11.5]),
+        # both -inf at subpop 0 and the local column
+        ([-INF, -5.0, -6.0, -INF, -7.0], [-INF, -4.0, -7.5, -INF, -6.5]),
+        # a finite numerator over a -inf denominator: +inf at subpop 0 and CB
+        ([-INF, -5.0, -6.0, -5.5, -INF], [-3.0, -4.0, -7.0, -4.0, -6.0]),
+        # a -inf numerator over a finite denominator
+        ([-3.0, -4.0, -5.0, -4.0, -6.0], [-INF, -INF, -4.0, -INF, -5.0]),
+        # every subpop -inf under theta1: AVG, RMAX and RMIN are -inf
+        ([-3.0, -4.0, -5.0, -4.0, -6.0], [-INF] * 5),
+        ([-INF] * 5, [-INF] * 5),
+        # a +inf and a -inf subpop log-LR in one row
+        ([-INF, -1.0, -2.0, -1.5, -1.5], [-2.0, -INF, -1.0, -1.25, -INF]),
+        ([-INF] * 5, [-1.0, -2.0, -3.0, -1.5, -2.5]),
+    ]
+
+    def test_diff(self):
+        num = np.array([-INF, 1.5, -INF, 1.5, 0.0])
+        den = np.array([-INF, -INF, 2.0, 0.5, 0.0])
+        with np.errstate(invalid="ignore"):
+            got = engine._diff(num, den).tolist()
+        assert got == [reference_diff(a, b) for a, b in zip(num.tolist(), den.tolist())]
+        assert got == [-INF, INF, -INF, 1.0, 0.0]
+
+    def test_derive_block(self):
+        ll = np.array([[ll0 for ll0, _ in self.ROWS], [ll1 for _, ll1 in self.ROWS]])
+        logp = np.log(self.W)
+        # C-contiguous rows, and columns contiguous as _loglik_arrays lays them out
+        layouts = [ll, np.ascontiguousarray(ll.transpose(0, 2, 1)).transpose(0, 2, 1)]
+        blocks = [_derive_block(x, logp) for x in layouts]
+        for i, (ll0, ll1) in enumerate(self.ROWS):
+            want = reference_statistics(ll0, ll1, self.W)
+            one = _derive_block(ll[:, i:i + 1], logp)
+            for s in kp.STATISTICS:
+                got = np.array([values[s][i] for values in blocks] + [one[s][0]])
+                assert got.tobytes() == np.full(3, got[0]).tobytes(), (i, s)
+                if math.isinf(want[s]):
+                    assert got[0] == want[s], (i, s)
+                else:
+                    assert got[0] == pytest.approx(want[s], rel=1e-14, abs=1e-14), (i, s)
+        assert [blocks[0]["AVG"][i] for i in (2, 4, 5, 6, 7)] == [INF, -INF, -INF, INF, INF]
+        assert [blocks[0][s][4] for s in ("AVG", "RMAX", "RMIN")] == [-INF] * 3
+
+    def test_avg_sums_each_row_as_one_contiguous_row(self):
+        # numpy sums 9 or more contiguous values pairwise and strided ones in
+        # order: AVG must give each row of a block, laid out as _loglik_arrays
+        # lays it out, the bits of that row summed alone, as lr_all sums it
+        K = 12
+        ll = rng(5).normal(-40.0, 3.0, (2, K + 2, 300)).transpose(0, 2, 1)
+        logp = np.log(np.full(K, 1.0 / K))
+        got = _derive_block(ll, logp)["AVG"]
+        for i in range(ll.shape[1]):
+            x = ll[1, i, :K] - ll[0, i, :K] + logp
+            assert got[i] == x.max() + np.log(np.exp(x - x.max()).sum()), i
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """The cell count of each pair_components call the engine makes, from an
@@ -1207,7 +1308,7 @@ class TestKernelMemo:
             want = reference_loglik_arrays(*args)
             got = _loglik_arrays(*args)
             assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
-            stats = _derive_block(*want, logp)
+            stats = _derive_block(want, logp)
             for s in kp.STATISTICS:
                 assert m.statistics[s].tobytes() == stats[s].tobytes(), s
         assert engine._memo_rows.cache_info().currsize == 0

@@ -280,6 +280,51 @@ class TestLrAll:
                 assert b.stats["AVG"] == m.statistics["AVG"][i], i
 
 
+class TestInputErrors:
+    """lr_all checks both profiles' loci before it encodes either, then
+    encodes profile 1 before profile 2, with the messages of the
+    per-profile checks."""
+
+    GOOD = [("L1", ("10", "11")), ("L2", ("7", "8"))]
+
+    def run(self, table, first, second):
+        return kp.lr_all((profile_from(first), profile_from(second)), kp.UNRELATED,
+                         kp.FULL_SIB, table)
+
+    @pytest.mark.parametrize("bad, number", [(0, 1), (1, 2), (None, 1)])
+    def test_unknown_allele_names_the_first_profile_holding_one(self, two_subpop_table,
+                                                                bad, number):
+        # None: both profiles hold an unknown allele; profile 1 is named
+        pairs = [[("L1", ("10", "11")), ("L2", ("7", "99"))],
+                 [("L1", ("12", "10")), ("L2", ("7", "8"))]]
+        if bad is not None:
+            pairs[1 - bad] = self.GOOD
+        where = ("'99' at locus 'L2' of profile 1" if number == 1 else
+                 "'12' at locus 'L1' of profile 2")
+        with pytest.raises(errors.UnknownAllele) as info:
+            self.run(two_subpop_table, *pairs)
+        assert str(info.value) == f"allele {where} absent from frequency support"
+
+    @pytest.mark.parametrize("missing", [0, 1])
+    def test_a_missing_locus_is_found_before_any_allele(self, two_subpop_table, missing):
+        # the other profile holds an unknown allele, which is not reported
+        pairs = [[("L1", ("10", "99")), ("L2", ("7", "8"))] for _ in range(2)]
+        pairs[missing] = [("L1", ("10", "11"))]
+        with pytest.raises(errors.PanelMismatch) as info:
+            self.run(two_subpop_table, *pairs)
+        assert str(info.value) == "profile loci ['L1'] do not cover panel ['L1', 'L2']"
+
+    def test_an_extra_locus_is_a_panel_mismatch(self, two_subpop_table):
+        extra = self.GOOD + [("L3", ("1", "2"))]
+        with pytest.raises(errors.PanelMismatch,
+                           match=r"profile loci \['L1', 'L2', 'L3'\] do not cover"):
+            self.run(two_subpop_table, self.GOOD, extra)
+
+    def test_loci_in_any_order(self, two_subpop_table):
+        b = self.run(two_subpop_table, self.GOOD, self.GOOD[::-1])
+        assert b == self.run(two_subpop_table, self.GOOD, self.GOOD)
+
+
 class TestPerPairCost:
     def test_lr_all_builds_no_table(self, synth_table, monkeypatch):
         # the frequency layout is built once, when the table is; a casework
