@@ -130,32 +130,18 @@ _MAX_COLUMNS = math.isqrt(math.isqrt(np.iinfo(np.int64).max))
 # Largest per-process memo of cell rows (see _loglik_arrays), in bytes.
 _MEMO_BYTES = 64 << 20
 _CHUNK = 256   # replicates per gather and sum of _loglik_arrays; more summed slower
-_LAST_FULL = (None, b"")   # the last memo key's rows and their bytes, swapped whole: no lock
 
 
-def _compile(table: FrequencyTable, cb_weights: str) -> np.ndarray:
-    """The kernel's read-only (K+2, sum of A) frequency sets: the table's K
-    subpop rows, the local-average row (K) and the ``cb_weights`` pooled row
-    (K+1), with the loci side by side as in ``FrequencyTable.matrix``. Built
-    once per table and scheme, and kept in the table's ``memo``."""
-    full = table.memo.get(("compile", cb_weights))
-    if full is None:
-        if table.offsets[-1] > _MAX_COLUMNS:
-            raise InvalidParameter(
-                f"table has {table.offsets[-1]} alleles over its loci; at most {_MAX_COLUMNS} "
-                "fit the kernel's int64 cell codes")
-        full = np.vstack([table.matrix, _pool(table, "census"), _pool(table, cb_weights)])
-        full.setflags(write=False)
-        table.memo[("compile", cb_weights)] = full
-    return full
+class _Kernel(NamedTuple):
+    """What the kernel derives from a table under one CB scheme: its K+2
+    frequency sets, AVG's log weights, its memo key and where its cell codes
+    lie. Locus ell's genotype g1 = (a1, b1), a1 <= b1, and g2 give code
+    ``goff[ell] + c1 * G[ell] + c2``, with c = tri[b] + a the index of a
+    genotype among the G = A(A+1)/2 of its locus."""
 
-
-class _Layout(NamedTuple):
-    """Where the cell codes of a (K+2, S) ``full`` with loci starting at
-    ``offsets`` lie: locus ell's genotype g1 = (a1, b1), a1 <= b1, and g2 give
-    code ``goff[ell] + c1 * G[ell] + c2``, with c = tri[b] + a the index of
-    a genotype among the G = A(A+1)/2 of its locus."""
-
+    full: np.ndarray      # (K+2, S) read-only frequency sets
+    logp: np.ndarray      # (K,) log census weights, AVG's
+    key: tuple            # (full.shape, full.tobytes(), table.offsets), the memo's
     offsets: np.ndarray   # (loci,) int64 first column of each locus
     goff: np.ndarray      # (loci,) int64 first code of each locus
     G: np.ndarray         # (loci,) int64 genotypes at each locus
@@ -163,16 +149,31 @@ class _Layout(NamedTuple):
     codes: int            # sum of G^2, the number of codes
 
 
-@functools.lru_cache(maxsize=16)
-def _layout(columns: int, offsets: tuple[int, ...]) -> _Layout:
-    offs = np.array(offsets, dtype=np.int64)
-    A = np.diff(offs, append=columns)
-    G = A * (A + 1) // 2
-    goff = np.concatenate(([0], np.cumsum(G * G)))
-    tri = np.arange(A.max()) * np.arange(1, A.max() + 1) // 2
-    for shared in (offs, G, goff, tri):  # every caller gets these very arrays
-        shared.setflags(write=False)
-    return _Layout(offs, goff[:-1], G, tri, int(goff[-1]))
+def _compile(table: FrequencyTable, cb_weights: str) -> _Kernel:
+    """The table's ``_Kernel`` under ``cb_weights``. Its rows of ``full`` are
+    the table's K subpop rows, the local-average row (K) and the
+    ``cb_weights`` pooled row (K+1), with the loci side by side as in
+    ``FrequencyTable.matrix``. Built once per table and scheme, and kept in
+    the table's ``memo``."""
+    kernel = table.memo.get(("compile", cb_weights))
+    if kernel is None:
+        if table.offsets[-1] > _MAX_COLUMNS:
+            raise InvalidParameter(
+                f"table has {table.offsets[-1]} alleles over its loci; at most {_MAX_COLUMNS} "
+                "fit the kernel's int64 cell codes")
+        full = np.vstack([table.matrix, _pool(table, "census"), _pool(table, cb_weights)])
+        offsets = np.array(table.offsets, dtype=np.int64)
+        A = np.diff(offsets)
+        G = A * (A + 1) // 2
+        goff = np.concatenate(([0], np.cumsum(G * G)))
+        tri = np.arange(A.max()) * np.arange(1, A.max() + 1) // 2
+        logp = np.log(_weights(table, "census"))
+        for shared in (full, logp, offsets, G, goff, tri):  # every call gets these very arrays
+            shared.setflags(write=False)
+        kernel = _Kernel(full, logp, (full.shape, full.tobytes(), table.offsets), offsets[:-1],
+                         goff[:-1], G, tri, int(goff[-1]))
+        table.memo[("compile", cb_weights)] = kernel
+    return kernel
 
 
 def _sampler(table: FrequencyTable) -> _Sampler:
@@ -215,7 +216,7 @@ def _alleles(sampler: _Sampler, base: np.ndarray, u: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _memo_rows(key: tuple, codes: int, sets: int):
     """The (codes, 2, sets) rows and the filled mask of this process's one
-    memo entry, keyed by compiled rows, offsets and thetas (_loglik_arrays),
+    memo entry, keyed by a ``_Kernel``'s key and the thetas (_loglik_arrays),
     in one private anonymous map: its pages read as zero (nothing filled),
     commit only once written, and a forked child's writes stay its own. A
     call with another key replaces the entry by a new, empty one. Threads
@@ -227,24 +228,23 @@ def _memo_rows(key: tuple, codes: int, sets: int):
             np.frombuffer(buf, dtype=bool, count=codes, offset=size * 8))
 
 
-def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
+def _loglik_arrays(kernel: _Kernel, g1a, g1b, g2a, g2b, theta0, theta1):
     """Per-replicate log-likelihoods under theta0 and theta1, shape (2, n, K+2).
 
-    ``full`` is ``_compile``'s read-only (K+2, S) array and locus i's alleles
-    start at its column ``offsets[i]``. The (n, loci) allele-index arrays give
-    n * loci cells, each an ordered genotype pair at one locus, keyed by its
-    code (``_Layout``). A cell's row holds its (2, K+2) log-probabilities:
-    one pair_components call evaluates cells over all K+2 frequency sets,
-    the rows of ``full``, on the columns read at each code's first
-    occurrence, and both thetas weigh those components at once, stacked on
-    a leading axis. Each replicate adds its cells' rows from 0.0 in panel
-    order: one locus-major gather and one ``np.add.reduce`` over the loci
-    per ``_CHUNK`` replicates, so every cell and every sum is what a
-    per-locus evaluation would give, to the last bit.
+    The (n, loci) allele-index arrays give n * loci cells, each an ordered
+    genotype pair at one locus, keyed by its code (``_Kernel``). A cell's
+    row holds its (2, K+2) log-probabilities: one pair_components call
+    evaluates cells over all K+2 frequency sets, the rows of
+    ``kernel.full``, on the columns read at each code's first occurrence,
+    and both thetas weigh those components at once, stacked on a leading
+    axis. Each replicate adds its cells' rows from 0.0 in panel order: one
+    locus-major gather and one ``np.add.reduce`` over the loci per
+    ``_CHUNK`` replicates, so every cell and every sum is what a per-locus
+    evaluation would give, to the last bit.
 
     The rows are this process's memo: one row per code, each evaluated the
     first time a call meets it, and kept for every later call with the same
-    ``full``, offsets and thetas, whether a run's block or ``lr_all``'s one
+    ``kernel.key`` and thetas, whether a run's block or ``lr_all``'s one
     pair. A call evaluates only the distinct codes that are not yet filled
     in, and makes no pair_components call when none is. A row is written
     before it is marked filled, so a concurrent call never reads a row that
@@ -252,35 +252,28 @@ def _loglik_arrays(full, offsets, g1a, g1b, g2a, g2b, theta0, theta1):
     built: the rows are then those of the call's distinct codes, found by
     one ``np.unique``.
     """
-    global _LAST_FULL
     n, m = g1a.shape
-    offsets = tuple(offsets)
-    layout = _layout(full.shape[1], offsets)
-    codes = layout.tri.take(g1b)
+    full = kernel.full
+    codes = kernel.tri.take(g1b)
     codes += g1a
-    codes *= layout.G
-    codes += layout.goff
-    codes += layout.tri.take(g2b)
+    codes *= kernel.G
+    codes += kernel.goff
+    codes += kernel.tri.take(g2b)
     codes += g2a
     codes = codes.ravel()   # cell i * loci + ell is replicate i at locus ell
 
     def evaluate(first):
         """(cells, 2, K+2) rows of the cells at flat positions ``first``."""
         z = np.array([theta0.as_tuple(), theta1.as_tuple()])[:, :, None, None]
-        base = layout.offsets.take(first % m)
+        base = kernel.offsets.take(first % m)
         p0, p1, p2, mult = pair_components(*(g.ravel().take(first) + base
                                              for g in (g1a, g1b, g2a, g2b)), full)
         with np.errstate(divide="ignore"):
             v = np.log(mult * (z[:, 0] * p0 + z[:, 1] * p1 + z[:, 2] * p2))  # (2, K+2, cells)
         return np.moveaxis(v, 2, 0)
 
-    if layout.codes * 2 * len(full) * 8 <= _MEMO_BYTES:
-        last, data = _LAST_FULL
-        if last is not full:
-            data = full.tobytes()
-            _LAST_FULL = (full, data)
-        rows, filled = _memo_rows((full.shape, data, offsets, theta0, theta1),
-                                  layout.codes, len(full))
+    if kernel.codes * 2 * len(full) * 8 <= _MEMO_BYTES:
+        rows, filled = _memo_rows((kernel.key, theta0, theta1), kernel.codes, len(full))
         seen = filled.take(codes)
         if not seen.all():
             todo = np.flatnonzero(~seen)
@@ -390,12 +383,11 @@ def _draws(sampler: _Sampler, cfg: SimConfig, alt: bool):
     return tuple(np.concatenate(column).astype(np.int64) for column in zip(*blocks))
 
 
-def _run_block(full: np.ndarray, sampler: _Sampler, cfg: SimConfig, alt: bool, block: int):
+def _run_block(kernel: _Kernel, sampler: _Sampler, cfg: SimConfig, alt: bool, block: int):
     """Subpop tags and requested statistics of one block's pairs, their
     cells evaluated through the process's memo (``_loglik_arrays``)."""
     k1, *g = _draw_block(sampler, cfg, alt, block)
-    ll = _loglik_arrays(full, cfg.table.offsets[:-1], *g, cfg.theta0, cfg.theta1)
-    values = _derive_block(ll, np.log(_weights(cfg.table, "census")))
+    values = _derive_block(_loglik_arrays(kernel, *g, cfg.theta0, cfg.theta1), kernel.logp)
     return k1, {s: values[s] for s in cfg.statistics}
 
 
@@ -485,7 +477,7 @@ def _simulate(cfg: SimConfig, alts: tuple[bool, ...]) -> tuple[SampleMatrix, ...
     """One SampleMatrix per phase in ``alts`` (True for alt), all their blocks
     run from one compile and one sampler, through ``_pooled`` with at most
     one worker per block of a phase and per CPU this process may run on."""
-    full = _compile(cfg.table, cfg.cb_weights)
+    kernel = _compile(cfg.table, cfg.cb_weights)
     sampler = _sampler(cfg.table)
     nblocks = (cfg.B + BLOCK - 1) // BLOCK
     names = tuple(s.name for s in cfg.table.subpops)
@@ -494,7 +486,7 @@ def _simulate(cfg: SimConfig, alts: tuple[bool, ...]) -> tuple[SampleMatrix, ...
            for alt in alts}
 
     tasks = list(itertools.product(alts, range(nblocks)))
-    run_block = functools.partial(_run_block, full, sampler, cfg)
+    run_block = functools.partial(_run_block, kernel, sampler, cfg)
     with _pooled(min(cfg.workers, nblocks, _cpus())) as run:
         for (alt, block), (btags, bvalues) in zip(tasks, run(run_block, tasks)):
             matrix, rows = out[alt], slice(block * BLOCK, block * BLOCK + len(btags))

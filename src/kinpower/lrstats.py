@@ -14,7 +14,9 @@ Seven statistics are computed, all in log scale:
 table's label order read from its ``label_index``, and go through the same
 log-likelihood, chunked gather and sum, infinity rule and statistic code
 as every simulated pair, so casework and simulation agree bit for bit.
-Its cells go through the kernel's memo, as a run's do, so a pair
+It reads the table's compiled kernel (``engine._compile``: frequency
+sets, AVG's log weights and memo key, built once per table and scheme),
+and its cells go through the kernel's memo, as a run's do, so a pair
 evaluates only cells that no earlier pair or run on the same table and
 thetas has met; it builds none of the sampling CDFs the simulation path
 needs.
@@ -30,7 +32,7 @@ import numpy as np
 from .engine import STATISTICS, _check_inputs, _compile, _derive_block, _diff, _loglik_arrays
 from .errors import InvalidParameter, PanelMismatch
 from .ibd import ThetaIBD, _positions
-from .tables import FrequencyTable, Profile, _weights
+from .tables import FrequencyTable, Profile
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,9 @@ def lr_all(
             raise PanelMismatch(
                 f"profile loci {sorted(profile.loci)} do not cover panel {sorted(table.panel)}")
 
-    full = _compile(table, cb_weights)
-    ll = _loglik_arrays(full, table.offsets[:-1], *_encode(alleles, table), theta0, theta1)
-    values = _derive_block(ll, np.log(_weights(table, "census")))
+    kernel = _compile(table, cb_weights)
+    ll = _loglik_arrays(kernel, *_encode(alleles, table), theta0, theta1)
+    values = _derive_block(ll, kernel.logp)
 
     K = table.n_subpops
     row0, row1 = ll[:, 0].tolist()

@@ -170,7 +170,7 @@ class FrequencyTable:
     columns in ``labels`` order; ``offsets``, so that locus i is
     ``matrix[:, offsets[i]:offsets[i + 1]]``; and ``memo``, a dict, empty
     at first, in which the engine keeps what it derives from the table
-    once, such as its compiled frequency sets. Construction raises
+    once: its compiled kernel per CB scheme. Construction raises
     MissingLocusForSubpop when ``freqs`` lacks a subpop or panel locus,
     PanelMismatch when subpops list different alleles at a locus,
     ProportionSumOutOfTolerance when the proportions miss 1 by more than

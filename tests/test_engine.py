@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import kinpower as kp
-from kinpower import engine, tables
+from kinpower import engine, lrstats, tables
 from kinpower.engine import (BLOCK, GUIDE, _MAX_COLUMNS, _alleles, _block_rng, _compile,
                              _derive_block, _draws, _loglik_arrays, _sampler)
 from kinpower.ibd import categorical, pair_components
@@ -58,7 +58,7 @@ class TestCompiledRows:
                                self.weights(table, "census"))
         pooled = reference_pool(table.freqs, names, table.panel,
                                 self.weights(table, scheme))
-        fmat = np.split(_compile(table, scheme), table.offsets[1:-1], axis=1)
+        fmat = np.split(_compile(table, scheme).full, table.offsets[1:-1], axis=1)
         assert len(fmat) == len(table.panel)
         for f, locus in zip(fmat, table.panel):
             labels = sorted(table.freqs[names[0]][locus])
@@ -921,7 +921,7 @@ def assert_kernel_matches_loop(table, seed):
     and the seven statistics _derive_block makes of each. Each draw is
     evaluated with theta0 unrelated and with theta0 full-sib, whose nonzero
     z1 and z2 weigh the theta0 row's P1 and P2 terms too."""
-    full, logp = _compile(table, "auto"), np.log(table.proportions)
+    kernel = _compile(table, "auto")
     B = BLOCK + 123
     draws = [("null", kp.UNRELATED, False)] + [
         ("alt", theta, True) for theta in KERNEL_THETAS.values()]
@@ -930,13 +930,13 @@ def assert_kernel_matches_loop(table, seed):
                                 statistics=("LAF",)), alt)
         for theta0, (name, theta1), n in itertools.product(
                 (kp.UNRELATED, kp.FULL_SIB), KERNEL_THETAS.items(), (1, 17, B)):
-            args = (full, table.offsets[:-1], *(g[k][:n] for k in ("g1a", "g1b", "g2a", "g2b")),
-                    theta0, theta1)
-            got, want = _loglik_arrays(*args), reference_loglik_arrays(*args)
+            args = (*(g[k][:n] for k in ("g1a", "g1b", "g2a", "g2b")), theta0, theta1)
+            got = _loglik_arrays(kernel, *args)
+            want = reference_loglik_arrays(kernel.full, table.offsets[:-1], *args)
             for x, y in zip(got, want):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), \
                     (phase, drawn_under, theta0, name, n)
-            got, want = (_derive_block(ll, logp) for ll in (got, want))
+            got, want = (_derive_block(ll, kernel.logp) for ll in (got, want))
             for s in kp.STATISTICS:
                 assert got[s].tobytes() == want[s].tobytes(), \
                     (phase, drawn_under, theta0, name, n, s)
@@ -955,17 +955,17 @@ class TestKernelOracle:
 
     def test_structural_zeros_give_minus_inf(self, synth_table):
         # parent-child makes most unrelated pairs impossible at some locus
-        full = _compile(synth_table, "auto")
+        kernel = _compile(synth_table, "auto")
         g = drawn_pairs(cfg_for(synth_table, B=500), alt=False)
-        args = (full, synth_table.offsets[:-1], g["g1a"], g["g1b"], g["g2a"], g["g2b"],
-                kp.UNRELATED, kp.PARENT_CHILD)
-        ll0, ll1 = _loglik_arrays(*args)
+        args = (g["g1a"], g["g1b"], g["g2a"], g["g2b"], kp.UNRELATED, kp.PARENT_CHILD)
+        ll0, ll1 = _loglik_arrays(kernel, *args)
         assert np.isfinite(ll0).all() and np.isneginf(ll1).any()
-        assert ll1.tobytes() == reference_loglik_arrays(*args)[1].tobytes()
+        want = reference_loglik_arrays(kernel.full, synth_table.offsets[:-1], *args)
+        assert ll1.tobytes() == want[1].tobytes()
 
     def test_large_support_locus(self):
         table = large_support_table()
-        assert _compile(table, "auto").shape[1] == 400 + 2 * 3
+        assert _compile(table, "auto").full.shape[1] == 400 + 2 * 3
         assert_kernel_matches_loop(table, seed=400)
 
     def test_max_columns_is_the_largest_whose_keys_fit_int64(self):
@@ -1100,11 +1100,12 @@ class TestSummationOrder:
     def test_sums_add_the_loci_in_panel_order(self, synth_table, n):
         cfg = cfg_for(synth_table, B=BLOCK)
         _, *g = engine._draw_block(_sampler(synth_table), cfg, True, 0)
-        args = (_compile(synth_table, "auto"), synth_table.offsets[:-1], *(x[:n] for x in g),
-                kp.UNRELATED, kp.PARENT_CHILD)
-        got = _loglik_arrays(*args)
+        kernel = _compile(synth_table, "auto")
+        args = (*(x[:n] for x in g), kp.UNRELATED, kp.PARENT_CHILD)
+        got = _loglik_arrays(kernel, *args)
         assert got.shape == (2, n, 6)
-        assert got.tobytes() == reference_sequential_sums(*args).tobytes()
+        want = reference_sequential_sums(kernel.full, synth_table.offsets[:-1], *args)
+        assert got.tobytes() == want.tobytes()
 
 
 INF = math.inf
@@ -1296,33 +1297,76 @@ class TestKernelMemo:
         finally:
             engine._close_pool()
 
+    def test_tables_that_differ_only_in_offsets_read_no_stale_rows(self):
+        # the same five columns split into loci at (0, 2, 5) and at (0, 3, 5):
+        # byte-equal compiled rows and as many codes, so only the offsets in
+        # the memo's key keep one table's rows from the other's runs
+        columns = {"a": .5, "b": .5, "c": 5e-7, "d": .5, "e": .4999995}
+        subpops = (kp.Subpopulation("x", 0.4), kp.Subpopulation("y", 0.6))
+        split = [kp.FrequencyTable(
+            panel=("L1", "L2"), subpops=subpops, floor=1e-9,
+            freqs={sp.name: {"L1": dict(list(columns.items())[:cut]),
+                             "L2": dict(list(columns.items())[cut:])} for sp in subpops})
+            for cut in (2, 3)]
+        kernels = [_compile(t, "auto") for t in split]
+        assert kernels[0].key[:2] == kernels[1].key[:2] and kernels[0].codes == kernels[1].codes
+        configs = [cfg_for(t, B=self.B) for t in split]
+        want = [self.fresh(cfg) for cfg in configs]
+        for i in (0, 1, 0, 1):
+            got = kp.simulate(configs[i])
+            assert all(_same_samples(g, w) for g, w in zip(got, want[i])), i
+
+    def test_the_kernel_is_derived_once(self, tables, monkeypatch):
+        # one kernel per table and scheme, its logp the census log weights;
+        # a warm lr_all and run block derive no weights again
+        table = tables[0]
+        kernel = _compile(table, "auto")
+        assert _compile(table, "auto") is kernel
+        assert kernel.logp.tobytes() == np.log(_weights(table, "census")).tobytes()
+        cfg = cfg_for(table, B=BLOCK)
+        sampler = _sampler(table)
+        pair = pair_of(table, drawn_pairs(cfg, alt=True), 0)
+
+        def runs():
+            b = kp.lr_all(pair, cfg.theta0, cfg.theta1, table)
+            tags, values = engine._run_block(kernel, sampler, cfg, True, 0)
+            return [np.array([b.stats[s] for s in kp.STATISTICS]).tobytes(), tags.tobytes(),
+                    *(values[s].tobytes() for s in kp.STATISTICS)]
+
+        want = runs()
+
+        def refused(*args):
+            raise AssertionError("weights derived again")
+
+        monkeypatch.setattr(engine, "_weights", refused)
+        monkeypatch.setattr(lrstats, "_weights", refused, raising=False)
+        assert runs() == want
+
     def test_large_support_table_runs_over_the_cap(self):
         table = large_support_table()
         engine._memo_rows.cache_clear()
         cfg = cfg_for(table, B=self.B, statistics=kp.STATISTICS, keep_genotypes=True)
-        logp = np.log(table.proportions)
+        kernel = _compile(table, "auto")
         for m in kp.simulate(cfg):
             g = m.genotypes
-            args = (_compile(table, "auto"), table.offsets[:-1],
-                    *(g[k] for k in ("g1a", "g1b", "g2a", "g2b")), cfg.theta0, cfg.theta1)
-            want = reference_loglik_arrays(*args)
-            got = _loglik_arrays(*args)
+            args = (*(g[k] for k in ("g1a", "g1b", "g2a", "g2b")), cfg.theta0, cfg.theta1)
+            want = reference_loglik_arrays(kernel.full, table.offsets[:-1], *args)
+            got = _loglik_arrays(kernel, *args)
             assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
-            stats = _derive_block(want, logp)
+            stats = _derive_block(want, kernel.logp)
             for s in kp.STATISTICS:
                 assert m.statistics[s].tobytes() == stats[s].tobytes(), s
         assert engine._memo_rows.cache_info().currsize == 0
 
     @pytest.mark.parametrize("over", [False, True])
     def test_either_side_of_the_cap(self, synth_table, monkeypatch, over):
-        full = _compile(synth_table, "auto")
-        layout = engine._layout(full.shape[1], synth_table.offsets[:-1])
-        monkeypatch.setattr(engine, "_MEMO_BYTES", layout.codes * 2 * len(full) * 8 - over)
+        kernel = _compile(synth_table, "auto")
+        monkeypatch.setattr(engine, "_MEMO_BYTES", kernel.codes * 2 * len(kernel.full) * 8 - over)
         engine._memo_rows.cache_clear()
         g = drawn_pairs(cfg_for(synth_table, B=BLOCK + 123), alt=False)
-        args = (full, synth_table.offsets[:-1], *(g[k] for k in ("g1a", "g1b", "g2a", "g2b")),
-                kp.UNRELATED, kp.FULL_SIB)
-        got, want = _loglik_arrays(*args), reference_loglik_arrays(*args)
+        args = (*(g[k] for k in ("g1a", "g1b", "g2a", "g2b")), kp.UNRELATED, kp.FULL_SIB)
+        got = _loglik_arrays(kernel, *args)
+        want = reference_loglik_arrays(kernel.full, synth_table.offsets[:-1], *args)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
         assert engine._memo_rows.cache_info().currsize == (not over)
 
@@ -1345,8 +1389,8 @@ class TestKernelMemo:
                 assert [b.stats[s] for s in kp.STATISTICS] == [m.statistics[s][i]
                                                                 for s in kp.STATISTICS]
         assert calls == []
-        full = _compile(table, "auto")
-        size = engine._layout(full.shape[1], table.offsets[:-1]).codes * 2 * len(full) * 8
+        kernel = _compile(table, "auto")
+        size = kernel.codes * 2 * len(kernel.full) * 8
         misses = engine._memo_rows.cache_info().misses
         with monkeypatch.context() as capped:
             capped.setattr(engine, "_MEMO_BYTES", size - 1)
