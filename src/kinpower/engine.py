@@ -115,7 +115,7 @@ class _Sampler(NamedTuple):
     [b / GUIDE, (b + 1) / GUIDE), or -1 when a CDF entry lies strictly
     inside that bucket, so that the draw depends on where u falls in it.
     Its dtype is the narrowest signed one that holds those values (int8 for
-    up to 127 alleles), so a pickled sampler and the draws stay small.
+    up to 127 alleles), so that the draws stay small.
     """
 
     prop_cdf: np.ndarray          # (K,)
@@ -177,6 +177,9 @@ def _compile(table: FrequencyTable, cb_weights: str) -> _Kernel:
 
 
 def _sampler(table: FrequencyTable) -> _Sampler:
+    """The table's ``_Sampler``, built once per table and kept in its ``memo``."""
+    if "sampler" in table.memo:
+        return table.memo["sampler"]
     K, m = table.n_subpops, table.n_loci
     cdf = np.full((K, m, max(map(len, table.labels))), np.inf)
     for ell, (lo, hi) in enumerate(zip(table.offsets, table.offsets[1:])):
@@ -197,7 +200,8 @@ def _sampler(table: FrequencyTable) -> _Sampler:
     inside = np.floor(scaled)
     r, c = np.nonzero((scaled != inside) & (inside < GUIDE))
     guide[r * GUIDE + inside[r, c].astype(np.intp)] = -1
-    return _Sampler(prop_cdf=np.cumsum(_weights(table, "census")), cdf=cdf, guide=guide)
+    sampler = table.memo["sampler"] = _Sampler(np.cumsum(_weights(table, "census")), cdf, guide)
+    return sampler
 
 
 def _alleles(sampler: _Sampler, base: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -345,7 +349,7 @@ def _ordered(x: np.ndarray, y: np.ndarray):
     return np.minimum(x, y), np.maximum(x, y)
 
 
-def _draw_block(sampler: _Sampler, cfg: SimConfig, alt: bool, block: int):
+def _draw_block(cfg: SimConfig, alt: bool, block: int):
     """Subpop tags of individual 1 and the (n, loci) allele-index arrays
     (g1a, g1b, g2a, g2b), in the guide's narrow dtype, of the block's n pairs.
 
@@ -353,9 +357,9 @@ def _draw_block(sampler: _Sampler, cfg: SimConfig, alt: bool, block: int):
     subpop of individual 1, that of individual 2 (null only), then per locus
     two uniforms for individual 1 and two (null, HWE in its own subpop) or
     three (alt, related under theta1) for individual 2. Each of those
-    columns is drawn for every locus at once.
+    columns is drawn for every locus at once, by the table's ``_sampler``.
     """
-    n, m = min(BLOCK, cfg.B - block * BLOCK), cfg.table.n_loci
+    sampler, n, m = _sampler(cfg.table), min(BLOCK, cfg.B - block * BLOCK), cfg.table.n_loci
     head, width = (1, 5) if alt else (2, 4)
     u = _block_rng(cfg.seed, 1 if alt else 0, block).random((n, head + width * m))
     k1 = categorical(sampler.prop_cdf, u[:, 0])
@@ -376,17 +380,19 @@ def _draw_block(sampler: _Sampler, cfg: SimConfig, alt: bool, block: int):
     return k1, g1a, g1b, g2a, g2b
 
 
-def _draws(sampler: _Sampler, cfg: SimConfig, alt: bool):
+def _draws(cfg: SimConfig, alt: bool):
     """``_draw_block``'s (k1, g1a, g1b, g2a, g2b) over every block of one
     phase, concatenated and widened to the int64 of SampleMatrix.genotypes."""
-    blocks = [_draw_block(sampler, cfg, alt, b) for b in range((cfg.B + BLOCK - 1) // BLOCK)]
+    blocks = [_draw_block(cfg, alt, b) for b in range((cfg.B + BLOCK - 1) // BLOCK)]
     return tuple(np.concatenate(column).astype(np.int64) for column in zip(*blocks))
 
 
-def _run_block(kernel: _Kernel, sampler: _Sampler, cfg: SimConfig, alt: bool, block: int):
-    """Subpop tags and requested statistics of one block's pairs, their
-    cells evaluated through the process's memo (``_loglik_arrays``)."""
-    k1, *g = _draw_block(sampler, cfg, alt, block)
+def _run_block(cfg: SimConfig, alt: bool, block: int):
+    """Subpop tags and requested statistics of one block's pairs, a pure
+    function of its arguments: the table's kernel and sampler are read from,
+    or added to, its ``memo``, and cells evaluated through ``_loglik_arrays``."""
+    kernel = _compile(cfg.table, cfg.cb_weights)
+    k1, *g = _draw_block(cfg, alt, block)
     values = _derive_block(_loglik_arrays(kernel, *g, cfg.theta0, cfg.theta1), kernel.logp)
     return k1, {s: values[s] for s in cfg.statistics}
 
@@ -474,35 +480,31 @@ def _pooled(workers: Optional[int] = None):
 
 
 def _simulate(cfg: SimConfig, alts: tuple[bool, ...]) -> tuple[SampleMatrix, ...]:
-    """One SampleMatrix per phase in ``alts`` (True for alt), all their blocks
-    run from one compile and one sampler, through ``_pooled`` with at most
-    one worker per block of a phase and per CPU this process may run on."""
-    kernel = _compile(cfg.table, cfg.cb_weights)
-    sampler = _sampler(cfg.table)
+    """One SampleMatrix per phase in ``alts`` (True for alt), each block a
+    ``(cfg, alt, block)`` task (``_run_block``) through ``_pooled``, with at
+    most one worker per block of a phase and per CPU this process may run on."""
     nblocks = (cfg.B + BLOCK - 1) // BLOCK
     names = tuple(s.name for s in cfg.table.subpops)
     out = {alt: SampleMatrix(statistics={s: np.empty(cfg.B) for s in cfg.statistics},
                              subpop_tags=np.empty(cfg.B, dtype=np.int64), subpop_names=names)
            for alt in alts}
 
-    tasks = list(itertools.product(alts, range(nblocks)))
-    run_block = functools.partial(_run_block, kernel, sampler, cfg)
+    tasks = [(cfg, alt, block) for alt in alts for block in range(nblocks)]
     with _pooled(min(cfg.workers, nblocks, _cpus())) as run:
-        for (alt, block), (btags, bvalues) in zip(tasks, run(run_block, tasks)):
+        for (_, alt, block), (btags, bvalues) in zip(tasks, run(_run_block, tasks)):
             matrix, rows = out[alt], slice(block * BLOCK, block * BLOCK + len(btags))
             matrix.subpop_tags[rows] = btags
             for s in cfg.statistics:
                 matrix.statistics[s][rows] = bvalues[s]
     if cfg.keep_genotypes:
         for alt, matrix in out.items():
-            matrix.genotypes = dict(zip(("g1a", "g1b", "g2a", "g2b"),
-                                        _draws(sampler, cfg, alt)[1:]))
+            matrix.genotypes = dict(zip(("g1a", "g1b", "g2a", "g2b"), _draws(cfg, alt)[1:]))
     return tuple(out.values())
 
 
 def simulate(cfg: SimConfig) -> tuple[SampleMatrix, SampleMatrix]:
-    """``(simulate_null(cfg), simulate_alt(cfg))``, from one compile, one
-    sampler and at most one pool."""
+    """``(simulate_null(cfg), simulate_alt(cfg))``, from one run through at
+    most one pool."""
     return _simulate(cfg, (False, True))
 
 

@@ -168,9 +168,10 @@ class FrequencyTable:
     position in ``labels``; ``matrix``, a read-only float64 (K, sum of A)
     array with a row per subpop and the loci side by side in panel order,
     columns in ``labels`` order; ``offsets``, so that locus i is
-    ``matrix[:, offsets[i]:offsets[i + 1]]``; and ``memo``, a dict, empty
-    at first, in which the engine keeps what it derives from the table
-    once: its compiled kernel per CB scheme. Construction raises
+    ``matrix[:, offsets[i]:offsets[i + 1]]``; and ``memo``, a per-process
+    dict, empty at first, in which the engine keeps what it derives from
+    the table once: its kernel per CB scheme and its sampler. A copy or an
+    unpickled table starts with an empty memo, its matrix read-only. Raises
     MissingLocusForSubpop when ``freqs`` lacks a subpop or panel locus,
     PanelMismatch when subpops list different alleles at a locus,
     ProportionSumOutOfTolerance when the proportions miss 1 by more than
@@ -182,7 +183,7 @@ class FrequencyTable:
 
     Immutable after construction, but for ``memo``, which only gains
     entries derived from the rest; safe for shared read access from any
-    number of concurrent workers.
+    number of concurrent threads.
     """
 
     panel: tuple[str, ...]
@@ -231,6 +232,13 @@ class FrequencyTable:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "memo", {})
+
+    def __getstate__(self):
+        return {name: value for name, value in self.__dict__.items() if name != "memo"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, memo={})
+        self.matrix.setflags(write=False)
 
     @property
     def n_subpops(self) -> int:

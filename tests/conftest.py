@@ -7,7 +7,7 @@ import pytest
 
 import kinpower as kp
 from kinpower import engine
-from kinpower.engine import _draws, _sampler
+from kinpower.engine import _draws
 
 
 @pytest.fixture
@@ -99,7 +99,7 @@ def drawn_pairs(cfg, alt):
     """The int64 (B, loci) allele-index arrays of the pairs that cfg's alt
     (or null) phase draws, keyed g1a, g1b, g2a, g2b as in
     SampleMatrix.genotypes."""
-    return dict(zip(("g1a", "g1b", "g2a", "g2b"), _draws(_sampler(cfg.table), cfg, alt)[1:]))
+    return dict(zip(("g1a", "g1b", "g2a", "g2b"), _draws(cfg, alt)[1:]))
 
 
 def pair_of(table, g, i):

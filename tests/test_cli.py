@@ -604,10 +604,10 @@ class TestExitCodes:
         from kinpower import engine
         run_block = engine._run_block
 
-        def broken(compiled, sampler, cfg, alt, block):
+        def broken(cfg, alt, block):
             if alt:
                 raise ValueError("raised mid-run")
-            return run_block(compiled, sampler, cfg, alt, block)
+            return run_block(cfg, alt, block)
 
         monkeypatch.setattr(engine, "_run_block", broken)
         freqs, meta = synth_files
@@ -655,16 +655,18 @@ class TestRunConfig:
 
 class TestOneRunPerCommand:
     """A simulating command compiles the table once, pooling its LAF and CB
-    rows once each, builds one sampler and, with more than one worker, opens
-    one pool for both phases."""
+    rows once each, and builds one sampler, which every block then reads from
+    the table's memo; with more than one worker, it opens one pool for both
+    phases. The recording pool runs each block in this process, on this
+    table."""
 
     @pytest.mark.parametrize("command", ["power", "power-curve", "subpop-bias"])
     def test_one_compile_sampler_and_pool(self, synth_files, tmp_path, monkeypatch, pool_events,
                                           command):
         from kinpower import engine
-        calls = {"_pool": 0, "_sampler": 0}
+        calls = {"_pool": 0, "_Sampler": 0}
         monkeypatch.setattr(engine, "_cpus", lambda: 64)
-        for name in ("_pool", "_sampler"):
+        for name in ("_pool", "_Sampler"):
             def counted(*args, _real=getattr(engine, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
@@ -674,7 +676,7 @@ class TestOneRunPerCommand:
         assert main([command, "--freqs", str(freqs), "--meta", str(meta), "--alpha", "0.05",
                      "--B", str(2 * kp.BLOCK + 1), "--workers", "2", "--stats", "LAF",
                      "--out", str(tmp_path / "out")]) == 0
-        assert calls == {"_pool": 2, "_sampler": 1}
+        assert calls == {"_pool": 2, "_Sampler": 1}
         assert pool_events == [("open", 2)]
 
 

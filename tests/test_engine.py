@@ -3,6 +3,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -549,17 +550,41 @@ class TestWarmPool:
         assert len(pids) == 4 and not alive
 
 
+# a K=4, 15-locus, 16-allele synth table with sample sizes, compiled under
+# each of these CB schemes: a memo of three kernels that a block task leaves behind
+MULTI_SCHEME = dict(n_subpops=4, n_loci=15, n_alleles=16, divergence=0.3, seed=1,
+                    sample_sizes=(120, 250, 90, 300))
+SCHEMES = ("auto", "census", "equal")
+
+
+def multi_scheme_table():
+    table = kp.synth_frequency_table(**MULTI_SCHEME)
+    for scheme in SCHEMES:
+        _compile(table, scheme)
+    return table
+
+
 class TestStartMethods:
-    """Under spawn and forkserver each pool worker imports the package afresh
-    and builds its own memo; a 2-worker run gives the 1-worker run's bytes.
+    """Under spawn and forkserver each pool worker imports the package afresh,
+    unpickles each task's table without its memo and derives its own kernel,
+    sampler and memo rows; a 2-worker run gives the 1-worker run's bytes.
     Each runs in a new interpreter, so this process keeps its start method."""
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_two_workers_give_the_serial_bytes(self, method):
+        self.check(method, dict(n_subpops=2, n_loci=3, n_alleles=4, divergence=0.3, seed=1), ())
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_a_multi_scheme_table_gives_the_serial_bytes(self, method):
+        self.check(method, MULTI_SCHEME, SCHEMES)
+
+    @staticmethod
+    def check(method, kw, schemes):
+        """The 2-worker run under ``method`` on ``synth_frequency_table(**kw)``,
+        compiled under ``schemes`` first, against this process's serial run."""
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method")
-        table = kp.synth_frequency_table(n_subpops=2, n_loci=3, n_alleles=4, divergence=0.3,
-                                         seed=1)
+        table = kp.synth_frequency_table(**kw)
         serial = hashlib.sha256()
         for m in kp.simulate(cfg_for(table, B=2 * BLOCK + 123)):
             serial.update(m.subpop_tags.tobytes())
@@ -572,8 +597,9 @@ class TestStartMethods:
             from kinpower import engine
 
             engine._cpus = lambda: 2
-            table = kp.synth_frequency_table(n_subpops=2, n_loci=3, n_alleles=4,
-                                             divergence=0.3, seed=1)
+            table = kp.synth_frequency_table(**{kw!r})
+            for scheme in {schemes!r}:
+                engine._compile(table, scheme)
             pooled = hashlib.sha256()
             for m in kp.simulate(kp.SimConfig(table=table, theta0=kp.UNRELATED,
                                               theta1=kp.FULL_SIB, B=2 * kp.BLOCK + 123,
@@ -586,6 +612,29 @@ class TestStartMethods:
         """)
         assert code == 0, err
         assert len(pids) == 2 and not alive
+
+
+class TestBlockTask:
+    """A block task is ``(cfg, alt, block)``: its pickle leaves the table's
+    memo behind, so it stays small however many schemes were compiled, and a
+    pool worker derives the kernel and sampler from the table it unpickles."""
+
+    def test_a_task_pickles_small(self):
+        table = multi_scheme_table()
+        cfg = cfg_for(table, B=1_000_000)
+        _sampler(table)
+        assert all(("compile", scheme) in table.memo for scheme in SCHEMES)
+        size = len(pickle.dumps((engine._run_block, (cfg, True, 0))))
+        assert size < 32 << 10, size
+
+    def test_two_workers_give_the_serial_bytes(self, monkeypatch):
+        monkeypatch.setattr(engine, "_cpus", lambda: 2)
+        table = multi_scheme_table()
+        B = 2 * BLOCK + 123
+        serial = kp.simulate(cfg_for(table, B=B))
+        pooled = kp.simulate(cfg_for(table, B=B, workers=2))
+        assert engine._POOL is not None and engine._POOL.size == 2
+        assert all(_same_samples(p, s) for p, s in zip(pooled, serial))
 
 
 class TestSimulateNull:
@@ -985,14 +1034,13 @@ def assert_sampler_matches_loop(table, seed):
     """The engine's guide-table draws against the per-locus categorical loop,
     byte for byte: null with mixed subpops and with null_same_subpop, alt
     under every KERNEL_THETAS entry, each at n = 1, 17 and BLOCK + 123."""
-    sampler = _sampler(table)
     runs = [(False, kp.FULL_SIB, same) for same in (False, True)] + [
         (True, theta, False) for theta in KERNEL_THETAS.values()]
     for (alt, theta1, same), n in itertools.product(runs, (1, 17, BLOCK + 123)):
         cfg = cfg_for(table, B=n, seed=seed, theta1=theta1, null_same_subpop=same)
         blocks = [reference_block_genotypes(cfg, alt, block, min(BLOCK, n - lo))
                   for block, lo in enumerate(range(0, n, BLOCK))]
-        got, want = _draws(sampler, cfg, alt), map(np.concatenate, zip(*blocks))
+        got, want = _draws(cfg, alt), map(np.concatenate, zip(*blocks))
         for x, y in zip(got, want):
             assert x.dtype == y.dtype and np.array_equal(x, y), (alt, theta1, same, n)
 
@@ -1099,7 +1147,7 @@ class TestSummationOrder:
                                    BLOCK])
     def test_sums_add_the_loci_in_panel_order(self, synth_table, n):
         cfg = cfg_for(synth_table, B=BLOCK)
-        _, *g = engine._draw_block(_sampler(synth_table), cfg, True, 0)
+        _, *g = engine._draw_block(cfg, True, 0)
         kernel = _compile(synth_table, "auto")
         args = (*(x[:n] for x in g), kp.UNRELATED, kp.PARENT_CHILD)
         got = _loglik_arrays(kernel, *args)
@@ -1324,12 +1372,11 @@ class TestKernelMemo:
         assert _compile(table, "auto") is kernel
         assert kernel.logp.tobytes() == np.log(_weights(table, "census")).tobytes()
         cfg = cfg_for(table, B=BLOCK)
-        sampler = _sampler(table)
         pair = pair_of(table, drawn_pairs(cfg, alt=True), 0)
 
         def runs():
             b = kp.lr_all(pair, cfg.theta0, cfg.theta1, table)
-            tags, values = engine._run_block(kernel, sampler, cfg, True, 0)
+            tags, values = engine._run_block(cfg, True, 0)
             return [np.array([b.stats[s] for s in kp.STATISTICS]).tobytes(), tags.tobytes(),
                     *(values[s].tobytes() for s in kp.STATISTICS)]
 

@@ -1,6 +1,8 @@
+import copy
 import io
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import kinpower as kp
-from kinpower import errors
+from kinpower import engine, errors
 from kinpower.power import read_diff_cis_csv, read_power_curves_csv, read_power_reports_csv
 from kinpower.tables import FREQ_SUM_TOL, PROPORTION_TOL, _check_counts, _pool
 
@@ -229,6 +231,24 @@ class TestFrequencyTableConstruction:
         return kp.FrequencyTable(
             panel=panel, subpops=tuple(kp.Subpopulation(n, props[n]) for n in names),
             freqs=freqs)
+
+    @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copy_starts_with_an_empty_memo_and_a_read_only_matrix(self, synth_table,
+                                                                     copy_of):
+        # the memo is a per-process cache: a copy derives its own
+        kernel, sampler = engine._compile(synth_table, "auto"), engine._sampler(synth_table)
+        other = copy_of(synth_table)
+        assert other == synth_table and other.memo == {} and len(synth_table.memo) == 2
+        assert not other.matrix.flags.writeable
+        assert other.matrix.tobytes() == synth_table.matrix.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            other.matrix[0, 0] = 0.5
+        copied = engine._compile(other, "auto")
+        assert not copied.full.flags.writeable and copied.key == kernel.key
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(engine._sampler(other), sampler))
+        assert engine._compile(synth_table, "auto") is kernel
 
     def test_layout(self):
         t = self.table({"a": {"L1": {"9": 0.25, "10": 0.75}, "L2": {"x": 1.0}},
