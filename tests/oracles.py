@@ -17,16 +17,22 @@ the engine, so it checks the guide tables rather than the draw rule.
 ``reference_dump`` keeps the sample dump's earlier row-by-row rule, one
 ``csv.writer`` row per replicate and ``repr(float(v))`` per statistic cell.
 ``reference_power_report`` keeps the power report's earlier rule, one
-boolean mask per subpop and two scalar ``beta.ppf`` calls per interval.
+boolean mask per subpop, and gives each cell's hit count in place of its
+interval. ``beta_quantile_ulps`` and ``within_ulps`` place a double against
+Beta(a, b)'s true quantile through the exact binomial tail
+(``binomial_tail_sign``): in integers for n <= 60, else as a 50-digit decimal
+sum, so that no interval is checked against another library's rounding.
 """
 
 import csv
+import functools
 import io
 import math
+import struct
+from decimal import Decimal, localcontext
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy import stats as sps
 
 from kinpower import LocusGenotype
 from kinpower.engine import _block_rng
@@ -240,24 +246,115 @@ def reference_dump(matrix) -> str:
 
 
 def reference_power_report(null, alt, statistic: str, alpha: float):
-    """(threshold_log, power, (ci_low, ci_high), per_subpop) of
-    power.power_report, by its earlier rule: the threshold is the
-    ceil(B(1 - alpha))-th smallest null value, each subpop with alternative
-    replicates is counted through its own mask, and each CI bound is one
-    scalar ``beta.ppf`` call, or 0.0 at no hits and 1.0 at all hits."""
+    """(threshold_log, power, hits, per_subpop) of power.power_report, by its
+    earlier rule: the threshold is the ceil(B(1 - alpha))-th smallest null
+    value, and each subpop with alternative replicates is counted through its
+    own mask into (power, n, hits)."""
     x = np.sort(np.asarray(null.statistics[statistic], dtype=np.float64))
     c = float(x[math.ceil(x.size * (1.0 - alpha)) - 1])
-    a = 1.0 - 0.95
 
     def cell(values):
         hits, n = int(np.count_nonzero(values > c)), values.size
-        lo = 0.0 if hits == 0 else float(sps.beta.ppf(a / 2, hits, n - hits + 1))
-        hi = 1.0 if hits == n else float(sps.beta.ppf(1 - a / 2, hits + 1, n - hits))
-        return hits / n, n, (lo, hi)
+        return hits / n, n, hits
 
     y = np.asarray(alt.statistics[statistic], dtype=np.float64)
-    power, _, ci = cell(y)
+    power, _, hits = cell(y)
     tags = np.asarray(alt.subpop_tags)
     per_subpop = {name: cell(y[tags == k]) for k, name in enumerate(alt.subpop_names)
                   if np.any(tags == k)}
-    return c, power, ci, per_subpop
+    return c, power, hits, per_subpop
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _binomial_coefficient(n: int, k: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return +Decimal(math.comb(n, k))
+
+
+def binomial_tail_sign(n: int, k: int, x: float, t: float, upper: bool) -> int:
+    """The sign of P(Bin(n, x) >= k) - t (upper) or of P(Bin(n, x) <= k) - t,
+    at the exact values of the doubles x in (0, 1) and t. For n <= 60 the tail
+    is summed in integers. Above that it is a 50-digit decimal sum from k
+    outward, stopped once a term falls below 1e-55 of the sum, which is exact
+    for any comparison not within 1e-45 of a tie."""
+    js = range(k, n + 1) if upper else range(k, -1, -1)
+    if n <= 60:
+        num, den = x.as_integer_ratio()
+        tn, td = t.as_integer_ratio()
+        total = sum(math.comb(n, j) * num ** j * (den - num) ** (n - j) for j in js)
+        return _sign(total * td - tn * den ** n)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        X = Decimal(x)
+        Y = 1 - X
+        term = _binomial_coefficient(n, k) * X ** k * Y ** (n - k)
+        total = Decimal(0)
+        for j in js:
+            total += term
+            if term < total.scaleb(-55):
+                break
+            term = (term * (n - j) * X / ((j + 1) * Y) if upper
+                    else term * j * Y / ((n - j + 1) * X))
+        return _sign(total - Decimal(t))
+
+
+def beta_cdf_sign(v: float, p: float, a: int, b: int) -> int:
+    """The sign of I_v(a, b) - p, where I_v(a, b) = P(Bin(a + b - 1, v) >= a).
+    For p > 1/2 it compares the lower tail P(Bin <= a - 1) with 1 - p, which
+    is exact in doubles, so that no tail near 1 is summed."""
+    if not 0.0 < v < 1.0:
+        return -1 if v <= 0.0 else 1
+    if p <= 0.5:
+        return binomial_tail_sign(a + b - 1, a, v, p, True)
+    return -binomial_tail_sign(a + b - 1, a - 1, v, 1.0 - p, False)
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def beta_quantile_ulps(x: float, p: float, a: int, b: int) -> int:
+    """How many doubles x lies from Beta(a, b)'s true p-quantile q: the fewest
+    k with q within k doubles of x, positive where x > q. A correctly rounded
+    quantile scores 1, and 0 only where q is a double."""
+    side = beta_cdf_sign(x, p, a, b)
+    if side == 0:
+        return 0
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+
+    def reached(k: int) -> bool:
+        return side * beta_cdf_sign(_double(bits - side * k), p, a, b) <= 0
+
+    hi = 1
+    while not reached(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+    return side * hi
+
+
+def within_ulps(x: float, p: float, a: int, b: int, ulps: int) -> bool:
+    """Whether Beta(a, b)'s true p-quantile lies within ``ulps`` doubles of x."""
+    below = above = x
+    for _ in range(ulps):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+    return beta_cdf_sign(below, p, a, b) <= 0 <= beta_cdf_sign(above, p, a, b)
+
+
+def clopper_pearson_within_ulps(ci, hits: int, n: int, ulps: int, level: float = 0.95) -> bool:
+    """Whether each bound of ``ci`` lies within ``ulps`` doubles of the exact
+    Clopper-Pearson bound for hits of n: Beta(hits, n - hits + 1)'s and
+    Beta(hits + 1, n - hits)'s quantiles at (1 -+ level) / 2, or exactly 0.0 at
+    no hits and 1.0 at n hits."""
+    a = 1.0 - level
+    lo, hi = ci
+    if not (lo == 0.0 if hits == 0 else within_ulps(lo, a / 2, hits, n - hits + 1, ulps)):
+        return False
+    return hi == 1.0 if hits == n else within_ulps(hi, 1 - a / 2, hits + 1, n - hits, ulps)

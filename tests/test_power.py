@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from scipy import optimize
 from scipy import stats as sps
+from scipy.special import betaincinv
 
 import kinpower as kp
 from kinpower.errors import AlphaTooSmallForB, EmptySubpopSample, SmallSampleWarning
 
 from conftest import rng
-from oracles import reference_power_report
+from oracles import (beta_quantile_ulps, clopper_pearson_within_ulps, reference_power_report,
+                     within_ulps)
 
 
 def cp_oracle(successes, trials, level=0.95):
@@ -113,10 +115,40 @@ class TestClopperPearson:
     def test_numpy_integer_counts_accepted(self):
         assert kp.clopper_pearson(np.int64(3), np.int32(10)) == kp.clopper_pearson(3, 10)
 
-    def test_bit_equal_to_scipy_stats(self):
-        # the package's beta and normal quantiles against scipy.stats, to the
-        # last bit: edge counts 0, 1, n - 1 and n, then a random grid
+    # the n <= 60 grid: every count s of every n, both bounds
+    SMALL = [(s, n) for n in range(1, 61) for s in range(n + 1)]
+    # edge counts at large n, where betaincinv strays furthest (up to 84962
+    # doubles at s = 2, n = 1e6)
+    LARGE = [(s, n) for n in (10**4, 970554, 10**6) for s in (1, 2, n - 2, n - 1)]
+    ULPS = 4
+
+    def test_within_4_ulps_of_the_exact_bounds(self):
         power_module = importlib.import_module("kinpower.power")  # kp.power is a function
+        s, n = map(np.array, zip(*self.SMALL, *self.LARGE))
+        lo, hi = power_module._clopper_pearson(s, n)
+        for ci, si, ni in zip(zip(lo.tolist(), hi.tolist()), s.tolist(), n.tolist()):
+            assert clopper_pearson_within_ulps(ci, si, ni, self.ULPS), (si, ni, ci)
+
+    def test_no_further_from_the_exact_bounds_than_scipy(self):
+        # on the n <= 60 grid, the largest distance in doubles from the true
+        # bound: 2 for the package, 58 for scipy.special.betaincinv
+        power_module = importlib.import_module("kinpower.power")
+        s, n = map(np.array, zip(*self.SMALL))
+        a = 1.0 - power_module.CI_LEVEL
+        counts = list(zip(s.tolist(), n.tolist()))
+        rows = [(a / 2, si, ni - si + 1) for si, ni in counts if si > 0]
+        rows += [(1 - a / 2, si + 1, ni - si) for si, ni in counts if si < ni]
+        p, alpha, beta = map(np.array, zip(*rows))
+        worst = [max(abs(beta_quantile_ulps(x, *row)) for x, row in zip(q.tolist(), rows))
+                 for q in (power_module._beta_quantile(p, alpha, beta),
+                           betaincinv(alpha, beta, p))]
+        assert worst[0] <= min(worst[1], self.ULPS), worst
+
+    def test_near_scipy_on_a_random_grid(self):
+        # a sanity check, not a reference: scipy's own bounds stray by up to
+        # 1.03e-11 of the bound on this grid (s = 1 of n = 898913), and by
+        # 56068 doubles (beta_quantile_ulps) at s = 1 of n = 970554
+        power_module = importlib.import_module("kinpower.power")
         generator = rng(31)
         n = np.concatenate([[1, 2, 3, 10, 10**6],
                             np.unique(np.rint(10 ** generator.uniform(0, 6, 2000)))])
@@ -127,9 +159,42 @@ class TestClopperPearson:
         lo, hi = power_module._clopper_pearson(s, trials)
         want_lo = np.where(s == 0, 0.0, sps.beta.ppf(a / 2, s, trials - s + 1))
         want_hi = np.where(s == trials, 1.0, sps.beta.ppf(1 - a / 2, s + 1, trials - s))
-        assert lo.tobytes() == want_lo.tobytes()
-        assert hi.tobytes() == want_hi.tobytes()
+        assert lo.tolist() == pytest.approx(want_lo.tolist(), rel=5e-11, abs=0.0)
+        assert hi.tolist() == pytest.approx(want_hi.tolist(), rel=5e-11, abs=0.0)
+        assert np.all(lo[s == 0] == 0.0) and np.all(hi[s == trials] == 1.0)
         assert power_module._Z == sps.norm.ppf(0.975) == sps.norm.ppf(1 - a / 2)
+
+    @pytest.mark.parametrize("p", [1e-6, 0.005, 0.3, 0.5, 0.995])
+    def test_beta_quantile_at_other_levels(self, p):
+        # the threshold intervals to come read other levels than 0.025 and 0.975
+        power_module = importlib.import_module("kinpower.power")
+        generator = rng(7)
+        a = np.rint(10 ** generator.uniform(0, 4, 40))
+        b = np.rint(10 ** generator.uniform(0, 4, 40))
+        q = power_module._beta_quantile(p, a, b)
+        for x, ai, bi in zip(q.tolist(), a.astype(int).tolist(), b.astype(int).tolist()):
+            assert within_ulps(x, p, ai, bi, self.ULPS), (p, ai, bi, x)
+
+    def test_each_bound_depends_on_its_own_count_alone(self):
+        # a count's interval is the same alone, in a batch, and batched in
+        # another order, so subpop_power and power_report agree to the bit
+        power_module = importlib.import_module("kinpower.power")
+        generator = rng(12)
+        n = np.rint(10 ** generator.uniform(0, 6, 60)).astype(np.int64)
+        s = np.floor(generator.uniform(0, n + 1)).astype(np.int64)
+        lo, hi = power_module._clopper_pearson(s, n)
+        order = generator.permutation(n.size)
+        lo2, hi2 = power_module._clopper_pearson(s[order], n[order])
+        assert lo2.tobytes() == lo[order].tobytes() and hi2.tobytes() == hi[order].tobytes()
+        assert [kp.clopper_pearson(int(si), int(ni)) for si, ni in zip(s, n)] == list(
+            zip(lo.tolist(), hi.tolist()))
+
+    def test_a_billion_trials(self):
+        for s in (1, 5 * 10**8):
+            lo, hi = kp.clopper_pearson(s, 10**9)
+            assert (lo, hi) == pytest.approx(
+                (sps.beta.ppf(0.025, s, 10**9 - s + 1), sps.beta.ppf(0.975, s + 1, 10**9 - s)),
+                rel=1e-9)
 
     def test_contains_point_estimate(self):
         generator = rng(10)
@@ -431,22 +496,34 @@ class TestMalformedMatrixRefused:
 
 
 class TestPowerReportOracle:
-    """power_report's threshold, power, CI and every per_subpop entry equal
-    reference_power_report's per-subpop masks and scalar beta.ppf calls to
-    the bit, for all seven statistics."""
+    """power_report's threshold, power and every per_subpop (power, n) equal
+    reference_power_report's per-subpop masks to the bit, for all seven
+    statistics, and each CI bound lies within 4 doubles of the exact
+    Clopper-Pearson bound of its hit count."""
 
     @staticmethod
     def assert_matches(null, alt, alpha):
         for stat in kp.STATISTICS:
             r = kp.power_report(null, alt, stat, alpha)
-            got = (r.threshold_log, r.power, (r.ci_low, r.ci_high), r.per_subpop)
-            assert repr(got) == repr(reference_power_report(null, alt, stat, alpha)), stat
+            c, power, hits, per_subpop = reference_power_report(null, alt, stat, alpha)
+            assert repr((r.threshold_log, r.power)) == repr((c, power)), stat
+            assert repr({name: v[:2] for name, v in r.per_subpop.items()}) == repr(
+                {name: v[:2] for name, v in per_subpop.items()}), stat
+            assert clopper_pearson_within_ulps((r.ci_low, r.ci_high), hits, alt.B, 4), stat
+            for name, (_, n, ci) in r.per_subpop.items():
+                assert clopper_pearson_within_ulps(ci, per_subpop[name][2], n, 4), (stat, name)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.3])
     def test_simulated_k4(self, synth_table, alpha):
         cfg = kp.SimConfig(table=synth_table, theta0=kp.UNRELATED, theta1=kp.FULL_SIB,
                            B=3000, seed=8)
         self.assert_matches(*kp.simulate(cfg), alpha)
+
+    def test_simulated_k4_at_benchmark_scale(self, synth_table):
+        # counts of thousands, where scipy's betaincinv is off by up to 2 doubles
+        cfg = kp.SimConfig(table=synth_table, theta0=kp.UNRELATED, theta1=kp.FULL_SIB,
+                           B=65536, seed=5)
+        self.assert_matches(*kp.simulate(cfg), 0.001)
 
     def test_simulated_k1(self, one_locus_table):
         cfg = kp.SimConfig(table=one_locus_table, theta0=kp.UNRELATED, theta1=kp.FULL_SIB,
