@@ -520,8 +520,12 @@ def simulate_alt(cfg: SimConfig) -> SampleMatrix:
 
 def _checked_tags(matrix: SampleMatrix, statistics) -> np.ndarray:
     """``matrix``'s subpop tags, checked to lie in [0, K), and each of its
-    ``statistics`` to hold B values: else an InvalidParameter naming them."""
+    ``statistics`` to be a column and hold B values: else an InvalidParameter
+    naming them."""
     for s in statistics:
+        if s not in matrix.statistics:
+            raise InvalidParameter(f"statistic {s!r} is not in the matrix, which holds "
+                                   f"{', '.join(matrix.statistics) or 'none'}")
         if np.shape(matrix.statistics[s]) != (matrix.B,):
             raise InvalidParameter(f"statistic {s!r} has shape {np.shape(matrix.statistics[s])}, "
                                    f"not the ({matrix.B},) of the subpop tags")

@@ -9,10 +9,12 @@ a report or on a curve's grid, lies in (0, 1), and every interval is a 95%
 one (``CI_LEVEL``). Success counts and sample sizes are integers.
 
 A power's exact interval is Clopper and Pearson's (1934). Its bounds are beta
-quantiles, computed here by ``_beta_quantile`` without scipy: each solves an
-exact binomial tail, taken as one pmf value times a sum of term ratios, with
-the pmf from Loader's (2000) saddle-point form or, for small counts, from the
-binomial coefficient itself. Checked against that tail in exact arithmetic
+quantiles, computed here by ``_beta_quantile`` without scipy: each is one
+solve of its own, ``_quantile``, of an exact binomial tail, taken as one pmf
+value times a sum of term ratios, with the pmf from Loader's (2000)
+saddle-point form or, for small counts, from the binomial coefficient itself.
+The interval covers the alternative sample at the run's own threshold, not
+that threshold's noise. Checked against that tail in exact arithmetic
 (tests/oracles.py), every bound checked lies within 3 doubles of the true
 one, and within 2 on the n <= 60 and million-trial grids, where scipy's
 betaincinv strays by up to 58 and 84962 doubles.
@@ -182,96 +184,85 @@ def _ndtri(p: float) -> float:
     return z
 
 
-class _Tail:
-    """One quantile in the making: the y in (0, 1) at which P(Bin(m, y) >= k)
-    (``upper``) or P(Bin(m, y) <= k) equals t <= 1/2. y is the quantile, or one
-    minus it where ``flip`` reflects a quantile above 1/2; [lo, hi] brackets
-    the root."""
-
-    __slots__ = ("m", "k", "upper", "t", "flip", "y", "lo", "hi", "comb", "reach")
-
-    def __init__(self, p: float, a: float, b: float):
-        m = a + b - 1.0
-        self.upper = p <= 0.5
-        self.t, k = (p, a) if self.upper else (1.0 - p, a - 1.0)
-        z = _ndtri(p)
-        # Paulson's start: the cube root of an F(2a, 2b) variate is nearly normal
-        c1, c2 = 1.0 / (9.0 * a), 1.0 / (9.0 * b)
-        A, C, zz = 1.0 - c2, 1.0 - c1, z * z
-        qa = A * A - zz * c2
-        disc = zz * (A * A * c1 + C * C * c2 - zz * c1 * c2)
-        u = 0.0
-        if qa > 0.0 and disc >= 0.0:
-            u = (A * C + math.copysign(math.sqrt(disc), z)) / qa
-        if u > 0.0:
-            F = a * u * u * u
-            y = F / (F + b)
-        else:   # far in a tail: I_y(a, b) ~ y^a / (a B(a, b)), or its mirror
-            log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-            y = (math.exp((math.log(p * a) + log_beta) / a) if p < 0.5
-                 else -math.expm1((math.log((1.0 - p) * b) + log_beta) / b))
-        # an iterate near 1 keeps few bits of 1 - y, so a quantile above 1/2
-        # is found as 1 - y, by P(Bin(m, y) >= k) = P(Bin(m, 1 - y) <= m - k)
-        self.flip = y > 0.5
-        if self.flip:
-            y, self.upper, k = 1.0 - y, not self.upper, m - k
-        self.m, self.k, self.y, self.lo, self.hi = m, k, y, 0.0, 1.0
-        # pmf(k): for k <= 30 or m <= 1000, C(m, k) y^k (1 - y)^(m - k) in
-        # doubles, with C(m, k) from the exact math.comb; otherwise, or where
-        # that product falls below the normal range, its log by Loader's
-        # saddle-point form, whose error of about an ulp of 2 shrinks against
-        # the tail's slope as k grows
-        self.comb = None
-        if k <= 30.0 or m <= 1000.0:
-            self.comb = float(math.comb(int(m), int(k)))
-        # terms fall below 2^-54 within about reach * sd of k, a normal tail
-        # being z sd from the mean
-        z = abs(z)
-        self.reach = math.sqrt(z * z + 75.0) - z
-
-    def log_ratio(self, y: float, S: float) -> float:
-        """log(tail / t) at y, the tail being pmf(k) (1 + S)."""
-        m, k = self.m, self.k
+def _quantile(p: float, a: float, b: float) -> float:
+    """Beta(a, b)'s p-quantile for integers a, b >= 2, or NaN if _MAX_STEPS
+    steps do not find it (never seen with finite p). It is the y in (0, 1) at
+    which P(Bin(m, y) >= k) (``upper``) or P(Bin(m, y) <= k) equals t <= 1/2,
+    where ``flip`` reflects a quantile above 1/2 to y = 1 - quantile; [lo, hi]
+    brackets the root."""
+    m = a + b - 1.0
+    upper = p <= 0.5
+    t, k = (p, a) if upper else (1.0 - p, a - 1.0)
+    z = _ndtri(p)
+    # Paulson's start: the cube root of an F(2a, 2b) variate is nearly normal
+    c1, c2 = 1.0 / (9.0 * a), 1.0 / (9.0 * b)
+    A, C, zz = 1.0 - c2, 1.0 - c1, z * z
+    qa = A * A - zz * c2
+    disc = zz * (A * A * c1 + C * C * c2 - zz * c1 * c2)
+    u = 0.0
+    if qa > 0.0 and disc >= 0.0:
+        u = (A * C + math.copysign(math.sqrt(disc), z)) / qa
+    if u > 0.0:
+        F = a * u * u * u
+        y = F / (F + b)
+    else:   # far in a tail: I_y(a, b) ~ y^a / (a B(a, b)), or its mirror
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        y = (math.exp((math.log(p * a) + log_beta) / a) if p < 0.5
+             else -math.expm1((math.log((1.0 - p) * b) + log_beta) / b))
+    # an iterate near 1 keeps few bits of 1 - y, so a quantile above 1/2
+    # is found as 1 - y, by P(Bin(m, y) >= k) = P(Bin(m, 1 - y) <= m - k)
+    flip = y > 0.5
+    if flip:
+        y, upper, k = 1.0 - y, not upper, m - k
+    # pmf(k): for k <= 30 or m <= 1000, C(m, k) y^k (1 - y)^(m - k) in
+    # doubles, with C(m, k) from the exact math.comb; otherwise, or where
+    # that product falls below the normal range, its log by Loader's
+    # saddle-point form, whose error of about an ulp of 2 shrinks against
+    # the tail's slope as k grows
+    comb = float(math.comb(int(m), int(k))) if k <= 30.0 or m <= 1000.0 else None
+    # terms fall below 2^-54 within about reach * sd of k, a normal tail
+    # being z sd from the mean
+    z = abs(z)
+    reach = math.sqrt(z * z + 75.0) - z
+    lo, hi = 0.0, 1.0
+    for _ in range(_MAX_STEPS):
         q = 1.0 - y
-        if self.comb is not None:
-            # (1 - y)^(m - k) from the rounded q, times exp((m - k) * its error)
-            pmf = self.comb * y ** k * q ** (m - k) * math.exp((m - k) * ((1.0 - q) - y) / q)
-            if pmf > 1e-290:
-                return math.log(pmf * (1.0 + S) / self.t)
-        log_pmf = (_stirlerr(m) - _stirlerr(k) - _stirlerr(m - k) - _bd0(k, m * y)
-                   - _bd0(m - k, m * q) - 0.5 * (_LN_2PI + math.log(k) + math.log1p(-k / m)))
-        return log_pmf + math.log1p(S) - math.log(self.t)
-
-    def terms(self) -> tuple[int, float, float, float]:
-        """(count, rest, start, odds): the tail has rest terms after pmf(k),
-        and the ratio pmf(k +- j) / pmf(k +- (j - 1)) of its j-th is
-        (rest + 1 - j) odds / (start + j); the sum takes the first count."""
-        y, m, k = self.y, self.m, self.k
-        q = 1.0 - y
-        rest, start, odds = (m - k, k, y / q) if self.upper else (k, m - k, q / y)
-        return (min(int(rest), math.ceil(math.sqrt(m * y * q) * self.reach) + 16),
-                rest, start, odds)
-
-    def step(self, S: float, complete: bool) -> bool:
-        """Moves y towards the root, given S, the sum of the terms' ratios to
-        pmf(k), and whether the terms left out are negligible; True once y is
-        the quantile."""
-        y, m, k = self.y, self.m, self.k
-        q = 1.0 - y
+        # the tail is pmf(k) (1 + S): it has rest terms after pmf(k), the
+        # ratio pmf(k +- j) / pmf(k +- (j - 1)) of its j-th is
+        # (rest + 1 - j) odds / (start + j), and S sums the first count
+        # terms' ratios to pmf(k), a cumulative product and a sum
+        rest, start, odds = (m - k, k, y / q) if upper else (k, m - k, q / y)
+        count = min(int(rest), math.ceil(math.sqrt(m * y * q) * reach) + 16)
+        j = np.arange(1.0, count + 1.0)
+        terms = np.multiply.accumulate(((rest + 1.0) - j) * odds / (start + j))
+        S = float(np.add.reduce(terms))
         # g = log(tail / t), increasing in y for the upper tail; terms still
-        # rising put most of the mass in the tail
-        g = self.log_ratio(y, S) if complete else math.inf
-        if (g > 0.0) == self.upper:
-            self.hi = y
+        # rising (the last above 2^-54 of the sum, with terms left) put most
+        # of the mass in the tail
+        g = math.inf
+        if count == rest or float(terms[-1]) <= 2.0 ** -54 * (1.0 + S):
+            pmf = 0.0
+            if comb is not None:
+                # (1 - y)^(m - k) from the rounded q, times exp((m - k) * its error)
+                pmf = comb * y ** k * q ** (m - k) * math.exp((m - k) * ((1.0 - q) - y) / q)
+            if pmf > 1e-290:
+                g = math.log(pmf * (1.0 + S) / t)
+            else:
+                log_pmf = (_stirlerr(m) - _stirlerr(k) - _stirlerr(m - k)
+                           - _bd0(k, m * y) - _bd0(m - k, m * q)
+                           - 0.5 * (_LN_2PI + math.log(k) + math.log1p(-k / m)))
+                g = log_pmf + math.log1p(S) - math.log(t)
+        if (g > 0.0) == upper:
+            hi = y
         else:
-            self.lo = y
+            lo = y
         if math.isfinite(g):
             # g's derivatives in u = log y. With D = d tail / dy, r = y / (1 - y):
             # H = y D / tail is k / (1 + S) (upper) or -(m - k) r / (1 + S);
             # R1 = y D' / D and R2 = y^2 (D' / D)'; then g_u = H,
             # g_uu = H + G2 and g_uuu = H + 3 G2 + G3
             r = y / q
-            if self.upper:
+            if upper:
                 H = k / (1.0 + S)
                 R1, R2 = (k - 1.0) - (m - k) * r, -(k - 1.0) - (m - k) * r * r
             else:
@@ -285,58 +276,32 @@ class _Tail:
             e = -g / H      # a Newton step in u, taken as it is while far off
             du = e if abs(e) > 0.5 else e * (1.0 + e * (2.0 * b2 * b2 * e - b3 * e - b2))
             y_new = y * math.exp(min(du, 700.0)) if abs(du) > 0.5 else y + y * math.expm1(du)
-            if self.lo < y_new < self.hi or y_new == y:
-                self.y = y_new
+            if lo < y_new < hi or y_new == y:
                 # the step's error is of order g^4: below g's own rounding
-                return abs(g) <= 1e-4
-        self.y = math.sqrt(self.lo * self.hi) if self.lo > 0.0 else 0.5 * self.hi
-        return False
-
-
-def _tail_sums(tails: list[_Tail]) -> list[tuple[float, bool]]:
-    """(S, complete) per tail: S sums its first count terms' ratios to
-    pmf(k), a cumulative product and a sum over its own terms alone, so that
-    a tail's S does not depend on the others; complete unless its last term
-    is still above 2^-54 of the sum with terms left."""
-    counts, rests, starts, odds = zip(*(t.terms() for t in tails))
-    j = np.arange(1.0, max(counts) + 1.0)
-    out = []
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        ratios = (np.array(rests) + 1.0)[:, None] - j     # past a tail's count: unread
-        ratios *= np.array(odds)[:, None]
-        ratios /= np.array(starts)[:, None] + j
-        for row, count, rest in zip(ratios, counts, rests):
-            terms = np.multiply.accumulate(row[:count], out=row[:count])
-            S = float(np.add.reduce(terms))
-            out.append((S, count == rest or float(terms[-1]) <= 2.0 ** -54 * (1.0 + S)))
-    return out
+                if abs(g) <= 1e-4:
+                    return 1.0 - y_new if flip else y_new
+                y = y_new
+                continue
+        y = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+    return math.nan
 
 
 def _beta_quantile(p, a, b) -> np.ndarray:
     """Beta(a, b)'s p-quantile, elementwise over the broadcast arrays, for
     positive integers a and b and p in (0, 1). a = 1 and b = 1 have closed
-    forms. Against the exact binomial tails (tests/oracles.py) every quantile
-    checked lies within 3 doubles of the true one; each value depends on its
-    own (p, a, b) alone. Memory and time grow as sqrt(a + b): 4 ms at a + b =
-    1e9."""
+    forms; every other value is one ``_quantile`` solve, so it depends on its
+    own (p, a, b) alone. Against the exact binomial tails (tests/oracles.py)
+    every quantile checked lies within 3 doubles of the true one. Memory and
+    time grow as sqrt(a + b): 4 ms at a + b = 1e9."""
     p, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (p, a, b)))
-    out = []
-    for pi, ai, bi in zip(p.ravel().tolist(), a.ravel().tolist(), b.ravel().tolist()):
-        if bi == 1.0:
-            out.append(math.exp(math.log(pi) / ai))
-        elif ai == 1.0:
-            out.append(-math.expm1(math.log1p(-pi) / bi))
-        else:
-            out.append(_Tail(pi, ai, bi))
-    tails = [t for t in out if type(t) is _Tail]
-    for _ in range(_MAX_STEPS):
-        if not tails:
-            break
-        tails = [t for t, s in zip(tails, _tail_sums(tails)) if not t.step(*s)]
-    for t in tails:     # never seen with finite p: a NaN, not a hang
-        t.y = math.nan
-    return np.array([v if type(v) is float else 1.0 - v.y if v.flip else v.y
-                     for v in out]).reshape(p.shape)
+    # far from the root a tail's term ratios may overflow or underflow; a sum
+    # that overflows reads as incomplete, and the step bisects
+    with np.errstate(all="ignore"):
+        out = [math.exp(math.log(pi) / ai) if bi == 1.0
+               else -math.expm1(math.log1p(-pi) / bi) if ai == 1.0
+               else _quantile(pi, ai, bi)
+               for pi, ai, bi in zip(p.ravel().tolist(), a.ravel().tolist(), b.ravel().tolist())]
+    return np.array(out).reshape(p.shape)
 
 
 def _clopper_pearson(successes, trials):
@@ -405,8 +370,8 @@ def _subpop_counts(alt: SampleMatrix, statistic: str, threshold_log: float):
     """(hits, n) over alt's K subpops, one bincount of the tags each: the
     replicates whose ``statistic`` lies above ``threshold_log``, and all. A
     bad column or tag is an InvalidParameter (``_sample``, ``_checked_tags``)."""
-    over = _sample(alt.statistics[statistic], "alternative") > threshold_log
     tags = _checked_tags(alt, (statistic,))
+    over = _sample(alt.statistics[statistic], "alternative") > threshold_log
     K = len(alt.subpop_names)
     return np.bincount(tags[over], minlength=K), np.bincount(tags, minlength=K)
 
@@ -454,7 +419,9 @@ def power_report(
 ) -> PowerReport:
     """Threshold, power, exact CI and per-subpop (power, n, CI) for one cell,
     leaving out subpops with no alternative replicate: one ``_subpop_counts``
-    pass counts every subpop, one ``_clopper_pearson`` gives every CI."""
+    pass counts every subpop, one ``_clopper_pearson`` gives every CI. A
+    statistic either matrix does not hold is an InvalidParameter."""
+    _checked_tags(null, (statistic,))
     c = null_threshold(null.statistics[statistic], alpha)
     hits, n = _subpop_counts(alt, statistic, c)
     used = np.flatnonzero(n)

@@ -345,11 +345,19 @@ class TestDeterminism:
         assert np.array_equal(a.statistics["LAF"], b.statistics["LAF"])
 
     def test_replicate_depends_only_on_seed_and_index(self, two_subpop_table):
-        # extending B must not change earlier replicates
-        short = kp.simulate_alt(cfg_for(two_subpop_table, B=500))
-        long = kp.simulate_alt(cfg_for(two_subpop_table, B=BLOCK + 500))
-        for s in short.statistics:
-            assert np.array_equal(short.statistics[s], long.statistics[s][:500])
+        # extending B must not change earlier replicates, within a block or
+        # past one, in either phase, at one worker or two: each run's tags and
+        # statistics are the first B of the longest run's, byte for byte
+        longest = 3 * BLOCK + 5
+        want = kp.simulate(cfg_for(two_subpop_table, B=longest))
+        for B, workers in [(500, 1), (BLOCK + 500, 1), (2 * BLOCK + 100, 1),
+                           (2 * BLOCK + 100, 2), (longest, 2)]:
+            got = kp.simulate(cfg_for(two_subpop_table, B=B, workers=workers))
+            for phase, full in zip(got, want):
+                assert phase.subpop_tags.tobytes() == full.subpop_tags[:B].tobytes()
+                assert list(phase.statistics) == list(full.statistics)
+                for s, column in full.statistics.items():
+                    assert phase.statistics[s].tobytes() == column[:B].tobytes(), (B, workers, s)
 
     def test_different_seeds_differ(self, two_subpop_table):
         a = kp.simulate_null(cfg_for(two_subpop_table, B=200, seed=1))

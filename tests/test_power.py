@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import math
@@ -188,6 +189,23 @@ class TestClopperPearson:
         assert lo2.tobytes() == lo[order].tobytes() and hi2.tobytes() == hi[order].tobytes()
         assert [kp.clopper_pearson(int(si), int(ni)) for si, ni in zip(s, n)] == list(
             zip(lo.tolist(), hi.tolist()))
+
+    def test_bounds_and_quantiles_pinned(self):
+        # the bits of every bound on SMALL + LARGE and of _beta_quantile at six
+        # levels on a seeded grid with a, b up to 3e4, recorded before the
+        # solver was last restructured: a rewrite must keep each to the bit
+        power_module = importlib.import_module("kinpower.power")
+        s, n = map(np.array, zip(*self.SMALL, *self.LARGE))
+        h = hashlib.sha256()
+        for bound in power_module._clopper_pearson(s, n):
+            h.update(bound.tobytes())
+        generator = rng(37)
+        a = np.rint(10 ** generator.uniform(0, 4.5, 400))
+        b = np.rint(10 ** generator.uniform(0, 4.5, 400))
+        for p in (1e-6, 0.005, 0.025, 0.5, 0.975, 0.995):
+            h.update(power_module._beta_quantile(p, a, b).tobytes())
+        assert h.hexdigest() == (
+            "ec28223a8b825d03455d89b4dfe4b299ca8431f8eaab8204e23ae118d69bb468")
 
     def test_a_billion_trials(self):
         for s in (1, 5 * 10**8):
@@ -492,6 +510,22 @@ class TestMalformedMatrixRefused:
         # unchecked, the subpop mask of 100 tags raised a bare IndexError
         null, alt = self.matrices(np.arange(100) % 2, np.arange(90.0))
         with pytest.raises(kp.errors.InvalidParameter, match=r"shape \(90,\), not the \(100,\)"):
+            report(null, alt)
+
+    @pytest.mark.parametrize("report, missing", [
+        (lambda null, alt: kp.power_report(null, alt, "MIN", 0.5), "null"),
+        (lambda null, alt: kp.power_report(null, alt, "MIN", 0.5), "alt"),
+        (lambda null, alt: subpop_power_of_each(alt, "MIN", 50.0), "alt")],
+        ids=["report-null", "report-alt", "subpop-alt"])
+    def test_statistic_not_in_matrix(self, report, missing):
+        # unchecked, a statistic a LAF-only run did not compute raised a bare
+        # KeyError: 'MIN'; the other matrix holds it, so the message names
+        # the matrix that does not
+        null, alt = self.matrices(np.arange(100) % 2, np.arange(100.0))
+        other = alt if missing == "null" else null
+        other.statistics["MIN"] = np.arange(100.0)
+        with pytest.raises(kp.errors.InvalidParameter,
+                           match=r"^statistic 'MIN' is not in the matrix, which holds LAF$"):
             report(null, alt)
 
 
