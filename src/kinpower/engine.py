@@ -47,12 +47,12 @@ GUIDE = 4096
 STATISTICS = ("LAF", "AVG", "MAX", "MIN", "RMAX", "RMIN", "CB")
 
 
-def _check_inputs(table, theta0, theta1) -> None:
+def _check_inputs(table, theta0, theta1, cb_weights) -> None:
     """The type rule of a run's and of one pair's inputs (SimConfig,
     lrstats.lr_all): InvalidParameter naming the first that is not a
-    FrequencyTable or a ThetaIBD."""
+    FrequencyTable, a ThetaIBD or, for the CB scheme, a str."""
     for name, value, kind in (("table", table, FrequencyTable), ("theta0", theta0, ThetaIBD),
-                              ("theta1", theta1, ThetaIBD)):
+                              ("theta1", theta1, ThetaIBD), ("cb_weights", cb_weights, str)):
         if not isinstance(value, kind):
             raise InvalidParameter(f"{name} must be a {kind.__name__}")
 
@@ -72,7 +72,7 @@ class SimConfig:
 
     def __post_init__(self):
         _check_counts(B=(self.B, 1), seed=(self.seed, 0), workers=(self.workers, 1))
-        _check_inputs(self.table, self.theta0, self.theta1)
+        _check_inputs(self.table, self.theta0, self.theta1, self.cb_weights)
         for name in ("null_same_subpop", "keep_genotypes"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):  # else "no" reads as True
                 raise InvalidParameter(f"{name} must be a bool, got {getattr(self, name)!r}")
@@ -141,7 +141,7 @@ class _Kernel(NamedTuple):
 
     full: np.ndarray      # (K+2, S) read-only frequency sets
     logp: np.ndarray      # (K,) log census weights, AVG's
-    key: tuple            # (full.shape, full.tobytes(), table.offsets), the memo's
+    key: tuple            # (table, cb_weights), the memo's
     offsets: np.ndarray   # (loci,) int64 first column of each locus
     goff: np.ndarray      # (loci,) int64 first code of each locus
     G: np.ndarray         # (loci,) int64 genotypes at each locus
@@ -149,37 +149,33 @@ class _Kernel(NamedTuple):
     codes: int            # sum of G^2, the number of codes
 
 
+@functools.lru_cache(maxsize=8)
 def _compile(table: FrequencyTable, cb_weights: str) -> _Kernel:
     """The table's ``_Kernel`` under ``cb_weights``. Its rows of ``full`` are
     the table's K subpop rows, the local-average row (K) and the
     ``cb_weights`` pooled row (K+1), with the loci side by side as in
-    ``FrequencyTable.matrix``. Built once per table and scheme, and kept in
-    the table's ``memo``."""
-    kernel = table.memo.get(("compile", cb_weights))
-    if kernel is None:
-        if table.offsets[-1] > _MAX_COLUMNS:
-            raise InvalidParameter(
-                f"table has {table.offsets[-1]} alleles over its loci; at most {_MAX_COLUMNS} "
-                "fit the kernel's int64 cell codes")
-        full = np.vstack([table.matrix, _pool(table, "census"), _pool(table, cb_weights)])
-        offsets = np.array(table.offsets, dtype=np.int64)
-        A = np.diff(offsets)
-        G = A * (A + 1) // 2
-        goff = np.concatenate(([0], np.cumsum(G * G)))
-        tri = np.arange(A.max()) * np.arange(1, A.max() + 1) // 2
-        logp = np.log(_weights(table, "census"))
-        for shared in (full, logp, offsets, G, goff, tri):  # every call gets these very arrays
-            shared.setflags(write=False)
-        kernel = _Kernel(full, logp, (full.shape, full.tobytes(), table.offsets), offsets[:-1],
-                         goff[:-1], G, tri, int(goff[-1]))
-        table.memo[("compile", cb_weights)] = kernel
-    return kernel
+    ``FrequencyTable.matrix``. Cached per process, as ``_sampler`` is, keyed
+    by the table: one unpickled in a pool worker finds what an equal one got."""
+    if table.offsets[-1] > _MAX_COLUMNS:
+        raise InvalidParameter(
+            f"table has {table.offsets[-1]} alleles over its loci; at most {_MAX_COLUMNS} "
+            "fit the kernel's int64 cell codes")
+    full = np.vstack([table.matrix, _pool(table, "census"), _pool(table, cb_weights)])
+    offsets = np.array(table.offsets, dtype=np.int64)
+    A = np.diff(offsets)
+    G = A * (A + 1) // 2
+    goff = np.concatenate(([0], np.cumsum(G * G)))
+    tri = np.arange(A.max()) * np.arange(1, A.max() + 1) // 2
+    logp = np.log(_weights(table, "census"))
+    for shared in (full, logp, offsets, G, goff, tri):  # every call gets these very arrays
+        shared.setflags(write=False)
+    return _Kernel(full, logp, (table, cb_weights), offsets[:-1], goff[:-1], G, tri,
+                   int(goff[-1]))
 
 
+@functools.lru_cache(maxsize=4)
 def _sampler(table: FrequencyTable) -> _Sampler:
-    """The table's ``_Sampler``, built once per table and kept in its ``memo``."""
-    if "sampler" in table.memo:
-        return table.memo["sampler"]
+    """The table's ``_Sampler``, built once per process and table (``_compile``)."""
     K, m = table.n_subpops, table.n_loci
     cdf = np.full((K, m, max(map(len, table.labels))), np.inf)
     for ell, (lo, hi) in enumerate(zip(table.offsets, table.offsets[1:])):
@@ -200,8 +196,7 @@ def _sampler(table: FrequencyTable) -> _Sampler:
     inside = np.floor(scaled)
     r, c = np.nonzero((scaled != inside) & (inside < GUIDE))
     guide[r * GUIDE + inside[r, c].astype(np.intp)] = -1
-    sampler = table.memo["sampler"] = _Sampler(np.cumsum(_weights(table, "census")), cdf, guide)
-    return sampler
+    return _Sampler(np.cumsum(_weights(table, "census")), cdf, guide)
 
 
 def _alleles(sampler: _Sampler, base: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -389,8 +384,8 @@ def _draws(cfg: SimConfig, alt: bool):
 
 def _run_block(cfg: SimConfig, alt: bool, block: int):
     """Subpop tags and requested statistics of one block's pairs, a pure
-    function of its arguments: the table's kernel and sampler are read from,
-    or added to, its ``memo``, and cells evaluated through ``_loglik_arrays``."""
+    function of its arguments: the table's kernel and sampler come from this
+    process's caches, and cells are evaluated through ``_loglik_arrays``."""
     kernel = _compile(cfg.table, cfg.cb_weights)
     k1, *g = _draw_block(cfg, alt, block)
     values = _derive_block(_loglik_arrays(kernel, *g, cfg.theta0, cfg.theta1), kernel.logp)

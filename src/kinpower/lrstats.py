@@ -14,12 +14,10 @@ Seven statistics are computed, all in log scale:
 table's label order read from its ``label_index``, and go through the same
 log-likelihood, chunked gather and sum, infinity rule and statistic code
 as every simulated pair, so casework and simulation agree bit for bit.
-It reads the table's compiled kernel (``engine._compile``: frequency
-sets, AVG's log weights and memo key, built once per table and scheme),
-and its cells go through the kernel's memo, as a run's do, so a pair
-evaluates only cells that no earlier pair or run on the same table and
-thetas has met; it builds none of the sampling CDFs the simulation path
-needs.
+It reads the table's kernel from ``engine._compile``'s per-process cache,
+and its cells go through the kernel's memo as a run's do: a pair
+evaluates only cells that no earlier pair or run on an equal table and
+thetas has met. It builds none of the sampling CDFs a simulation needs.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ def lr_all(
     cb_weights: str = "auto",
 ) -> LrBreakdown:
     """Compute all seven statistics for one profile pair."""
-    _check_inputs(table, theta0, theta1)
+    _check_inputs(table, theta0, theta1, cb_weights)
     if not (isinstance(pair, (tuple, list)) and len(pair) == 2
             and all(isinstance(p, Profile) for p in pair)):
         raise InvalidParameter("pair must be two Profiles")

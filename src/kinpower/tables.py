@@ -21,6 +21,7 @@ Profile CSV schema: ``locus,allele1,allele2`` per row.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -156,45 +157,45 @@ def _check_frequencies(block: np.ndarray, where: Callable[[int], str]) -> None:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Validated, floored, renormalized per-subpopulation allele frequencies.
+    """Validated per-subpopulation allele frequencies: immutable, hashable
+    and safe for shared read access from any number of concurrent threads.
 
-    ``freqs`` is a copy, in plain dicts, of the constructor argument's
-    entries for the table's subpops and panel loci, each distribution in its
-    given key order; entries outside them are dropped, so ``==`` ignores
-    them, and a later change to the argument changes nothing here.
-    Everything else is derived from the copy, laid out once and left out of
-    ``==`` and ``repr``: ``labels``, the sorted allele labels per panel
+    ``freqs`` (subpop -> locus -> allele -> frequency) is a copy, in plain
+    dicts, of the constructor argument's entries for the table's subpops and
+    panel loci, each distribution in its given key order; entries outside
+    them are dropped, so ``==`` ignores them, and a later change to the
+    argument changes nothing here. Nothing is floored: a frequency below
+    ``floor``, 0.0 too, stays as given, and only the floor's range is
+    checked (:func:`_check_floor`); :func:`load_frequency_table` floors and
+    renormalizes. Everything else is derived from the copy, laid out once
+    and left out of ``repr``: ``labels``, the sorted allele labels per panel
     locus; ``label_index``, per panel locus the map from a label to its
     position in ``labels``; ``matrix``, a read-only float64 (K, sum of A)
     array with a row per subpop and the loci side by side in panel order,
     columns in ``labels`` order; ``offsets``, so that locus i is
-    ``matrix[:, offsets[i]:offsets[i + 1]]``; and ``memo``, a per-process
-    dict, empty at first, in which the engine keeps what it derives from
-    the table once: its kernel per CB scheme and its sampler. A copy or an
-    unpickled table starts with an empty memo, its matrix read-only. Raises
-    MissingLocusForSubpop when ``freqs`` lacks a subpop or panel locus,
-    PanelMismatch when subpops list different alleles at a locus,
-    ProportionSumOutOfTolerance when the proportions miss 1 by more than
-    PROPORTION_TOL, NonPositiveFrequency on a floor outside
-    :func:`_check_floor`'s range or a non-finite or negative frequency, and
-    InvalidParameter when the panel is empty, a panel locus or subpop name
-    is repeated, or a subpop's frequencies at a locus miss 1 by more than
-    FREQ_SUM_TOL.
-
-    Immutable after construction, but for ``memo``, which only gains
-    entries derived from the rest; safe for shared read access from any
-    number of concurrent threads.
+    ``matrix[:, offsets[i]:offsets[i + 1]]``; and ``_digest``, a SHA-256 of
+    the four fields in one form per value, which ``==`` compares in their
+    place and whose first 8 bytes are the hash, so equal tables hash equal
+    in every process and the engine's per-process caches key on tables
+    (``engine._compile``). Raises MissingLocusForSubpop when ``freqs`` lacks
+    a subpop or panel locus, PanelMismatch when subpops list different
+    alleles at a locus, ProportionSumOutOfTolerance when the proportions
+    miss 1 by more than PROPORTION_TOL, NonPositiveFrequency on a floor
+    outside :func:`_check_floor`'s range or a non-finite or negative
+    frequency, and InvalidParameter when the panel is empty, a panel locus
+    or subpop name is repeated, or a subpop's frequencies at a locus miss 1
+    by more than FREQ_SUM_TOL.
     """
 
-    panel: tuple[str, ...]
-    subpops: tuple[Subpopulation, ...]
-    freqs: Mapping[str, Mapping[str, Mapping[Allele, float]]]  # subpop -> locus -> allele -> freq
-    floor: float = DEFAULT_FLOOR
+    panel: tuple[str, ...] = field(compare=False)
+    subpops: tuple[Subpopulation, ...] = field(compare=False)
+    freqs: Mapping[str, Mapping[str, Mapping[Allele, float]]] = field(compare=False)
+    floor: float = field(default=DEFAULT_FLOOR, compare=False)
     labels: tuple[tuple[Allele, ...], ...] = field(init=False, compare=False, repr=False)
     label_index: tuple[Mapping[Allele, int], ...] = field(init=False, compare=False, repr=False)
     matrix: np.ndarray = field(init=False, compare=False, repr=False)
     offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    memo: dict = field(init=False, compare=False, repr=False)
+    _digest: bytes = field(init=False, repr=False)   # all that == compares
 
     def __post_init__(self):
         if not self.panel:
@@ -231,13 +232,18 @@ class FrequencyTable:
             {a: i for i, a in enumerate(support)} for support in labels))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "memo", {})
+        # freqs enter as labels, offsets and matrix; one form per value, as -0.0 == 0.0
+        content = repr(([list(map(str, names)) for names in (self.panel, subpop_names, *labels)],
+                        [(float(s.proportion), s.sample_size and int(s.sample_size))
+                         for s in self.subpops], float(self.floor), offsets))
+        object.__setattr__(self, "_digest", hashlib.sha256(
+            content.encode() + (matrix + 0.0).tobytes()).digest())
 
-    def __getstate__(self):
-        return {name: value for name, value in self.__dict__.items() if name != "memo"}
+    def __hash__(self):
+        return int.from_bytes(self._digest[:8], "little")
 
     def __setstate__(self, state):
-        self.__dict__.update(state, memo={})
+        self.__dict__.update(state)
         self.matrix.setflags(write=False)
 
     @property

@@ -10,6 +10,15 @@ from kinpower import engine
 from kinpower.engine import _draws
 
 
+@pytest.fixture(autouse=True)
+def cold_table_caches():
+    """Each test starts with this process's caches of the kernels and samplers
+    derived from tables empty, so that a test that counts derivations counts
+    only its own, whatever equal tables an earlier test used."""
+    engine._compile.cache_clear()
+    engine._sampler.cache_clear()
+
+
 @pytest.fixture
 def one_locus_table():
     """K=1, single locus, the worked-example frequencies."""

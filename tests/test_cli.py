@@ -687,9 +687,9 @@ class TestRunConfig:
 
 class TestOneRunPerCommand:
     """A simulating command compiles the table once, pooling its LAF and CB
-    rows once each, and builds one sampler, which every block then reads from
-    the table's memo; with more than one worker, it opens one pool for both
-    phases. The recording pool runs each block in this process, on this
+    rows once each, and builds one sampler, which every block then finds in
+    this process's caches; with more than one worker, it opens one pool for
+    both phases. The recording pool runs each block in this process, on this
     table."""
 
     @pytest.mark.parametrize("command", ["power", "power-curve", "subpop-bias"])

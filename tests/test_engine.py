@@ -1,3 +1,5 @@
+import collections
+import functools
 import hashlib
 import itertools
 import math
@@ -137,6 +139,7 @@ class TestSimConfig:
         ("theta0", (1, 0, 0), "theta0 must be a ThetaIBD"),
         ("theta1", [0.25, 0.5, 0.25], "theta1 must be a ThetaIBD"),
         ("table", None, "table must be a FrequencyTable"),
+        ("cb_weights", ["auto"], "cb_weights must be a str"),
         ("B", True, "B must be an integer"),
         ("workers", True, "workers must be an integer"),
         ("null_same_subpop", "no", "null_same_subpop must be a bool"),
@@ -559,7 +562,8 @@ class TestWarmPool:
 
 
 # a K=4, 15-locus, 16-allele synth table with sample sizes, compiled under
-# each of these CB schemes: a memo of three kernels that a block task leaves behind
+# each of these CB schemes: three kernels in this process's cache, which a
+# block task does not carry
 MULTI_SCHEME = dict(n_subpops=4, n_loci=15, n_alleles=16, divergence=0.3, seed=1,
                     sample_sizes=(120, 250, 90, 300))
 SCHEMES = ("auto", "census", "equal")
@@ -574,8 +578,8 @@ def multi_scheme_table():
 
 class TestStartMethods:
     """Under spawn and forkserver each pool worker imports the package afresh,
-    unpickles each task's table without its memo and derives its own kernel,
-    sampler and memo rows; a 2-worker run gives the 1-worker run's bytes.
+    unpickles each task's table and derives its own kernel, sampler and memo
+    rows, once; a 2-worker run gives the 1-worker run's bytes.
     Each runs in a new interpreter, so this process keeps its start method."""
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -623,15 +627,16 @@ class TestStartMethods:
 
 
 class TestBlockTask:
-    """A block task is ``(cfg, alt, block)``: its pickle leaves the table's
-    memo behind, so it stays small however many schemes were compiled, and a
-    pool worker derives the kernel and sampler from the table it unpickles."""
+    """A block task is ``(cfg, alt, block)``: its pickle carries none of what
+    was derived from the table, so it stays small however many schemes were
+    compiled, and a pool worker derives the kernel and sampler from the first
+    table it unpickles and finds them in its caches for every later task."""
 
     def test_a_task_pickles_small(self):
         table = multi_scheme_table()
         cfg = cfg_for(table, B=1_000_000)
         _sampler(table)
-        assert all(("compile", scheme) in table.memo for scheme in SCHEMES)
+        assert engine._compile.cache_info().currsize == len(SCHEMES)
         size = len(pickle.dumps((engine._run_block, (cfg, True, 0))))
         assert size < 32 << 10, size
 
@@ -643,6 +648,43 @@ class TestBlockTask:
         pooled = kp.simulate(cfg_for(table, B=B, workers=2))
         assert engine._POOL is not None and engine._POOL.size == 2
         assert all(_same_samples(p, s) for p, s in zip(pooled, serial))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_each_worker_derives_once_per_table(self, tmp_path, monkeypatch):
+        # two runs of 8 blocks each at 2 workers, forked from this process once
+        # its caches are empty: every worker compiles the kernel and builds
+        # the sampler for its first block only, as each block's log shows
+        table = multi_scheme_table()
+        serial = kp.simulate(cfg_for(table, B=4 * BLOCK))
+        pooled = cfg_for(table, B=4 * BLOCK, workers=2)
+        log = tmp_path / "log"
+
+        def logged(name, real):
+            def counted(*args):
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()} {name}\n")
+                return real(*args)
+            return counted
+
+        for name in ("_Kernel", "_Sampler", "_draw_block"):
+            monkeypatch.setattr(engine, name, logged(name, getattr(engine, name)))
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", functools.partial(
+            engine.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        monkeypatch.setattr(engine, "_cpus", lambda: 2)
+        engine._close_pool()
+        _compile.cache_clear()
+        _sampler.cache_clear()
+        try:
+            runs = [kp.simulate(pooled) for _ in range(2)]
+        finally:
+            engine._close_pool()
+        assert all(_same_samples(p, s) for run in runs for p, s in zip(run, serial))
+        counts = collections.Counter(tuple(line.split()) for line in log.read_text().splitlines())
+        pids = {pid for pid, _ in counts}
+        assert str(os.getpid()) not in pids and 1 <= len(pids) <= 2
+        assert sum(counts[pid, "_draw_block"] for pid in pids) == 16
+        assert all(counts[pid, "_Kernel"] == counts[pid, "_Sampler"] == 1 for pid in pids)
 
 
 class TestSimulateNull:
@@ -1355,8 +1397,9 @@ class TestKernelMemo:
 
     def test_tables_that_differ_only_in_offsets_read_no_stale_rows(self):
         # the same five columns split into loci at (0, 2, 5) and at (0, 3, 5):
-        # byte-equal compiled rows and as many codes, so only the offsets in
-        # the memo's key keep one table's rows from the other's runs
+        # byte-equal compiled rows and as many codes, so only the tables in
+        # the memo's key, unequal in their loci, keep one table's rows from
+        # the other's runs
         columns = {"a": .5, "b": .5, "c": 5e-7, "d": .5, "e": .4999995}
         subpops = (kp.Subpopulation("x", 0.4), kp.Subpopulation("y", 0.6))
         split = [kp.FrequencyTable(
@@ -1365,7 +1408,8 @@ class TestKernelMemo:
                              "L2": dict(list(columns.items())[cut:])} for sp in subpops})
             for cut in (2, 3)]
         kernels = [_compile(t, "auto") for t in split]
-        assert kernels[0].key[:2] == kernels[1].key[:2] and kernels[0].codes == kernels[1].codes
+        assert kernels[0].full.tobytes() == kernels[1].full.tobytes()
+        assert kernels[0].codes == kernels[1].codes and split[0] != split[1]
         configs = [cfg_for(t, B=self.B) for t in split]
         want = [self.fresh(cfg) for cfg in configs]
         for i in (0, 1, 0, 1):

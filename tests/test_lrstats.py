@@ -231,11 +231,12 @@ class TestLrAll:
     @pytest.mark.parametrize("field, value, message", [
         ("theta0", (1, 0, 0), "theta0 must be a ThetaIBD"),
         ("table", None, "table must be a FrequencyTable"),
+        ("cb_weights", ["auto"], "cb_weights must be a str"),
     ])
     def test_rejects_malformed_input_as_simconfig_does(self, worked_pair, one_locus_table,
                                                        field, value, message):
-        # unchecked, a tuple theta raised AttributeError on .as_tuple and
-        # table=None on .panel
+        # unchecked, a tuple theta raised AttributeError on .as_tuple,
+        # table=None on .panel and a list scheme TypeError in the kernel cache
         kw = dict(theta0=kp.UNRELATED, theta1=kp.FULL_SIB, table=one_locus_table)
         kw[field] = value
         with pytest.raises(errors.InvalidParameter, match=message):

@@ -1,5 +1,6 @@
 import copy
 import io
+import itertools
 import math
 import os
 import pickle
@@ -234,21 +235,72 @@ class TestFrequencyTableConstruction:
 
     @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
                              ids=["deepcopy", "pickle"])
-    def test_a_copy_starts_with_an_empty_memo_and_a_read_only_matrix(self, synth_table,
-                                                                     copy_of):
-        # the memo is a per-process cache: a copy derives its own
+    def test_a_copy_hashes_equal_read_only(self, synth_table, copy_of):
+        # a copy is an equal table, so the engine's per-process caches serve
+        # it what the original derived, and its matrix stays read-only
         kernel, sampler = engine._compile(synth_table, "auto"), engine._sampler(synth_table)
         other = copy_of(synth_table)
-        assert other == synth_table and other.memo == {} and len(synth_table.memo) == 2
+        assert other is not synth_table and other == synth_table
+        assert hash(other) == hash(synth_table) and not hasattr(other, "memo")
         assert not other.matrix.flags.writeable
         assert other.matrix.tobytes() == synth_table.matrix.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             other.matrix[0, 0] = 0.5
-        copied = engine._compile(other, "auto")
-        assert not copied.full.flags.writeable and copied.key == kernel.key
-        assert all(a.tobytes() == b.tobytes()
-                   for a, b in zip(engine._sampler(other), sampler))
-        assert engine._compile(synth_table, "auto") is kernel
+        assert engine._compile(other, "auto") is kernel and engine._sampler(other) is sampler
+
+    def test_equal_tables_hash_equal(self):
+        # freqs in another key order and -0.0 for 0.0 give an equal table,
+        # and so the same hash; another frequency gives another hash
+        def table(b, c, order=(0, 1, 2)):
+            freqs = [("9", 0.5), ("10", b), ("11", c)]
+            return self.table({"x": {"L1": dict(freqs[i] for i in order)}})
+
+        base = table(0.0, 0.5)
+        for other in (table(0.0, 0.5, order=(2, 0, 1)), table(-0.0, 0.5)):
+            assert other == base and hash(other) == hash(base)
+        assert {base: 1}[table(-0.0, 0.5, order=(1, 2, 0))] == 1
+        assert table(0.25, 0.25) != base and hash(table(0.25, 0.25)) != hash(base)
+
+    def test_eq_is_the_equality_of_the_four_fields(self, two_subpop_table):
+        # == compares one digest of panel, subpops, freqs and floor in their
+        # place: over these variants it is their tuple's equality, and the
+        # hash follows it
+        t = two_subpop_table
+
+        def variant(**change):
+            return kp.FrequencyTable(**{"panel": t.panel, "subpops": t.subpops,
+                                        "freqs": t.freqs, "floor": t.floor, **change})
+
+        nudged = {**t.freqs, "a": {**t.freqs["a"], "L1": {"10": np.nextafter(0.2, 1.0),
+                                                          "11": 0.8}}}
+        variants = [
+            t, variant(), variant(floor=2e-5), variant(panel=t.panel[::-1]), variant(freqs=nudged),
+            variant(freqs={k: {locus: dict(reversed(d.items())) for locus, d in v.items()}
+                           for k, v in t.freqs.items()}),
+            variant(subpops=(kp.Subpopulation("a", np.float64(0.5)), kp.Subpopulation("b", 0.5))),
+            variant(subpops=(kp.Subpopulation("a", 0.4), kp.Subpopulation("b", 0.6))),
+            variant(subpops=tuple(kp.Subpopulation(s.name, s.proportion, 10) for s in t.subpops)),
+            variant(subpops=t.subpops[::-1])]
+        for u, v in itertools.product(variants, variants):
+            same = (u.panel, u.subpops, u.freqs, u.floor) == (v.panel, v.subpops, v.freqs, v.floor)
+            assert (u == v) == same == (hash(u) == hash(v))
+        assert sum(u == t for u in variants) == 4
+
+    def test_hash_is_the_same_in_every_process(self, synth_table):
+        # a SHA-256 of the content, not Python's seeded string hash
+        script = ("import kinpower as kp; print(hash(kp.synth_frequency_table(n_subpops=4, "
+                  "n_loci=15, n_alleles=10, divergence=0.3, seed=11, "
+                  "proportions=[0.1108, 0.3695, 0.3538, 0.1659])))")
+        env = dict(os.environ, PYTHONPATH=str(Path(kp.__file__).parents[1]))
+        hashes = {int(subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                     text=True, check=True, env={**env, "PYTHONHASHSEED": seed})
+                      .stdout) for seed in ("1", "2")}
+        assert hashes == {hash(synth_table)}
+
+    def test_a_direct_table_is_not_floored(self):
+        # only load_frequency_table floors; the class checks the floor's range
+        t = self.table({"x": {"L1": {"9": 0.0, "10": 1.0}}})
+        assert t.floor == kp.tables.DEFAULT_FLOOR and t.matrix.tolist() == [[1.0, 0.0]]
 
     def test_layout(self):
         t = self.table({"a": {"L1": {"9": 0.25, "10": 0.75}, "L2": {"x": 1.0}},
